@@ -226,7 +226,9 @@ def test_analyzer_weight_sensitivity(benchmark):
     monotonically as the thresholds tighten, and that the defaults sit
     between the permissive and strict extremes.
     """
-    from repro.perf.analysis.detectors import AnalyzerWeights, detect_move_candidates
+    from repro.perf.analysis import Analyzer
+    from repro.perf.analysis.detectors import AnalyzerWeights
+    from repro.perf.database import TraceDatabase
     from repro.perf.events import CallEvent, ECALL
 
     def make_trace():
@@ -251,7 +253,9 @@ def test_analyzer_weight_sensitivity(benchmark):
         return events
 
     def sweep():
-        events = make_trace()
+        db = TraceDatabase()
+        for event in make_trace():
+            db.add_call(event)
         counts = {}
         for scale, label in ((0.5, "permissive"), (1.0, "default"), (1.4, "strict")):
             weights = AnalyzerWeights(
@@ -259,7 +263,9 @@ def test_analyzer_weight_sensitivity(benchmark):
                 move_beta=min(0.50 * scale, 1.0),
                 move_gamma=min(0.65 * scale, 1.0),
             )
-            counts[label] = len(detect_move_candidates(events, 2_130, weights))
+            report = Analyzer(db, weights=weights).run()
+            # Equation 1 findings carry the c1/c5/c10 threshold fractions.
+            counts[label] = sum(1 for f in report.findings if "c1" in f.evidence)
         return counts
 
     counts = run_once(benchmark, sweep)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.perf.analysis import Analyzer
 from repro.perf.analysis import callgraph as cg
 from repro.perf.analysis import stats as stats_mod
-from repro.perf.database import TraceDatabase
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
@@ -70,7 +70,7 @@ def run_figure5(requests: int = 250, seed: int = 0) -> Figure5Result:
     calls = db.calls()
     ecalls = [c for c in calls if c.kind == "ecall"]
     ocalls = [c for c in calls if c.kind == "ocall"]
-    graph = cg.build_call_graph(calls)
+    graph = Analyzer(db).call_graph()
     edges = sorted(
         (
             (graph.nodes[src]["name"], graph.nodes[dst]["name"], data["count"])

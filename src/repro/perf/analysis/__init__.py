@@ -1,20 +1,11 @@
 """Trace analysis and developer hints (paper §4.3)."""
 
-from repro.perf.analysis.callgraph import build_call_graph, edge_counts, to_dot
+from repro.perf.analysis.callgraph import edge_counts, to_dot
 from repro.perf.analysis.detectors import (
     AnalyzerWeights,
     Finding,
     Problem,
     Recommendation,
-    detect_merge_batch_candidates,
-    detect_move_candidates,
-    detect_paging,
-    detect_reorder_candidates,
-    detect_ssc,
-)
-from repro.perf.analysis.parents import (
-    compute_indirect_parents,
-    recompute_direct_parents,
 )
 from repro.perf.analysis.export import (
     FINDINGS_SCHEMA,
@@ -23,21 +14,13 @@ from repro.perf.analysis.export import (
     report_to_dict,
     report_to_json,
 )
+from repro.perf.analysis.parents import recompute_direct_parents
 from repro.perf.analysis.report import AnalysisReport, Analyzer
-from repro.perf.analysis.security import (
-    allowlist_findings,
-    observed_allow_sets,
-    private_ecall_candidates,
-    user_check_findings,
-)
 from repro.perf.analysis.stats import (
     CallStatistics,
     Histogram,
-    all_statistics,
     compute_statistics,
-    execution_durations_ns,
     fraction_shorter_than,
-    group_by_name,
     histogram,
     scatter_series,
 )
@@ -52,29 +35,15 @@ __all__ = [
     "Histogram",
     "Problem",
     "Recommendation",
-    "all_statistics",
-    "allowlist_findings",
-    "build_call_graph",
-    "compute_indirect_parents",
     "compute_statistics",
-    "detect_merge_batch_candidates",
-    "detect_move_candidates",
-    "detect_paging",
-    "detect_reorder_candidates",
-    "detect_ssc",
     "edge_counts",
-    "execution_durations_ns",
     "finding_to_dict",
     "fraction_shorter_than",
-    "group_by_name",
     "histogram",
     "load_findings",
-    "observed_allow_sets",
-    "private_ecall_candidates",
     "recompute_direct_parents",
     "report_to_dict",
     "report_to_json",
     "scatter_series",
     "to_dot",
-    "user_check_findings",
 ]

@@ -4,71 +4,19 @@ Nodes are calls ("[id] name", square for ecalls, round for ocalls); solid
 edges connect direct parents to children, dashed edges connect indirect
 parents; edge labels carry call counts.
 
-The graph is aggregated from :class:`~repro.perf.columns.CallColumns` —
-per-event parent relations reduce to ``np.unique`` counts over code pairs
-rather than a Python loop over every event.
+The call fold (:meth:`~repro.perf.analysis.streaming.CallFold.call_graph`)
+aggregates per-event parent relations into the name-level graph; this
+module names the edge relations and renders the graph.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
-
 import networkx as nx
-import numpy as np
 
-from repro.perf.analysis import parents as parents_mod
-from repro.perf.columns import CallColumns, as_columns
-from repro.perf.events import CallEvent, ECALL
+from repro.perf.events import ECALL
 
 DIRECT = "direct"
 INDIRECT = "indirect"
-
-
-def _bump_pair_edges(
-    graph: nx.MultiDiGraph,
-    node_keys: list[str],
-    src_codes: np.ndarray,
-    dst_codes: np.ndarray,
-    relation: str,
-) -> None:
-    """Add one ``relation`` edge per distinct (src, dst) pair with its count,
-    in first-appearance order."""
-    if len(src_codes) == 0:
-        return
-    n_codes = len(node_keys)
-    pair = src_codes * n_codes + dst_codes
-    uniq, first, counts = np.unique(pair, return_index=True, return_counts=True)
-    appearance = np.argsort(first, kind="stable")
-    for u, c in zip(uniq[appearance].tolist(), counts[appearance].tolist()):
-        src, dst = node_keys[u // n_codes], node_keys[u % n_codes]
-        graph.add_edge(src, dst, key=relation, relation=relation, count=int(c))
-
-
-def build_call_graph(calls: Union[CallColumns, Sequence[CallEvent]]) -> nx.MultiDiGraph:
-    """Aggregate per-event parent relations into a name-level graph."""
-    cols = as_columns(calls)
-    graph = nx.MultiDiGraph()
-    if len(cols) == 0:
-        return graph
-    codes, keys = cols.group_codes()
-    node_keys = [f"{kind}:{name}" for kind, name in keys]
-    for (kind, name), rows in cols.group_indices():
-        first = int(rows[0])
-        graph.add_node(
-            node_keys[int(codes[first])],
-            name=name,
-            kind=kind,
-            call_index=int(cols.call_index[first]),
-            count=int(len(rows)),
-        )
-    parent_pos = cols.positions_of(cols.parent_id)
-    direct_children = np.flatnonzero(parent_pos >= 0)
-    _bump_pair_edges(
-        graph, node_keys, codes[parent_pos[direct_children]], codes[direct_children], DIRECT
-    )
-    ind_children, ind_parents = parents_mod.indirect_parent_links(cols)
-    _bump_pair_edges(graph, node_keys, codes[ind_parents], codes[ind_children], INDIRECT)
-    return graph
 
 
 def to_dot(graph: nx.MultiDiGraph) -> str:

@@ -17,32 +17,19 @@ Implements the paper's detection equations with its default weights:
 * **Paging** (§3.5): any EPC traffic during the trace, correlated with the
   ecalls it interrupted.
 
-All detectors consume :class:`~repro.perf.columns.CallColumns` internally
-(legacy ``Sequence[CallEvent]`` inputs are coerced), grouping and
-thresholding on NumPy arrays instead of per-event objects.
-
-Every detector reduces its evidence to **plain threshold counts** before
-deciding anything: the counts go through the shared ``*_finding_from_counts``
-builders, which hold the decision equations and message formats.  The
-streaming analyser (:mod:`repro.perf.analysis.streaming`) accumulates the
-same counts incrementally over chunks and calls the same builders, so both
-paths produce byte-identical findings by construction.
+Every detector decides on **plain threshold counts**: the call fold
+(:mod:`repro.perf.analysis.streaming`) and the analyser's side-table passes
+accumulate them chunk by chunk, and the ``*_finding_from_counts`` builders
+here hold the decision equations and message formats.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
-import numpy as np
-
-from repro.perf.analysis import parents as parents_mod
-from repro.perf.analysis import stats as stats_mod
-from repro.perf.columns import CallColumns, as_columns
-from repro.perf.events import CallEvent, ECALL, OCALL, PagingRecord, SyncEvent, SyncKind
-
-Calls = Union[CallColumns, Sequence[CallEvent]]
+from repro.perf.events import ECALL, OCALL
 
 
 class Problem(enum.Enum):
@@ -136,16 +123,6 @@ class AnalyzerWeights:
     ssc_short_sleep_ns: int = 50_000
 
 
-def _grouped_rows(keys: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """Row indices per distinct key string, in sorted-key order."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.flatnonzero(np.diff(inverse[order])) + 1
-    return [
-        (str(uniq[i]), rows) for i, rows in enumerate(np.split(order, boundaries))
-    ]
-
-
 # --------------------------------------------------------------------------
 # Equation 1: moving / duplication opportunities
 # --------------------------------------------------------------------------
@@ -191,35 +168,6 @@ def move_finding_from_counts(
         ),
         evidence={"count": total, "c1": c1, "c5": c5, "c10": c10},
     )
-
-
-def detect_move_candidates(
-    calls: Calls,
-    transition_round_trip_ns: int,
-    weights: AnalyzerWeights = AnalyzerWeights(),
-) -> list[Finding]:
-    """Flag calls whose executions are mostly shorter than a transition."""
-    cols = as_columns(calls)
-    durations = cols.duration_ns()
-    findings: list[Finding] = []
-    for (kind, name), rows in sorted(cols.group_indices(), key=lambda g: g[0]):
-        if cols.is_sync[rows[0]] or len(rows) < weights.min_calls:
-            continue
-        exec_ns = durations[rows]
-        if kind == ECALL:
-            exec_ns = np.maximum(exec_ns - int(transition_round_trip_ns), 0)
-        finding = move_finding_from_counts(
-            kind,
-            name,
-            len(exec_ns),
-            int((exec_ns < 1_000).sum()),
-            int((exec_ns < 5_000).sum()),
-            int((exec_ns < 10_000).sum()),
-            weights,
-        )
-        if finding is not None:
-            findings.append(finding)
-    return findings
 
 
 # --------------------------------------------------------------------------
@@ -271,51 +219,6 @@ def reorder_finding_from_counts(
                 },
             )
     return None
-
-
-def detect_reorder_candidates(
-    calls: Calls,
-    weights: AnalyzerWeights = AnalyzerWeights(),
-) -> list[Finding]:
-    """Flag nested calls clustered at the start or end of their parent."""
-    cols = as_columns(calls)
-    parent_pos = cols.positions_of(cols.parent_id)
-    nested = np.flatnonzero((parent_pos >= 0) & ~cols.is_sync)
-    findings: list[Finding] = []
-    if len(nested) == 0:
-        return findings
-    parents = parent_pos[nested]
-    from_start_all = cols.start_ns[nested] - cols.start_ns[parents]
-    from_end_all = cols.end_ns[parents] - cols.end_ns[nested]
-    # "\x00" sorts below any name character, so sorted key strings match
-    # sorted (kind, name, parent_name) tuples.
-    keys = np.array(
-        [
-            k + "\x00" + n + "\x00" + p
-            for k, n, p in zip(cols.kind[nested], cols.name[nested], cols.name[parents])
-        ],
-        dtype=object,
-    )
-    for key, rows in _grouped_rows(keys):
-        if len(rows) < weights.min_calls:
-            continue
-        kind, name, parent_name = key.split("\x00")
-        starts = from_start_all[rows]
-        ends = from_end_all[rows]
-        finding = reorder_finding_from_counts(
-            kind,
-            name,
-            parent_name,
-            len(rows),
-            int((starts <= 10_000).sum()),
-            int((starts <= 20_000).sum()),
-            int((ends <= 10_000).sum()),
-            int((ends <= 20_000).sum()),
-            weights,
-        )
-        if finding is not None:
-            findings.append(finding)
-    return findings
 
 
 # --------------------------------------------------------------------------
@@ -388,55 +291,6 @@ def merge_finding_from_counts(
     )
 
 
-def detect_merge_batch_candidates(
-    calls: Calls,
-    weights: AnalyzerWeights = AnalyzerWeights(),
-) -> list[Finding]:
-    """Flag successive short-gap calls for batching (SISC) or merging (SDSC)."""
-    cols = as_columns(calls)
-    children, parents = parents_mod.indirect_parent_links(cols)
-    counts_by_name = {key: len(rows) for key, rows in cols.group_indices()}
-    findings: list[Finding] = []
-    if len(children) == 0:
-        return findings
-    keep = ~cols.is_sync[children]
-    children, parents = children[keep], parents[keep]
-    if len(children) == 0:
-        return findings
-    gaps_all = cols.start_ns[children] - cols.end_ns[parents]
-    keys = np.array(
-        [
-            ck + "\x00" + cn + "\x00" + pk + "\x00" + pn
-            for ck, cn, pk, pn in zip(
-                cols.kind[children],
-                cols.name[children],
-                cols.kind[parents],
-                cols.name[parents],
-            )
-        ],
-        dtype=object,
-    )
-    for key, rows in _grouped_rows(keys):
-        ck, cn, pk, pn = key.split("\x00")
-        child_key, parent_key = (ck, cn), (pk, pn)
-        arr = gaps_all[rows]
-        finding = merge_finding_from_counts(
-            child_key,
-            parent_key,
-            len(rows),
-            int((arr <= 1_000).sum()),
-            int((arr <= 5_000).sum()),
-            int((arr <= 10_000).sum()),
-            int((arr <= 20_000).sum()),
-            counts_by_name[child_key],
-            counts_by_name[parent_key],
-            weights,
-        )
-        if finding is not None:
-            findings.append(finding)
-    return findings
-
-
 # --------------------------------------------------------------------------
 # Short synchronisation calls
 # --------------------------------------------------------------------------
@@ -482,38 +336,6 @@ def ssc_finding_from_counts(
             },
         )
     ]
-
-
-def detect_ssc(
-    calls: Calls,
-    sync_events: Sequence[SyncEvent],
-    weights: AnalyzerWeights = AnalyzerWeights(),
-) -> list[Finding]:
-    """Flag heavy in-enclave synchronisation with short sleeps (§3.4)."""
-    if len(sync_events) < weights.ssc_min_events:
-        return []
-    cols = as_columns(calls)
-    sleeps = [e for e in sync_events if e.kind is SyncKind.SLEEP]
-    wakes = [e for e in sync_events if e.kind is SyncKind.WAKE]
-    sleep_pos = cols.positions_of(
-        np.fromiter((e.call_id for e in sleeps), dtype=np.int64, count=len(sleeps))
-    )
-    sleep_pos = sleep_pos[sleep_pos >= 0]
-    sleep_durations = cols.duration_ns()[sleep_pos]
-    wake_matrix: dict[tuple[int, int], int] = {}
-    for wake in wakes:
-        for target in wake.targets:
-            key = (wake.thread_id, target)
-            wake_matrix[key] = wake_matrix.get(key, 0) + 1
-    return ssc_finding_from_counts(
-        len(sync_events),
-        len(sleeps),
-        len(wakes),
-        len(sleep_durations),
-        int((sleep_durations < weights.ssc_short_sleep_ns).sum()),
-        wake_matrix,
-        weights,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -571,28 +393,3 @@ def paging_findings_from_counts(
             evidence={"page_in": page_in, "page_out": page_out},
         )
     ]
-
-
-def detect_paging(
-    calls: Calls,
-    paging: Sequence[PagingRecord],
-) -> list[Finding]:
-    """Flag EPC paging, attributing events to the ecalls they fell into."""
-    if not paging:
-        return []
-    cols = as_columns(calls)
-    page_in = sum(1 for p in paging if p.direction == "page_in")
-    page_out = len(paging) - page_in
-    ecall_rows = np.flatnonzero(np.asarray(cols.kind, dtype=object) == ECALL)
-    ecall_rows = ecall_rows[np.argsort(cols.start_ns[ecall_rows], kind="stable")]
-    starts = cols.start_ns[ecall_rows]
-    ends = cols.end_ns[ecall_rows]
-    names = cols.name[ecall_rows]
-    affected: dict[str, int] = {}
-    for record in paging:
-        idx = int(np.searchsorted(starts, record.timestamp_ns, side="right")) - 1
-        if 0 <= idx < len(ecall_rows) and ends[idx] >= record.timestamp_ns:
-            name = str(names[idx])
-            affected[name] = affected.get(name, 0) + 1
-    distinct_pages = len({(p.enclave_id, p.vaddr) for p in paging})
-    return paging_findings_from_counts(affected, page_in, page_out, distinct_pages)

@@ -5,10 +5,8 @@ findings to a stable JSON document — the contract the automatic interface
 optimizer (:mod:`repro.optimizer`) consumes.  Stability matters twice
 over: the schema is versioned so downstream tooling can detect drift, and
 the byte stream is canonical (sorted keys, fixed float formatting via
-``repr`` of Python floats, findings in priority order) so the in-memory
-and streaming analysers — which already produce identical
-:class:`Finding` objects by construction — also produce byte-identical
-exports.
+``repr`` of Python floats, findings in priority order) so the export of a
+trace is byte-identical at any chunk size or job count.
 """
 
 from __future__ import annotations

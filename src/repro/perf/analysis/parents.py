@@ -1,82 +1,16 @@
-"""Direct and indirect parent relationships (paper §4.3.2, Figure 4).
+"""Direct parents from interval containment (paper §4.3.2, Figure 4).
 
 *Direct* parents are logged by the event logger: an ecall E is the direct
 parent of an ocall O iff O was issued during E (and vice versa for ecalls
-during ocalls).
-
-*Indirect* parents relate calls of the **same kind** that share the same
-direct parent: the indirect parent of a call is the latest call of its
-kind, on its thread, with the same direct parent, that ended before it
-started.  Top-level calls (no direct parent) chain with other top-level
-calls of the same kind on the same thread — Figure 4 case (1)/(4).
-
-The columnar fast path computes every link in one ``lexsort`` pass
-(:func:`indirect_parent_links`); the event-object helpers remain for
-compatibility and cross-checking.
+during ocalls).  The analyser's call fold also derives the *indirect*
+parents of Figure 4 from them (see :mod:`repro.perf.analysis.streaming`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.perf.columns import CallColumns
 from repro.perf.events import CallEvent
-
-
-def index_by_id(calls: Iterable[CallEvent]) -> dict[int, CallEvent]:
-    """Map event id → event."""
-    return {c.event_id: c for c in calls}
-
-
-def indirect_parent_links(cols: CallColumns) -> tuple[np.ndarray, np.ndarray]:
-    """All indirect-parent links as ``(child positions, parent positions)``.
-
-    One vectorised pass over the whole trace: sort rows by
-    ``(thread, direct parent, kind, start, id)`` — within each
-    ``(thread, parent, kind)`` group consecutive rows are exactly the
-    Figure 4 chains.
-    """
-    n = len(cols)
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    kind_codes = np.unique(np.asarray(cols.kind, dtype=object), return_inverse=True)[1]
-    order = np.lexsort(
-        (cols.event_id, cols.start_ns, kind_codes, cols.parent_id, cols.thread_id)
-    )
-    thread = cols.thread_id[order]
-    parent = cols.parent_id[order]
-    kind = kind_codes[order]
-    same_group = (
-        (thread[1:] == thread[:-1]) & (parent[1:] == parent[:-1]) & (kind[1:] == kind[:-1])
-    )
-    return order[1:][same_group], order[:-1][same_group]
-
-
-def compute_indirect_parents(
-    calls: Union[CallColumns, Sequence[CallEvent]],
-) -> dict[int, int]:
-    """Event id → indirect parent event id, per the Figure 4 rules."""
-    if isinstance(calls, CallColumns):
-        children, parents = indirect_parent_links(calls)
-        return dict(
-            zip(
-                calls.event_id[children].tolist(),
-                calls.event_id[parents].tolist(),
-            )
-        )
-    groups: dict[tuple[int, Optional[int], str], list[CallEvent]] = {}
-    for call in calls:
-        key = (call.thread_id, call.parent_id, call.kind)
-        groups.setdefault(key, []).append(call)
-    result: dict[int, int] = {}
-    for group in groups.values():
-        group.sort(key=lambda c: (c.start_ns, c.event_id))
-        for previous, current in zip(group, group[1:]):
-            result[current.event_id] = previous.event_id
-    return result
 
 
 def recompute_direct_parents(calls: Sequence[CallEvent]) -> dict[int, Optional[int]]:
@@ -100,24 +34,3 @@ def recompute_direct_parents(calls: Sequence[CallEvent]) -> dict[int, Optional[i
             result[call.event_id] = stack[-1].event_id if stack else None
             stack.append(call)
     return result
-
-
-def children_of(calls: Sequence[CallEvent]) -> dict[Optional[int], list[CallEvent]]:
-    """Direct parent event id → list of child events (None = top level)."""
-    result: dict[Optional[int], list[CallEvent]] = {}
-    for call in calls:
-        result.setdefault(call.parent_id, []).append(call)
-    return result
-
-
-def gap_to_indirect_parent_ns(
-    call: CallEvent,
-    indirect_parents: dict[int, int],
-    by_id: dict[int, CallEvent],
-) -> Optional[int]:
-    """Time between the indirect parent's end and this call's start."""
-    parent_id = indirect_parents.get(call.event_id)
-    if parent_id is None:
-        return None
-    parent = by_id[parent_id]
-    return call.start_ns - parent.end_ns

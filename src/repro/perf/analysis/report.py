@@ -1,8 +1,9 @@
 """Human-readable analysis reports and the analyser facade (paper §4.3).
 
-:class:`Analyzer` pulls a trace out of a :class:`TraceDatabase`, runs the
-general statistics, every problem detector and the security analysis, and
-packages the result as an :class:`AnalysisReport` that renders to text.
+:class:`Analyzer` streams a trace out of a :class:`TraceDatabase` in
+bounded-size chunks, computes the general statistics, every problem
+detector and the security analysis, and packages the result as an
+:class:`AnalysisReport` that renders to text.
 """
 
 from __future__ import annotations
@@ -10,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
+import networkx as nx
 
 from repro.perf.analysis import callgraph as callgraph_mod
 from repro.perf.analysis import detectors as det
-from repro.perf.analysis import security as sec
 from repro.perf.analysis import stats as stats_mod
-from repro.perf.database import TraceDatabase
-from repro.perf.events import ECALL, OCALL
+from repro.perf.analysis.streaming import CallFold
+from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase
+from repro.perf.events import SyncKind
 from repro.sdk.edl import EnclaveDefinition
 from repro.workloads.serving import percentile_ns
 
@@ -31,10 +32,10 @@ class FaultAccumulator:
     offline analyser reproduces the numbers a live campaign reported:
     request counts, retries, shed/failed totals and nearest-rank latency
     percentiles parsed back out of ``serve:request`` details (``ok +N ns``).
-    Both the in-memory and streaming analysers fold through this class, so
-    the fault/availability sections cannot drift between them.  Per-request
-    latencies are retained until :meth:`availability` (the percentiles need
-    the full ordered set); everything else is O(distinct kinds).
+    The analyser and the cluster trace merge both fold through this class.
+    Per-request latencies are retained until :meth:`availability` (the
+    percentiles need the full ordered set); everything else is O(distinct
+    kinds).
     """
 
     def __init__(self) -> None:
@@ -128,11 +129,7 @@ def apply_fault_annotations(
     acc: FaultAccumulator,
     trace_state: Optional[str],
 ) -> None:
-    """Attach the fault/recovery section and notes to a report.
-
-    Shared by :class:`Analyzer` and the streaming analyser so both render
-    the exact same fault section for the same trace.
-    """
+    """Attach the fault/recovery section and notes to a report."""
     if not acc.total and trace_state is None:
         return
     counts = acc.counts
@@ -164,15 +161,6 @@ def apply_fault_annotations(
         report.notes.append(
             f"trace was {trace_state}: {report.truncated_calls} call(s) "
             "closed at the trace horizon, not by returning"
-        )
-
-
-def apply_edl_note(report: "AnalysisReport", definition) -> None:
-    """Append the no-EDL caveat (shared by both analyser paths)."""
-    if definition is None:
-        report.notes.append(
-            "no EDL supplied: allow-list narrowing reports minimal observed "
-            "sets; pass the enclave's EDL for removable-entry analysis"
         )
 
 
@@ -339,101 +327,199 @@ class AnalysisReport:
 
 
 class Analyzer:
-    """The sgx-perf analyser: trace database in, report out."""
+    """The sgx-perf analyser: trace database in, report out.
+
+    Runs four passes over the trace database, each in bounded memory:
+
+    1. a *sync* pass over the (small) sync table, producing the sleep
+       multiplicities and wake matrix the SSC detector needs;
+    2. the *call fold* — :class:`~repro.perf.analysis.streaming.CallFold`
+       over thread-major column chunks of ``chunk_events`` rows, sharded
+       by thread across worker processes when ``jobs > 1`` (see
+       :mod:`repro.perf.analysis.parallel`);
+    3. a *paging* pass merge-joining time-ordered paging records against
+       time-ordered ecall intervals, skipped when the trace has no paging
+       rows;
+    4. a *fault* pass folding fault rows through :class:`FaultAccumulator`.
+
+    The report is byte-identical for any chunk size or job count; the
+    golden-digest tests and the CI digest gates hold it to that.
+    """
 
     def __init__(
         self,
         database: TraceDatabase,
         definition: Optional[EnclaveDefinition] = None,
         weights: Optional[det.AnalyzerWeights] = None,
+        chunk_events: Optional[int] = None,
+        jobs: int = 1,
     ) -> None:
         self.db = database
         self.definition = definition
         self.weights = weights or det.AnalyzerWeights()
-        self._cols = None
-
-    def _columns(self):
-        """The trace's call columns, fetched once and shared.
-
-        The report summary, scatter series, histograms and call graph all
-        work off this one read instead of re-querying the database.
-        """
-        if self._cols is None:
-            self._cols = self.db.call_columns()
-        return self._cols
+        self.chunk_events = int(chunk_events or DEFAULT_CHUNK_EVENTS)
+        self.jobs = int(jobs)
+        self._fold: Optional[CallFold] = None
 
     def run(self) -> AnalysisReport:
         """Run every analysis over the trace."""
-        calls = self._columns()
-        sync_events = self.db.sync_events()
-        paging = self.db.paging_events()
-        faults = self.db.fault_events()
-        trace_state = self.db.get_meta("trace_state")
+        db = self.db
+        counts = db.table_counts()
+        trace_state = db.get_meta("trace_state")
         transition_ns = int(
-            self.db.get_meta("transition_round_trip_ns", str(DEFAULT_TRANSITION_NS))
+            db.get_meta("transition_round_trip_ns", str(DEFAULT_TRANSITION_NS))
         )
-        weights = self.weights
+        sync = self._sync_pass()
+        fold = self._fold = self._fold_trace(transition_ns, sync["sleep_counts"])
 
         findings: list[det.Finding] = []
-        findings += det.detect_reorder_candidates(calls, weights)
-        findings += det.detect_merge_batch_candidates(calls, weights)
-        findings += det.detect_move_candidates(calls, transition_ns, weights)
-        findings += det.detect_ssc(calls, sync_events, weights)
-        findings += det.detect_paging(calls, paging)
-        findings += sec.private_ecall_candidates(calls)
-        findings += sec.allowlist_findings(calls, self.definition)
-        if self.definition is not None:
-            findings += sec.user_check_findings(self.definition, calls)
+        findings += fold.reorder_findings()
+        findings += fold.merge_findings()
+        findings += fold.move_findings()
+        findings += det.ssc_finding_from_counts(
+            sync["total"],
+            sync["sleeps"],
+            sync["wakes"],
+            fold.ssc_matched,
+            fold.ssc_short,
+            sync["wake_matrix"],
+            self.weights,
+        )
+        if counts["paging"]:
+            findings += det.paging_findings_from_counts(*self._paging_pass())
+        findings += fold.security_findings(self.definition)
 
-        kinds = np.asarray(calls.kind, dtype=object)
-        ecalls = calls.select(kinds == ECALL)
-        ocalls = calls.select(kinds == OCALL)
-        ecall_exec = stats_mod.execution_durations_ns(ecalls, transition_ns)
-        ocall_exec = stats_mod.execution_durations_ns(ocalls, transition_ns)
+        distinct_ecalls, distinct_ocalls = fold.distinct_counts()
         report = AnalysisReport(
-            statistics=stats_mod.all_statistics(calls),
+            statistics=fold.statistics(),
             findings=findings,
             transition_round_trip_ns=transition_ns,
-            ecall_count=len(ecalls),
-            ocall_count=len(ocalls),
-            ecall_short_fraction=stats_mod.fraction_shorter_than(
-                ecall_exec, weights.short_call_ns
+            ecall_count=fold.ecall_rows,
+            ocall_count=fold.ocall_rows,
+            ecall_short_fraction=(
+                fold.ecall_short / fold.ecall_rows if fold.ecall_rows else 0.0
             ),
-            ocall_short_fraction=stats_mod.fraction_shorter_than(
-                ocall_exec, weights.short_call_ns
+            ocall_short_fraction=(
+                fold.ocall_short / fold.ocall_rows if fold.ocall_rows else 0.0
             ),
-            distinct_ecalls=len(set(ecalls.name.tolist())),
-            distinct_ocalls=len(set(ocalls.name.tolist())),
-            aex_total=int(calls.aex_count.sum()),
-            paging_events=len(paging),
+            distinct_ecalls=distinct_ecalls,
+            distinct_ocalls=distinct_ocalls,
+            aex_total=fold.aex_total,
+            paging_events=counts["paging"],
         )
         fault_acc = FaultAccumulator()
-        for fault in faults:
-            fault_acc.add(fault)
+        for chunk in db.fault_events_chunks(self.chunk_events):
+            for fault in chunk:
+                fault_acc.add(fault)
         apply_fault_annotations(report, fault_acc, trace_state)
-        apply_edl_note(report, self.definition)
+        if self.definition is None:
+            report.notes.append(
+                "no EDL supplied: allow-list narrowing reports minimal observed "
+                "sets; pass the enclave's EDL for removable-entry analysis"
+            )
         return report
+
+    # -- passes --------------------------------------------------------------
+
+    def _sync_pass(self) -> dict:
+        """Sleep multiplicities, wake matrix and sync totals (one pass)."""
+        total = sleeps = wakes = 0
+        sleep_counts: dict[int, int] = {}
+        wake_matrix: dict[tuple[int, int], int] = {}
+        for rows in self.db.sync_rows_chunks(self.chunk_events):
+            for row in rows:
+                total += 1
+                kind = row[3]
+                if kind == SyncKind.SLEEP.value:
+                    sleeps += 1
+                    if row[4] is not None:
+                        call_id = int(row[4])
+                        sleep_counts[call_id] = sleep_counts.get(call_id, 0) + 1
+                elif kind == SyncKind.WAKE.value:
+                    wakes += 1
+                    thread_id = int(row[2])
+                    for target in (row[5] or "").split(","):
+                        if target:
+                            key = (thread_id, int(target))
+                            wake_matrix[key] = wake_matrix.get(key, 0) + 1
+        return {
+            "total": total,
+            "sleeps": sleeps,
+            "wakes": wakes,
+            "sleep_counts": sleep_counts,
+            "wake_matrix": wake_matrix,
+        }
+
+    def _fold_trace(self, transition_ns: int, sleep_counts: dict[int, int]) -> CallFold:
+        if self.jobs > 1 and self.db.path != ":memory:":
+            from repro.perf.analysis.parallel import parallel_fold
+
+            fold = parallel_fold(
+                self.db,
+                transition_ns,
+                self.weights,
+                sleep_counts,
+                jobs=self.jobs,
+                chunk_events=self.chunk_events,
+            )
+            if fold is not None:
+                return fold
+        fold = CallFold(transition_ns, self.weights, sleep_counts)
+        for cols in self.db.call_columns_chunks(self.chunk_events, order="thread"):
+            fold.fold(cols)
+        return fold.seal()
+
+    def _paging_pass(self) -> tuple[dict[str, int], int, int, int]:
+        """Attribute paging events to enclosing ecalls via a merge-join.
+
+        Both streams are time-ordered, so "the last ecall started at or
+        before the fault's timestamp" is a single forward pointer, which
+        picks the last of several ecalls with tied starts.
+        """
+        page_in = total = 0
+        distinct: set[tuple[int, int]] = set()
+        affected: dict[str, int] = {}
+
+        def intervals():
+            for rows in self.db.ecall_intervals_chunks(self.chunk_events):
+                yield from rows
+
+        ecalls = intervals()
+        upcoming = next(ecalls, None)
+        current = None  # last interval started at or before the fault
+        for rows in self.db.paging_rows_chunks(self.chunk_events):
+            for row in rows:
+                ts = int(row[1])
+                total += 1
+                if row[4] == "page_in":
+                    page_in += 1
+                distinct.add((int(row[2]), int(row[3])))
+                while upcoming is not None and upcoming[0] <= ts:
+                    current = upcoming
+                    upcoming = next(ecalls, None)
+                if current is not None and current[1] >= ts:
+                    name = str(current[2])
+                    affected[name] = affected.get(name, 0) + 1
+        return affected, page_in, total - page_in, len(distinct)
 
     # -- visualisation helpers -------------------------------------------------
 
-    def _select(self, kind: str, name: str):
-        """Filter the shared columns — same rows/order as a filtered query."""
-        cols = self._columns()
-        kinds = np.asarray(cols.kind, dtype=object)
-        names = np.asarray(cols.name, dtype=object)
-        return cols.select((kinds == kind) & (names == name))
-
     def histogram(self, kind: str, name: str, bins: int = 100) -> stats_mod.Histogram:
         """Execution-time histogram for one call (Figure 7)."""
-        return stats_mod.histogram(self._select(kind, name), bins=bins)
+        return stats_mod.histogram(self.db.call_columns(kind=kind, name=name), bins=bins)
 
     def scatter(self, kind: str, name: str):
         """(start, duration) scatter series for one call (Figure 8)."""
-        return stats_mod.scatter_series(self._select(kind, name))
+        return stats_mod.scatter_series(self.db.call_columns(kind=kind, name=name))
 
-    def call_graph(self):
-        """Name-level call graph with direct/indirect edges (Figure 5)."""
-        return callgraph_mod.build_call_graph(self._columns())
+    def call_graph(self) -> nx.MultiDiGraph:
+        """Name-level call graph with direct/indirect edges (Figure 5).
+
+        Built from the last :meth:`run`'s fold (runs one if needed).
+        """
+        if self._fold is None:
+            self.run()
+        return self._fold.call_graph()
 
     def call_graph_dot(self) -> str:
         """Figure 5-style Graphviz DOT text."""

@@ -11,40 +11,18 @@ Three hints, all derived from observed behaviour plus (optionally) the EDL:
 3. **user_check pointers** — parameters the SDK copies nothing for; the
    developer owns every check, so each one is flagged for review.
 
-Inputs are coerced to :class:`~repro.perf.columns.CallColumns`; the
-parent-kind joins run on arrays rather than per-event dict lookups.
-
-Each hint reduces the trace to plain sets/counts first (nested-parent
-sets, observed allow sets, per-call counts), then hands those to a
-``*_findings_from_*`` builder holding the message formats.  The streaming
-analyser accumulates the same sets chunk by chunk and calls the same
-builders, keeping both paths byte-identical.
+The call fold reduces the trace to plain sets/counts (nested-parent
+sets, observed allow sets, per-call counts) and hands those to the
+``*_findings_from_*`` builders here, which hold the message formats.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional
 
 from repro.perf.analysis.detectors import Finding, Problem, Recommendation
-from repro.perf.columns import CallColumns, as_columns
-from repro.perf.events import CallEvent, ECALL, OCALL
+from repro.perf.events import ECALL, OCALL
 from repro.sdk.edl import EnclaveDefinition
-
-Calls = Union[CallColumns, Sequence[CallEvent]]
-
-
-def _nested_ecall_pairs(cols: CallColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ecall rows, their parent rows, nested-under-ocall mask over ecall rows)."""
-    kinds = np.asarray(cols.kind, dtype=object)
-    ecall_rows = np.flatnonzero(kinds == ECALL)
-    parent_pos = cols.positions_of(cols.parent_id[ecall_rows])
-    has_ocall_parent = np.zeros(len(ecall_rows), dtype=bool)
-    found = parent_pos >= 0
-    if found.any():
-        has_ocall_parent[found] = kinds[parent_pos[found]] == OCALL
-    return ecall_rows, parent_pos, has_ocall_parent
 
 
 def private_ecall_findings_from_sets(
@@ -75,35 +53,6 @@ def private_ecall_findings_from_sets(
             )
         )
     return findings
-
-
-def private_ecall_candidates(calls: Calls) -> list[Finding]:
-    """Ecalls only ever issued during ocalls → recommend ``private``."""
-    cols = as_columns(calls)
-    ecall_rows, parent_pos, nested = _nested_ecall_pairs(cols)
-    if len(ecall_rows) == 0:
-        return []
-    always_nested: dict[str, set[str]] = {}
-    nested_names = cols.name[ecall_rows[nested]]
-    parent_names = cols.name[parent_pos[nested]]
-    for child, parent in zip(nested_names.tolist(), parent_names.tolist()):
-        always_nested.setdefault(child, set()).add(parent)
-    disqualified = set(cols.name[ecall_rows[~nested]].tolist())
-    return private_ecall_findings_from_sets(always_nested, disqualified)
-
-
-def observed_allow_sets(calls: Calls) -> dict[str, set[str]]:
-    """Ocall name → set of ecall names actually issued during it."""
-    cols = as_columns(calls)
-    ecall_rows, parent_pos, nested = _nested_ecall_pairs(cols)
-    observed: dict[str, set[str]] = {}
-    if len(ecall_rows) == 0:
-        return observed
-    nested_names = cols.name[ecall_rows[nested]]
-    parent_names = cols.name[parent_pos[nested]]
-    for child, parent in zip(nested_names.tolist(), parent_names.tolist()):
-        observed.setdefault(parent, set()).add(child)
-    return observed
 
 
 def allowlist_findings_from_observed(
@@ -156,18 +105,6 @@ def allowlist_findings_from_observed(
     return findings
 
 
-def allowlist_findings(
-    calls: Calls,
-    definition: Optional[EnclaveDefinition] = None,
-) -> list[Finding]:
-    """Compare declared ``allow(...)`` lists against observed behaviour.
-
-    With an EDL: report removable entries per ocall.  Without one: state
-    the smallest allow set that would have sufficed for this workload.
-    """
-    return allowlist_findings_from_observed(observed_allow_sets(calls), definition)
-
-
 def user_check_findings_from_counts(
     definition: EnclaveDefinition,
     counts: dict[tuple[str, str], int],
@@ -192,13 +129,3 @@ def user_check_findings_from_counts(
             )
         )
     return findings
-
-
-def user_check_findings(
-    definition: EnclaveDefinition,
-    calls: Calls = (),
-) -> list[Finding]:
-    """Flag every ``user_check`` pointer, with observed call counts."""
-    cols = as_columns(calls)
-    counts = {key: len(rows) for key, rows in cols.group_indices()}
-    return user_check_findings_from_counts(definition, counts)

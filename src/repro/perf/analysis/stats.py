@@ -10,19 +10,18 @@ durations include one transition round-trip, which must be subtracted
 before such comparisons.
 
 Every entry point accepts either :class:`~repro.perf.columns.CallColumns`
-(the fast path — durations come out of the arrays directly) or the legacy
-``Sequence[CallEvent]`` form.
+(durations come out of the arrays directly) or a ``Sequence[CallEvent]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from repro.perf.columns import CallColumns, as_columns
-from repro.perf.events import CallEvent, ECALL
+from repro.perf.columns import CallColumns
+from repro.perf.events import CallEvent
 
 Calls = Union[CallColumns, Sequence[CallEvent]]
 
@@ -94,30 +93,6 @@ def durations_ns(events: Calls) -> np.ndarray:
     return np.array([e.duration_ns for e in events], dtype=np.int64)
 
 
-def execution_durations_ns(events: Calls, transition_round_trip_ns: int) -> np.ndarray:
-    """Durations adjusted to *execution* time.
-
-    Ecall durations include one transition round-trip (§4.1.2); ocall
-    durations already exclude it.
-    """
-    values = durations_ns(events)
-    if isinstance(events, CallColumns):
-        is_ecall = len(events) > 0 and events.kind[0] == ECALL
-    else:
-        is_ecall = bool(events) and events[0].kind == ECALL
-    if is_ecall:
-        values = np.maximum(values - int(transition_round_trip_ns), 0)
-    return values
-
-
-def group_by_name(events: Iterable[CallEvent]) -> dict[tuple[str, str], list[CallEvent]]:
-    """Group call events by ``(kind, name)`` (legacy event-object form)."""
-    groups: dict[tuple[str, str], list[CallEvent]] = {}
-    for event in events:
-        groups.setdefault((event.kind, event.name), []).append(event)
-    return groups
-
-
 def compute_statistics(kind: str, name: str, events: Calls) -> CallStatistics:
     """Summary statistics over one group of events."""
     return _statistics_from_values(kind, name, durations_ns(events))
@@ -140,23 +115,6 @@ def _statistics_from_values(kind: str, name: str, values: np.ndarray) -> CallSta
         min_ns=int(values.min()),
         max_ns=int(values.max()),
     )
-
-
-def all_statistics(events: Calls) -> list[CallStatistics]:
-    """Statistics for every distinct call, ordered by total time spent.
-
-    Ties keep first-appearance order (the event-based grouping's
-    dict-insertion semantics), so outputs are byte-identical across both
-    input forms.
-    """
-    cols = as_columns(events)
-    values = cols.duration_ns()
-    stats = [
-        _statistics_from_values(kind, name, values[idx])
-        for (kind, name), idx in cols.group_indices()
-    ]
-    stats.sort(key=lambda s: s.total_ns, reverse=True)
-    return stats
 
 
 def histogram(events: Calls, bins: int = 100) -> Histogram:

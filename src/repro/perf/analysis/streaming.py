@@ -1,14 +1,16 @@
-"""Streaming (windowed-memory) analyser — the in-memory path's exact twin.
+"""The call fold: the analyser's one pass over the ``calls`` table.
 
-The offline analyser materialises the whole trace; this module folds the
-same analyses over bounded-size column batches from
-:meth:`~repro.perf.database.TraceDatabase.call_columns_chunks` instead,
-so a multi-GB trace is analysed in O(window) transient memory plus the
-per-call-site accumulator state.
+:class:`CallFold` folds bounded-size column batches from
+:meth:`~repro.perf.database.TraceDatabase.call_columns_chunks` into every
+per-call-site accumulator the analyser needs (statistics, the Equation
+1–3 threshold counts, parent edges), so a multi-GB trace is analysed in
+O(chunk) transient memory plus the per-call-site state.  The coordinator
+passes over the small side tables live in
+:class:`~repro.perf.analysis.report.Analyzer`.
 
-**Byte-identity is the contract.**  Every decision goes through the same
-``*_finding_from_counts`` builders as the in-memory detectors, and every
-float that appears in a report is reproduced exactly:
+**The output is independent of the chunk size.**  Every decision goes
+through the ``*_finding_from_counts`` builders, and every float that
+appears in a report is reproduced exactly:
 
 * threshold *fractions* are accumulated as integer counts and divided
   once (``(arr < t).mean()`` equals ``count / total`` for bool arrays);
@@ -16,23 +18,26 @@ float that appears in a report is reproduced exactly:
   ``max(d - T, 0) < t  ⇔  d < T + t`` so no subtracted array is kept;
 * per-call mean/std are order-dependent under NumPy's pairwise
   summation, so each call site keeps its raw ``(start, id, duration)``
-  triples (24 bytes/row — far below the materialised row tuples the
-  in-memory reader peaks at) and re-sorts them to the global
-  ``(start, id)`` reader order at finalise time.
+  triples (24 bytes/row) and re-sorts them to the global ``(start, id)``
+  reader order at finalise time.
+
+Accumulators are keyed by integer **call-site ids**: each chunk maps its
+rows to ids once (from :meth:`~repro.perf.columns.CallColumns.group_codes`),
+and pair keys (parent site, child site) are counted as integer combos.
+Names come back only when findings and the call graph are finalised, in
+sorted-name order, so the site numbering never shows in the output.
 
 Batches must arrive **thread-major** (``ORDER BY thread_id, start_ns,
 id``): each thread is one contiguous run, so the direct-parent window and
 the Figure 4 indirect-parent chains reset per thread and stay small.  The
 fold relies on the event logger's recording invariants — a call's direct
-parent is on the same thread and its interval encloses the child's start.
+parent is on the same thread and its interval encloses the child's start,
+and every call is an ecall or an ocall.
 
 A :class:`CallFold` is plain picklable state with a commutative
 :meth:`CallFold.merge`, which is what lets the parallel analyser shard a
 trace by thread across spawn-context workers and still match the
 sequential result exactly (see :mod:`repro.perf.analysis.parallel`).
-Detectors that need cross-thread global state — SSC sleep matching,
-paging attribution, fault/availability summaries — run as sequential
-coordinator passes over the (small) side tables instead.
 """
 
 from __future__ import annotations
@@ -48,19 +53,6 @@ from repro.perf.analysis import security as sec
 from repro.perf.analysis import stats as stats_mod
 from repro.perf.columns import NO_PARENT, CallColumns
 from repro.perf.events import ECALL, OCALL
-
-_SEP = "\x00"  # sorts below any name character: string sort == tuple sort
-
-
-def _join2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array([x + _SEP + y for x, y in zip(a, b)], dtype=object)
-
-
-def _join4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.array(
-        [w + _SEP + x + _SEP + y + _SEP + z for w, x, y, z in zip(a, b, c, d)],
-        dtype=object,
-    )
 
 
 class _GroupState:
@@ -132,8 +124,8 @@ class _ThreadState:
     """Transient per-thread parent window and Figure 4 chain tails.
 
     ``window`` maps an *open* call id (one whose interval may still
-    enclose future rows of this thread) to ``(start, end, kind, name)``.
-    ``chains`` maps ``(parent_id, kind)`` to the ``(end, kind, name)`` of
+    enclose future rows of this thread) to ``(start, end, site)``.
+    ``chains`` maps ``(parent_id, is_ecall)`` to the ``(end, site)`` of
     the chain's last element.  ``dangling`` remembers parent ids that
     never resolved (rows referencing calls an aborted logger lost), whose
     chains must survive window-based eviction.
@@ -143,13 +135,43 @@ class _ThreadState:
 
     def __init__(self, thread_id: int) -> None:
         self.thread_id = thread_id
-        self.window: dict[int, tuple[int, int, str, str]] = {}
-        self.chains: dict[tuple[int, str], tuple[int, str, str]] = {}
+        self.window: dict[int, tuple[int, int, int]] = {}
+        self.chains: dict[tuple[int, bool], tuple[int, int]] = {}
         self.dangling: set[int] = set()
 
 
+def _bump(table: dict, first: np.ndarray, second: np.ndarray, n_sites: int) -> None:
+    """Count each ``(first, second)`` site pair into ``table``."""
+    if len(first) == 0:
+        return
+    uniq, counts = np.unique(first * n_sites + second, return_counts=True)
+    for combo, count in zip(uniq.tolist(), counts.tolist()):
+        key = divmod(combo, n_sites)
+        table[key] = table.get(key, 0) + count
+
+
+def _bump_thresholds(
+    table: dict,
+    first: np.ndarray,
+    second: np.ndarray,
+    n_sites: int,
+    masks: tuple[np.ndarray, ...],
+) -> None:
+    """Add ``[pairs, *mask counts]`` per ``(first, second)`` site pair."""
+    if len(first) == 0:
+        return
+    uniq, inverse = np.unique(first * n_sites + second, return_inverse=True)
+    sums = [np.bincount(inverse, minlength=len(uniq))]
+    sums += [np.bincount(inverse, weights=mask, minlength=len(uniq)) for mask in masks]
+    columns = [s.astype(np.int64).tolist() for s in sums]
+    for j, combo in enumerate(uniq.tolist()):
+        counts = table.setdefault(divmod(combo, n_sites), [0] * len(columns))
+        for slot, column in enumerate(columns):
+            counts[slot] += column[j]
+
+
 class CallFold:
-    """Folds thread-major call batches into every per-call accumulator.
+    """Folds thread-major call batches into every per-call-site accumulator.
 
     Picklable; :meth:`merge` is commutative over disjoint thread sets, so
     shard folds combine into exactly the sequential fold's state.
@@ -172,26 +194,36 @@ class CallFold:
             if self.sleep_counts
             else None
         )
-        self.groups: dict[tuple[str, str], _GroupState] = {}
+        # Call-site table: site id → (kind, name) and its accumulator.
+        self.sites: list[tuple[str, str]] = []
+        self.groups: list[_GroupState] = []
+        self._site_ids: dict[tuple[str, str], int] = {}
+        self._site_is_ecall = np.empty(0, dtype=bool)
         self.ecall_rows = 0
         self.ocall_rows = 0
         self.ecall_short = 0
         self.ocall_short = 0
         self.aex_total = 0
-        # (kind, name, parent_name) → [total, s10, s20, e10, e20]
-        self.reorder_counts: dict[tuple[str, str, str], list[int]] = {}
-        # (ckind, cname, pkind, pname) → [pairs, n1, n5, n10, n20]
-        self.merge_counts: dict[tuple[str, str, str, str], list[int]] = {}
-        # ((pkind, pname), (ckind, cname)) → count, sync-unfiltered
-        self.direct_edges: dict[tuple[tuple[str, str], tuple[str, str]], int] = {}
-        self.indirect_edges: dict[tuple[tuple[str, str], tuple[str, str]], int] = {}
-        # Security: ecall → ocalls it nested under / ecalls seen top level.
-        self.nested_under: dict[str, set[str]] = {}
-        self.disqualified: set[str] = set()
-        self.observed_allow: dict[str, set[str]] = {}
+        # (child site, parent site) → [total, s10, s20, e10, e20]
+        self.reorder_counts: dict[tuple[int, int], list[int]] = {}
+        # (child site, indirect parent site) → [pairs, n1, n5, n10, n20]
+        self.merge_counts: dict[tuple[int, int], list[int]] = {}
+        # (parent site, child site) → count, sync-unfiltered
+        self.direct_edges: dict[tuple[int, int], int] = {}
+        self.indirect_edges: dict[tuple[int, int], int] = {}
         self.ssc_matched = 0
         self.ssc_short = 0
         self._thread: Optional[_ThreadState] = None
+
+    def _site(self, key: tuple[str, str]) -> int:
+        """The id of call site ``(kind, name)``, registered on first sight."""
+        site = self._site_ids.get(key)
+        if site is None:
+            site = self._site_ids[key] = len(self.sites)
+            self.sites.append(key)
+            self.groups.append(_GroupState(*key))
+            self._site_is_ecall = np.append(self._site_is_ecall, key[0] == ECALL)
+        return site
 
     # -- folding ------------------------------------------------------------
 
@@ -200,12 +232,15 @@ class CallFold:
         n = len(cols)
         if n == 0:
             return
+        codes, keys = cols.group_codes()
+        lut = np.fromiter((self._site(key) for key in keys), dtype=np.int64, count=len(keys))
+        site = lut[codes]
+        is_ecall = self._site_is_ecall[site]
         durs = cols.duration_ns()
-        kinds = np.asarray(cols.kind, dtype=object)
-        is_ecall = kinds == ECALL
         w = self.weights
-        self.ecall_rows += int(is_ecall.sum())
-        self.ocall_rows += int((kinds == OCALL).sum())
+        ecalls = int(is_ecall.sum())
+        self.ecall_rows += ecalls
+        self.ocall_rows += n - ecalls
         # max(d - T, 0) < t  ⇔  d < T + t  (ecall execution-time identity)
         self.ecall_short += int(
             (durs[is_ecall] < self.transition_ns + w.short_call_ns).sum()
@@ -213,10 +248,10 @@ class CallFold:
         self.ocall_short += int((durs[~is_ecall] < w.short_call_ns).sum())
         self.aex_total += int(cols.aex_count.sum())
         self._fold_sleep_matches(cols, durs)
-        self._fold_groups(cols, durs)
+        self._fold_groups(cols, site, durs)
         boundaries = np.flatnonzero(np.diff(cols.thread_id)) + 1
         for seg in np.split(np.arange(n), boundaries):
-            self._fold_segment(cols, seg)
+            self._fold_segment(cols, site, is_ecall, seg)
 
     def _fold_sleep_matches(self, cols: CallColumns, durs: np.ndarray) -> None:
         if self._sleep_ids is None:
@@ -229,15 +264,11 @@ class CallFold:
             if durs[pos] < threshold:
                 self.ssc_short += mult
 
-    def _fold_groups(self, cols: CallColumns, durs: np.ndarray) -> None:
-        codes, keys = cols.group_codes()
-        order = np.argsort(codes, kind="stable")
-        boundaries = np.flatnonzero(np.diff(codes[order])) + 1
+    def _fold_groups(self, cols: CallColumns, site: np.ndarray, durs: np.ndarray) -> None:
+        order = np.argsort(site, kind="stable")
+        boundaries = np.flatnonzero(np.diff(site[order])) + 1
         for bucket in np.split(order, boundaries):
-            kind, name = keys[int(codes[bucket[0]])]
-            group = self.groups.get((kind, name))
-            if group is None:
-                group = self.groups[(kind, name)] = _GroupState(kind, name)
+            group = self.groups[int(site[bucket[0]])]
             starts = cols.start_ns[bucket]
             ids = cols.event_id[bucket]
             d = durs[bucket]
@@ -245,8 +276,8 @@ class CallFold:
             group.starts.append(starts)
             group.ids.append(ids)
             group.durs.append(d)
-            # Earliest (start, id) row carries call_index and the group's
-            # is_sync flag, matching group_indices()' first-appearance row.
+            # The earliest (start, id) row carries the site's call_index
+            # and is_sync flag.
             tied = bucket[starts == starts.min()]
             first = int(tied[np.argmin(cols.event_id[tied])])
             group.update_first(
@@ -255,12 +286,14 @@ class CallFold:
                 int(cols.call_index[first]),
                 bool(cols.is_sync[first]),
             )
-            base = self.transition_ns if kind == ECALL else 0
+            base = self.transition_ns if group.kind == ECALL else 0
             group.n1 += int((d < base + 1_000).sum())
             group.n5 += int((d < base + 5_000).sum())
             group.n10 += int((d < base + 10_000).sum())
 
-    def _fold_segment(self, cols: CallColumns, seg: np.ndarray) -> None:
+    def _fold_segment(
+        self, cols: CallColumns, site: np.ndarray, is_ecall: np.ndarray, seg: np.ndarray
+    ) -> None:
         """One contiguous same-thread run: parents, chains, window carry."""
         tid = int(cols.thread_id[seg[0]])
         state = self._thread
@@ -268,186 +301,119 @@ class CallFold:
             # Thread-major order: the previous thread is complete — its
             # window and chains can never be referenced again.
             state = self._thread = _ThreadState(tid)
-        self._fold_direct_parents(cols, seg, state)
-        self._fold_chains(cols, seg, state)
-        self._advance_window(cols, seg, state)
+        self._fold_direct_parents(cols, site, seg, state)
+        self._fold_chains(cols, site, is_ecall, seg, state)
+        self._advance_window(cols, site, seg, state)
 
     def _fold_direct_parents(
-        self, cols: CallColumns, seg: np.ndarray, state: _ThreadState
+        self, cols: CallColumns, site: np.ndarray, seg: np.ndarray, state: _ThreadState
     ) -> None:
-        pids_all = cols.parent_id[seg]
-        with_parent = np.flatnonzero(pids_all != NO_PARENT)
-        resolved = np.zeros(len(seg), dtype=bool)
-        rows: Optional[np.ndarray] = None
-        if len(with_parent):
-            rows_wp = seg[with_parent]
-            ppos = cols.positions_of(pids_all[with_parent])
-            in_chunk = ppos >= 0
-            resolved[with_parent[in_chunk]] = True
-            pos_ic = ppos[in_chunk]
-            # Parents in earlier chunks come out of the carried window;
-            # only boundary-crossing rows pay this Python loop.
-            extra: list[tuple[int, int, int, int, str, str]] = []
-            for j in np.flatnonzero(~in_chunk).tolist():
-                pid = int(pids_all[with_parent[j]])
-                entry = state.window.get(pid)
-                if entry is None:
-                    state.dangling.add(pid)
-                else:
-                    extra.append((int(with_parent[j]), int(rows_wp[j])) + entry)
-            rows = np.concatenate(
-                [rows_wp[in_chunk], np.array([e[1] for e in extra], dtype=np.int64)]
-            )
-            pstart = np.concatenate(
-                [cols.start_ns[pos_ic], np.array([e[2] for e in extra], dtype=np.int64)]
-            )
-            pend = np.concatenate(
-                [cols.end_ns[pos_ic], np.array([e[3] for e in extra], dtype=np.int64)]
-            )
-            pkind = np.concatenate(
-                [cols.kind[pos_ic], np.array([e[4] for e in extra], dtype=object)]
-            )
-            pname = np.concatenate(
-                [cols.name[pos_ic], np.array([e[5] for e in extra], dtype=object)]
-            )
-            for e in extra:
-                resolved[e[0]] = True
-        if rows is not None and len(rows):
-            ckind = cols.kind[rows]
-            cname = cols.name[rows]
-            self._bump_edges(self.direct_edges, pkind, pname, ckind, cname)
-            # Security sets: ecalls nested under ocalls vs anything else.
-            ecall_child = ckind == ECALL
-            under_ocall = ecall_child & (pkind == OCALL)
-            for pair in np.unique(_join2(cname[under_ocall], pname[under_ocall])).tolist():
-                child, parent = pair.split(_SEP)
-                self.nested_under.setdefault(child, set()).add(parent)
-                self.observed_allow.setdefault(parent, set()).add(child)
-            for child in np.unique(cname[ecall_child & ~under_ocall]).tolist():
-                self.disqualified.add(child)
-            # Equation 2 offsets, grouped per (kind, name, parent name).
-            ns = ~cols.is_sync[rows]
-            if ns.any():
-                rr = rows[ns]
-                from_start = cols.start_ns[rr] - pstart[ns]
-                from_end = pend[ns] - cols.end_ns[rr]
-                keys = np.array(
-                    [
-                        k + _SEP + n + _SEP + p
-                        for k, n, p in zip(ckind[ns], cname[ns], pname[ns])
-                    ],
-                    dtype=object,
-                )
-                uniq, inverse = np.unique(keys, return_inverse=True)
-                sums = [np.bincount(inverse, minlength=len(uniq))]
-                for mask in (
-                    from_start <= 10_000,
-                    from_start <= 20_000,
-                    from_end <= 10_000,
-                    from_end <= 20_000,
-                ):
-                    sums.append(
-                        np.bincount(inverse, weights=mask, minlength=len(uniq))
-                    )
-                for j, key in enumerate(uniq.tolist()):
-                    counts = self.reorder_counts.setdefault(
-                        tuple(key.split(_SEP)), [0, 0, 0, 0, 0]
-                    )
-                    for slot in range(5):
-                        counts[slot] += int(sums[slot][j])
-        # Ecalls with no parent, a dangling parent, or an ecall parent were
-        # observed outside any ocall — never private candidates.
-        loose = seg[(np.asarray(cols.kind[seg], dtype=object) == ECALL) & ~resolved]
-        for child in np.unique(cols.name[loose]).tolist():
-            self.disqualified.add(child)
+        pids = cols.parent_id[seg]
+        rows = seg[pids != NO_PARENT]
+        if len(rows) == 0:
+            return
+        ppos = cols.positions_of(cols.parent_id[rows])
+        in_chunk = ppos >= 0
+        pos = ppos[in_chunk]
+        # Parents in earlier chunks come out of the carried window; only
+        # boundary-crossing rows pay this Python loop.
+        carried: list[tuple[int, int, int, int]] = []
+        for row in rows[~in_chunk].tolist():
+            pid = int(cols.parent_id[row])
+            entry = state.window.get(pid)
+            if entry is None:
+                state.dangling.add(pid)
+            else:
+                carried.append((row,) + entry)
+        extra = np.array(carried, dtype=np.int64).reshape(-1, 4)
+        rows = np.concatenate([rows[in_chunk], extra[:, 0]])
+        pstart = np.concatenate([cols.start_ns[pos], extra[:, 1]])
+        pend = np.concatenate([cols.end_ns[pos], extra[:, 2]])
+        psite = np.concatenate([site[pos], extra[:, 3]])
+        n_sites = len(self.sites)
+        _bump(self.direct_edges, psite, site[rows], n_sites)
+        # Equation 2 offsets, per (child site, parent site).
+        ns = ~cols.is_sync[rows]
+        rows, pstart, pend, psite = rows[ns], pstart[ns], pend[ns], psite[ns]
+        from_start = cols.start_ns[rows] - pstart
+        from_end = pend - cols.end_ns[rows]
+        _bump_thresholds(
+            self.reorder_counts,
+            site[rows],
+            psite,
+            n_sites,
+            (
+                from_start <= 10_000,
+                from_start <= 20_000,
+                from_end <= 10_000,
+                from_end <= 20_000,
+            ),
+        )
 
-    def _fold_chains(self, cols: CallColumns, seg: np.ndarray, state: _ThreadState) -> None:
+    def _fold_chains(
+        self,
+        cols: CallColumns,
+        site: np.ndarray,
+        is_ecall: np.ndarray,
+        seg: np.ndarray,
+        state: _ThreadState,
+    ) -> None:
         """Figure 4 chains: consecutive same-(parent, kind) rows in (start, id) order."""
         pids = cols.parent_id[seg]
-        kind_codes = np.unique(np.asarray(cols.kind[seg], dtype=object), return_inverse=True)[1]
-        order = np.lexsort((cols.event_id[seg], cols.start_ns[seg], kind_codes, pids))
+        kinds = is_ecall[seg]
+        order = np.lexsort((cols.event_id[seg], cols.start_ns[seg], kinds, pids))
         srows = seg[order]
         spids = pids[order]
-        scodes = kind_codes[order]
+        skinds = kinds[order]
         same = np.zeros(len(seg), dtype=bool)
-        if len(seg) > 1:
-            same[1:] = (spids[1:] == spids[:-1]) & (scodes[1:] == scodes[:-1])
+        same[1:] = (spids[1:] == spids[:-1]) & (skinds[1:] == skinds[:-1])
         # Links fully inside this chunk, vectorised.
         link_at = np.flatnonzero(same)
-        if len(link_at):
-            prev = srows[link_at - 1]
-            self._add_links(
-                cols, srows[link_at], cols.end_ns[prev], cols.kind[prev], cols.name[prev]
-            )
+        prev = srows[link_at - 1]
+        self._add_links(cols, site, srows[link_at], cols.end_ns[prev], site[prev])
         # Each key group's head may continue a chain carried from the
         # previous chunk of this thread.
         if state.chains:
-            carried: list[tuple[int, int, str, str]] = []
+            carried = []
             for i in np.flatnonzero(~same).tolist():
-                row = int(srows[i])
-                tail = state.chains.get((int(spids[i]), str(cols.kind[row])))
+                tail = state.chains.get((int(spids[i]), bool(skinds[i])))
                 if tail is not None:
-                    carried.append((row,) + tail)
+                    carried.append((int(srows[i]),) + tail)
             if carried:
-                self._add_links(
-                    cols,
-                    np.array([c[0] for c in carried], dtype=np.int64),
-                    np.array([c[1] for c in carried], dtype=np.int64),
-                    np.array([c[2] for c in carried], dtype=object),
-                    np.array([c[3] for c in carried], dtype=object),
-                )
+                links = np.array(carried, dtype=np.int64)
+                self._add_links(cols, site, links[:, 0], links[:, 1], links[:, 2])
         # Each key group's last row becomes the chain tail going forward.
         tail_at = np.flatnonzero(~np.append(same[1:], False))
         for i in tail_at.tolist():
             row = int(srows[i])
-            state.chains[(int(spids[i]), str(cols.kind[row]))] = (
+            state.chains[(int(spids[i]), bool(skinds[i]))] = (
                 int(cols.end_ns[row]),
-                str(cols.kind[row]),
-                str(cols.name[row]),
+                int(site[row]),
             )
 
     def _add_links(
         self,
         cols: CallColumns,
+        site: np.ndarray,
         rows: np.ndarray,
         pend: np.ndarray,
-        pkind: np.ndarray,
-        pname: np.ndarray,
+        psite: np.ndarray,
     ) -> None:
-        ckind = cols.kind[rows]
-        cname = cols.name[rows]
-        self._bump_edges(self.indirect_edges, pkind, pname, ckind, cname)
+        n_sites = len(self.sites)
+        _bump(self.indirect_edges, psite, site[rows], n_sites)
         ns = ~cols.is_sync[rows]  # Equation 3 filters sync *children* only
-        if not ns.any():
-            return
         gaps = cols.start_ns[rows[ns]] - pend[ns]
-        keys = _join4(ckind[ns], cname[ns], pkind[ns], pname[ns])
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        sums = [np.bincount(inverse, minlength=len(uniq))]
-        for limit in (1_000, 5_000, 10_000, 20_000):
-            sums.append(np.bincount(inverse, weights=gaps <= limit, minlength=len(uniq)))
-        for j, key in enumerate(uniq.tolist()):
-            counts = self.merge_counts.setdefault(tuple(key.split(_SEP)), [0, 0, 0, 0, 0])
-            for slot in range(5):
-                counts[slot] += int(sums[slot][j])
+        _bump_thresholds(
+            self.merge_counts,
+            site[rows[ns]],
+            psite[ns],
+            n_sites,
+            tuple(gaps <= limit for limit in (1_000, 5_000, 10_000, 20_000)),
+        )
 
-    @staticmethod
-    def _bump_edges(
-        edges: dict,
-        pkind: np.ndarray,
-        pname: np.ndarray,
-        ckind: np.ndarray,
-        cname: np.ndarray,
+    def _advance_window(
+        self, cols: CallColumns, site: np.ndarray, seg: np.ndarray, state: _ThreadState
     ) -> None:
-        if len(pkind) == 0:
-            return
-        uniq, counts = np.unique(_join4(pkind, pname, ckind, cname), return_counts=True)
-        for key, count in zip(uniq.tolist(), counts.tolist()):
-            pk, pn, ck, cn = key.split(_SEP)
-            edge = ((pk, pn), (ck, cn))
-            edges[edge] = edges.get(edge, 0) + int(count)
-
-    def _advance_window(self, cols: CallColumns, seg: np.ndarray, state: _ThreadState) -> None:
         """Carry only still-open intervals; evict chains of closed parents.
 
         Same-chunk parents resolve through ``positions_of``, so the carry
@@ -462,8 +428,7 @@ class CallFold:
             state.window[int(cols.event_id[row])] = (
                 int(cols.start_ns[row]),
                 int(cols.end_ns[row]),
-                str(cols.kind[row]),
-                str(cols.name[row]),
+                int(site[row]),
             )
         # A chain whose parent call has closed can never grow again; only
         # open parents, top-level chains and dangling ids stay live.
@@ -487,12 +452,9 @@ class CallFold:
 
     def merge(self, other: "CallFold") -> None:
         """Fold another shard's sealed state into this one (commutative)."""
-        for key, group in other.groups.items():
-            mine = self.groups.get(key)
-            if mine is None:
-                self.groups[key] = group
-            else:
-                mine.merge(group)
+        remap = [self._site(key) for key in other.sites]
+        for theirs, group in zip(remap, other.groups):
+            self.groups[theirs].merge(group)
         self.ecall_rows += other.ecall_rows
         self.ocall_rows += other.ocall_rows
         self.ecall_short += other.ecall_short
@@ -504,33 +466,31 @@ class CallFold:
             (self.reorder_counts, other.reorder_counts),
             (self.merge_counts, other.merge_counts),
         ):
-            for key, counts in theirs.items():
-                mine = table.get(key)
-                if mine is None:
-                    table[key] = counts
-                else:
-                    for i, c in enumerate(counts):
-                        mine[i] += c
+            for (a, b), counts in theirs.items():
+                mine = table.setdefault((remap[a], remap[b]), [0] * len(counts))
+                for i, c in enumerate(counts):
+                    mine[i] += c
         for edges, theirs in (
             (self.direct_edges, other.direct_edges),
             (self.indirect_edges, other.indirect_edges),
         ):
-            for key, count in theirs.items():
+            for (a, b), count in theirs.items():
+                key = (remap[a], remap[b])
                 edges[key] = edges.get(key, 0) + count
-        for name, parents in other.nested_under.items():
-            self.nested_under.setdefault(name, set()).update(parents)
-        for name, children in other.observed_allow.items():
-            self.observed_allow.setdefault(name, set()).update(children)
-        self.disqualified.update(other.disqualified)
 
     # -- finalisation --------------------------------------------------------
 
     def _ordered_groups(self) -> list[_GroupState]:
         """Groups in global first-appearance order (min ``(start, id)``)."""
-        return sorted(self.groups.values(), key=lambda g: (g.first_start, g.first_id))
+        return sorted(self.groups, key=lambda g: (g.first_start, g.first_id))
+
+    def _named(self, table: dict) -> list:
+        """``(first key, second key, value)`` rows of a site-pair table, by name."""
+        sites = self.sites
+        return sorted((sites[a], sites[b], value) for (a, b), value in table.items())
 
     def statistics(self) -> list[stats_mod.CallStatistics]:
-        """Per-call statistics, busiest first — ``all_statistics``'s twin."""
+        """Per-call statistics, busiest first (ties in first-appearance order)."""
         stats = [
             stats_mod._statistics_from_values(g.kind, g.name, g.sorted_durations())
             for g in self._ordered_groups()
@@ -540,8 +500,7 @@ class CallFold:
 
     def move_findings(self) -> list[det.Finding]:
         findings = []
-        for key in sorted(self.groups):
-            g = self.groups[key]
+        for g in sorted(self.groups, key=lambda g: (g.kind, g.name)):
             if g.is_sync_first or g.count < self.weights.min_calls:
                 continue
             finding = det.move_finding_from_counts(
@@ -552,33 +511,38 @@ class CallFold:
         return findings
 
     def reorder_findings(self) -> list[det.Finding]:
+        # Equation 2 groups nested calls by parent *name*: sum over parent kinds.
+        by_parent_name: dict[tuple[str, str, str], list[int]] = {}
+        for (kind, name), (_, parent_name), counts in self._named(self.reorder_counts):
+            mine = by_parent_name.setdefault((kind, name, parent_name), [0] * len(counts))
+            for i, c in enumerate(counts):
+                mine[i] += c
         findings = []
-        for key in sorted(self.reorder_counts):
-            total, s10, s20, e10, e20 = self.reorder_counts[key]
+        for key in sorted(by_parent_name):
+            total, s10, s20, e10, e20 = by_parent_name[key]
             if total < self.weights.min_calls:
                 continue
             finding = det.reorder_finding_from_counts(
-                key[0], key[1], key[2], total, s10, s20, e10, e20, self.weights
+                *key, total, s10, s20, e10, e20, self.weights
             )
             if finding is not None:
                 findings.append(finding)
         return findings
 
     def merge_findings(self) -> list[det.Finding]:
+        counts_by_site = {key: g.count for key, g in zip(self.sites, self.groups)}
         findings = []
-        for key in sorted(self.merge_counts):
-            pairs, n1, n5, n10, n20 = self.merge_counts[key]
-            ck, cn, pk, pn = key
+        for child, parent, (pairs, n1, n5, n10, n20) in self._named(self.merge_counts):
             finding = det.merge_finding_from_counts(
-                (ck, cn),
-                (pk, pn),
+                child,
+                parent,
                 pairs,
                 n1,
                 n5,
                 n10,
                 n20,
-                self.groups[(ck, cn)].count,
-                self.groups[(pk, pn)].count,
+                counts_by_site[child],
+                counts_by_site[parent],
                 self.weights,
             )
             if finding is not None:
@@ -586,17 +550,38 @@ class CallFold:
         return findings
 
     def security_findings(self, definition) -> list[det.Finding]:
-        findings = sec.private_ecall_findings_from_sets(
-            self.nested_under, self.disqualified
-        )
-        findings += sec.allowlist_findings_from_observed(self.observed_allow, definition)
+        """Interface hints from the direct edges into ecalls.
+
+        An ecall is a private candidate when every instance had a direct
+        ocall parent: any instance without a resolved parent (its site
+        count exceeds its incoming edges) or under an ecall disqualifies it.
+        """
+        nested_under: dict[str, set[str]] = {}
+        observed_allow: dict[str, set[str]] = {}
+        disqualified: set[str] = set()
+        incoming = [0] * len(self.sites)
+        for (parent, child), count in self.direct_edges.items():
+            incoming[child] += count
+            (pkind, pname), (ckind, cname) = self.sites[parent], self.sites[child]
+            if ckind != ECALL:
+                continue
+            if pkind == OCALL:
+                nested_under.setdefault(cname, set()).add(pname)
+                observed_allow.setdefault(pname, set()).add(cname)
+            else:
+                disqualified.add(cname)
+        for g, seen in zip(self.groups, incoming):
+            if g.kind == ECALL and g.count > seen:
+                disqualified.add(g.name)
+        findings = sec.private_ecall_findings_from_sets(nested_under, disqualified)
+        findings += sec.allowlist_findings_from_observed(observed_allow, definition)
         if definition is not None:
-            counts = {key: g.count for key, g in self.groups.items()}
+            counts = {key: g.count for key, g in zip(self.sites, self.groups)}
             findings += sec.user_check_findings_from_counts(definition, counts)
         return findings
 
     def call_graph(self) -> nx.MultiDiGraph:
-        """Name-level call graph — ``build_call_graph``'s aggregate twin."""
+        """Name-level call graph with direct/indirect edges (Figure 5)."""
         graph = nx.MultiDiGraph()
         for g in self._ordered_groups():
             graph.add_node(
@@ -610,7 +595,7 @@ class CallFold:
             (self.direct_edges, callgraph_mod.DIRECT),
             (self.indirect_edges, callgraph_mod.INDIRECT),
         ):
-            for (src, dst), count in sorted(edges.items()):
+            for src, dst, count in self._named(edges):
                 graph.add_edge(
                     f"{src[0]}:{src[1]}",
                     f"{dst[0]}:{dst[1]}",
@@ -622,192 +607,5 @@ class CallFold:
 
     def distinct_counts(self) -> tuple[int, int]:
         """(distinct ecall names, distinct ocall names)."""
-        ecalls = sum(1 for kind, _ in self.groups if kind == ECALL)
-        return ecalls, len(self.groups) - ecalls
-
-
-class StreamingAnalyzer:
-    """The streaming analyser: same report as :class:`~repro.perf.analysis.report.Analyzer`, windowed memory.
-
-    Runs four passes over the trace database:
-
-    1. a *sync* pass over the (small) sync table, producing the sleep
-       multiplicities and wake matrix the SSC detector needs;
-    2. the *call fold* — :class:`CallFold` over thread-major column
-       chunks, optionally sharded by thread across worker processes
-       (``jobs > 1``, see :mod:`repro.perf.analysis.parallel`);
-    3. a *paging* pass merge-joining time-ordered paging records against
-       time-ordered ecall intervals (equivalent to the in-memory
-       ``searchsorted`` attribution);
-    4. a *fault* pass folding fault rows through the shared
-       :class:`~repro.perf.analysis.report.FaultAccumulator`.
-
-    The resulting :class:`~repro.perf.analysis.report.AnalysisReport` is
-    byte-identical to the in-memory analyser's for any chunk size or job
-    count — the equivalence tests and the CI digest gate hold it to that.
-    """
-
-    def __init__(
-        self,
-        database,
-        definition=None,
-        weights: Optional[det.AnalyzerWeights] = None,
-        chunk_events: Optional[int] = None,
-        jobs: int = 1,
-    ) -> None:
-        from repro.perf.database import DEFAULT_CHUNK_EVENTS
-
-        self.db = database
-        self.definition = definition
-        self.weights = weights or det.AnalyzerWeights()
-        self.chunk_events = int(chunk_events or DEFAULT_CHUNK_EVENTS)
-        self.jobs = int(jobs)
-
-    def run(self):
-        from repro.perf.analysis import report as report_mod
-
-        db = self.db
-        counts = db.table_counts()
-        trace_state = db.get_meta("trace_state")
-        transition_ns = int(
-            db.get_meta(
-                "transition_round_trip_ns", str(report_mod.DEFAULT_TRANSITION_NS)
-            )
-        )
-        sync = self._sync_pass()
-        fold = self._fold_trace(transition_ns, sync["sleep_counts"])
-        self._fold = fold  # kept for `call_graph()` / live inspection
-
-        findings: list[det.Finding] = []
-        findings += fold.reorder_findings()
-        findings += fold.merge_findings()
-        findings += fold.move_findings()
-        findings += det.ssc_finding_from_counts(
-            sync["total"],
-            sync["sleeps"],
-            sync["wakes"],
-            fold.ssc_matched,
-            fold.ssc_short,
-            sync["wake_matrix"],
-            self.weights,
-        )
-        findings += det.paging_findings_from_counts(*self._paging_pass())
-        findings += fold.security_findings(self.definition)
-
-        distinct_ecalls, distinct_ocalls = fold.distinct_counts()
-        report = report_mod.AnalysisReport(
-            statistics=fold.statistics(),
-            findings=findings,
-            transition_round_trip_ns=transition_ns,
-            ecall_count=fold.ecall_rows,
-            ocall_count=fold.ocall_rows,
-            ecall_short_fraction=(
-                fold.ecall_short / fold.ecall_rows if fold.ecall_rows else 0.0
-            ),
-            ocall_short_fraction=(
-                fold.ocall_short / fold.ocall_rows if fold.ocall_rows else 0.0
-            ),
-            distinct_ecalls=distinct_ecalls,
-            distinct_ocalls=distinct_ocalls,
-            aex_total=fold.aex_total,
-            paging_events=counts["paging"],
-        )
-        fault_acc = report_mod.FaultAccumulator()
-        for chunk in db.fault_events_chunks(self.chunk_events):
-            for fault in chunk:
-                fault_acc.add(fault)
-        report_mod.apply_fault_annotations(report, fault_acc, trace_state)
-        report_mod.apply_edl_note(report, self.definition)
-        return report
-
-    def call_graph(self) -> nx.MultiDiGraph:
-        """Call graph from the last :meth:`run`'s fold (runs one if needed)."""
-        if not hasattr(self, "_fold"):
-            self.run()
-        return self._fold.call_graph()
-
-    # -- passes --------------------------------------------------------------
-
-    def _sync_pass(self) -> dict:
-        """Sleep multiplicities, wake matrix and sync totals (one pass)."""
-        from repro.perf.events import SyncKind
-
-        total = sleeps = wakes = 0
-        sleep_counts: dict[int, int] = {}
-        wake_matrix: dict[tuple[int, int], int] = {}
-        for rows in self.db.sync_rows_chunks(self.chunk_events):
-            for row in rows:
-                total += 1
-                kind = row[3]
-                if kind == SyncKind.SLEEP.value:
-                    sleeps += 1
-                    if row[4] is not None:
-                        call_id = int(row[4])
-                        sleep_counts[call_id] = sleep_counts.get(call_id, 0) + 1
-                elif kind == SyncKind.WAKE.value:
-                    wakes += 1
-                    thread_id = int(row[2])
-                    for target in (row[5] or "").split(","):
-                        if target:
-                            key = (thread_id, int(target))
-                            wake_matrix[key] = wake_matrix.get(key, 0) + 1
-        return {
-            "total": total,
-            "sleeps": sleeps,
-            "wakes": wakes,
-            "sleep_counts": sleep_counts,
-            "wake_matrix": wake_matrix,
-        }
-
-    def _fold_trace(self, transition_ns: int, sleep_counts: dict[int, int]) -> CallFold:
-        if self.jobs > 1 and self.db.path != ":memory:":
-            from repro.perf.analysis.parallel import parallel_fold
-
-            fold = parallel_fold(
-                self.db,
-                transition_ns,
-                self.weights,
-                sleep_counts,
-                jobs=self.jobs,
-                chunk_events=self.chunk_events,
-            )
-            if fold is not None:
-                return fold
-        fold = CallFold(transition_ns, self.weights, sleep_counts)
-        for cols in self.db.call_columns_chunks(self.chunk_events, order="thread"):
-            fold.fold(cols)
-        return fold.seal()
-
-    def _paging_pass(self) -> tuple[dict[str, int], int, int, int]:
-        """Attribute paging events to enclosing ecalls via a merge-join.
-
-        Both streams are time-ordered, so "the last ecall started at or
-        before the fault's timestamp" is a single forward pointer — the
-        exact interval ``searchsorted(..., side="right") - 1`` selects in
-        the in-memory detector, including its last-of-tied-starts choice.
-        """
-        page_in = total = 0
-        distinct: set[tuple[int, int]] = set()
-        affected: dict[str, int] = {}
-
-        def intervals():
-            for rows in self.db.ecall_intervals_chunks(self.chunk_events):
-                yield from rows
-
-        ecalls = intervals()
-        upcoming = next(ecalls, None)
-        current = None  # last interval started at or before the fault
-        for rows in self.db.paging_rows_chunks(self.chunk_events):
-            for row in rows:
-                ts = int(row[1])
-                total += 1
-                if row[4] == "page_in":
-                    page_in += 1
-                distinct.add((int(row[2]), int(row[3])))
-                while upcoming is not None and upcoming[0] <= ts:
-                    current = upcoming
-                    upcoming = next(ecalls, None)
-                if current is not None and current[1] >= ts:
-                    name = str(current[2])
-                    affected[name] = affected.get(name, 0) + 1
-        return affected, page_in, total - page_in, len(distinct)
+        ecalls = sum(1 for kind, _ in self.sites if kind == ECALL)
+        return ecalls, len(self.sites) - ecalls

@@ -6,10 +6,10 @@ Subcommands:
   write the trace database (the moral equivalent of
   ``LD_PRELOAD=liblogger.so ./app``);
 * ``analyze`` — produce the full report for a trace (optionally with the
-  enclave's EDL file for allow-list narrowing); ``--jobs N`` /
-  ``--chunk-events M`` / ``--streaming`` select the streaming analyser,
-  which produces byte-identical reports in windowed memory, sharded by
-  thread across worker processes when ``N > 1``;
+  enclave's EDL file for allow-list narrowing); the analyser streams the
+  trace in batches of ``--chunk-events M`` rows and shards it by thread
+  across ``--jobs N`` worker processes, with a byte-identical report for
+  any ``M`` and ``N``;
 * ``top``     — run a workload with a live sampling display: transition
   rates, AEX counts and paging pressure every interval of virtual time;
 * ``stats``   — detailed statistics/histogram/scatter for one call;
@@ -33,12 +33,13 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Optional
 
 from repro.perf.analysis import Analyzer
 from repro.perf.analysis import stats as stats_mod
-from repro.perf.database import TraceDatabase
+from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase
 from repro.sdk.edl import parse_edl
 
 
@@ -47,6 +48,14 @@ def _workload_registry() -> dict[str, Callable[[str, int], None]]:
     from repro.workloads import recorders
 
     return recorders.REGISTRY
+
+
+def _missing_trace(path: str) -> bool:
+    """Report a trace path that does not exist (opening it would create it)."""
+    if os.path.exists(path):
+        return False
+    print(f"sgxperf: no such trace: {path}", file=sys.stderr)
+    return True
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
@@ -67,7 +76,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
 def _cmd_analyze_cluster(args: argparse.Namespace) -> int:
     """Merge a directory of per-shard cluster traces: SLOs + orderliness."""
     import glob
-    import os
 
     from repro.cluster.orderly import render_orderliness, validate_trace_paths
     from repro.cluster.slo import cluster_slo_from_traces, render_trace_slo
@@ -89,37 +97,25 @@ def _cmd_analyze_cluster(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.cluster:
         return _cmd_analyze_cluster(args)
+    if _missing_trace(args.trace):
+        return 2
     definition = None
     if args.edl:
         with open(args.edl) as f:
             definition = parse_edl(f.read())
-    streaming = args.jobs != 1 or args.chunk_events is not None or args.streaming
     with TraceDatabase(args.trace) as db:
         counts = db.table_counts()
         total = sum(counts.values())
-        mode = (
-            f"streaming (jobs={args.jobs}, chunk-events="
-            f"{args.chunk_events or 'default'})"
-            if streaming
-            else "in-memory"
-        )
         print(
             f"analyzing {args.trace}: {counts['calls']} calls, "
             f"{counts['paging']} paging, {counts['sync']} sync, "
-            f"{counts['faults']} fault rows ({total} events total), {mode}",
+            f"{counts['faults']} fault rows ({total} events total), "
+            f"jobs={args.jobs}, chunk-events={args.chunk_events}",
             file=sys.stderr,
         )
-        if streaming:
-            from repro.perf.analysis.streaming import StreamingAnalyzer
-
-            report = StreamingAnalyzer(
-                db,
-                definition=definition,
-                chunk_events=args.chunk_events,
-                jobs=args.jobs,
-            ).run()
-        else:
-            report = Analyzer(db, definition=definition).run()
+        report = Analyzer(
+            db, definition=definition, chunk_events=args.chunk_events, jobs=args.jobs
+        ).run()
         if args.json:
             from repro.perf.analysis.export import report_to_json
 
@@ -167,6 +163,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if _missing_trace(args.trace):
+        return 2
     with TraceDatabase(args.trace) as db:
         events = db.calls(kind=args.kind, name=args.call)
         if not events:
@@ -188,6 +186,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    if _missing_trace(args.trace):
+        return 2
     with TraceDatabase(args.trace) as db:
         print(Analyzer(db).call_graph_dot())
     return 0
@@ -382,27 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="shard the analysis by thread across N worker processes "
-        "(any value != 1 selects the streaming analyser)",
+        help="shard the analysis by thread across N worker processes",
     )
     p_analyze.add_argument(
         "--chunk-events",
         type=int,
-        default=None,
+        default=DEFAULT_CHUNK_EVENTS,
         metavar="M",
-        help="stream the trace in batches of M call rows "
-        "(selects the streaming analyser; default batch size 65536)",
-    )
-    p_analyze.add_argument(
-        "--streaming",
-        action="store_true",
-        help="use the streaming analyser even with jobs=1 and default chunks",
+        help=f"stream the trace in batches of M call rows (default {DEFAULT_CHUNK_EVENTS})",
     )
     p_analyze.add_argument(
         "--json",
         action="store_true",
-        help="emit the machine-readable findings document "
-        "(sgxperf-findings/1; byte-identical from either analyser)",
+        help="emit the machine-readable findings document (sgxperf-findings/1)",
     )
     p_analyze.add_argument(
         "--cluster",

@@ -5,7 +5,7 @@ percentile tables, gap distributions (§4.3).  Inflating one
 :class:`~repro.perf.events.CallEvent` dataclass per row just to feed NumPy
 made the million-event traces (§5.2.4 records 1.1M ecall events)
 analysis-bound in Python.  :class:`CallColumns` keeps the whole table as
-eleven NumPy arrays instead; the analysers index and mask them directly.
+eleven NumPy arrays instead; the analyser folds them chunk by chunk.
 
 ``parent_id`` uses ``-1`` as the *no parent* sentinel (SQL ``NULL``), so
 every column stays a dense integer array.
@@ -13,11 +13,9 @@ every column stays a dense integer array.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
-
-from repro.perf.events import CallEvent
 
 NO_PARENT = -1
 
@@ -45,7 +43,7 @@ class CallColumns:
     ordering convention: ``(start_ns, event_id)`` ascending.
     """
 
-    __slots__ = CALL_COLUMN_NAMES + ("_id_order", "_group_cache")
+    __slots__ = CALL_COLUMN_NAMES + ("_id_order",)
 
     def __init__(
         self,
@@ -73,7 +71,6 @@ class CallColumns:
         self.parent_id = parent_id
         self.is_sync = is_sync
         self._id_order: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._group_cache: Optional[list[tuple[tuple[str, str], np.ndarray]]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -103,11 +100,6 @@ class CallColumns:
         )
 
     @classmethod
-    def from_events(cls, events: Iterable[CallEvent]) -> "CallColumns":
-        """Build from reader-side :class:`CallEvent` objects."""
-        return cls.from_rows([_event_row(e) for e in events])
-
-    @classmethod
     def empty(cls) -> "CallColumns":
         """A zero-row column set."""
         i64 = np.empty(0, dtype=np.int64)
@@ -134,44 +126,6 @@ class CallColumns:
         """Measured durations, logger convention (``end - start``)."""
         return self.end_ns - self.start_ns
 
-    def select(self, mask_or_indices: np.ndarray) -> "CallColumns":
-        """A new column set restricted to ``mask_or_indices``."""
-        m = mask_or_indices
-        return CallColumns(
-            event_id=self.event_id[m],
-            kind=self.kind[m],
-            name=self.name[m],
-            call_index=self.call_index[m],
-            enclave_id=self.enclave_id[m],
-            thread_id=self.thread_id[m],
-            start_ns=self.start_ns[m],
-            end_ns=self.end_ns[m],
-            aex_count=self.aex_count[m],
-            parent_id=self.parent_id[m],
-            is_sync=self.is_sync[m],
-        )
-
-    def event(self, position: int) -> CallEvent:
-        """Inflate the row at ``position`` into a :class:`CallEvent`."""
-        parent = int(self.parent_id[position])
-        return CallEvent(
-            event_id=int(self.event_id[position]),
-            kind=str(self.kind[position]),
-            name=str(self.name[position]),
-            call_index=int(self.call_index[position]),
-            enclave_id=int(self.enclave_id[position]),
-            thread_id=int(self.thread_id[position]),
-            start_ns=int(self.start_ns[position]),
-            end_ns=int(self.end_ns[position]),
-            aex_count=int(self.aex_count[position]),
-            parent_id=None if parent == NO_PARENT else parent,
-            is_sync=bool(self.is_sync[position]),
-        )
-
-    def to_events(self) -> list[CallEvent]:
-        """Inflate every row (compatibility escape hatch — avoid in hot paths)."""
-        return [self.event(i) for i in range(len(self))]
-
     # -- id lookups ----------------------------------------------------------
 
     def positions_of(self, ids: np.ndarray) -> np.ndarray:
@@ -189,56 +143,9 @@ class CallColumns:
 
     # -- grouping ------------------------------------------------------------
 
-    def group_indices(self) -> list[tuple[tuple[str, str], np.ndarray]]:
-        """``((kind, name), row indices)`` per distinct call, in
-        first-appearance order (matching dict-insertion semantics of the
-        event-based grouping)."""
-        if self._group_cache is not None:
-            return self._group_cache
-        if len(self) == 0:
-            self._group_cache = []
-            return self._group_cache
-        codes, keys = self.group_codes()
-        order = np.argsort(codes, kind="stable")
-        boundaries = np.flatnonzero(np.diff(codes[order])) + 1
-        # Stable argsort keeps original order within a group, so bucket[0]
-        # is each group's first appearance in the trace.
-        buckets = sorted(np.split(order, boundaries), key=lambda b: int(b[0]))
-        self._group_cache = [(keys[int(codes[b[0]])], b) for b in buckets]
-        return self._group_cache
-
     def group_codes(self) -> tuple[np.ndarray, list[tuple[str, str]]]:
-        """Per-row group code and the code → ``(kind, name)`` table."""
-        combined = np.array(
-            [k + "\x00" + n for k, n in zip(self.kind, self.name)], dtype=object
-        )
-        uniq, inverse = np.unique(combined, return_inverse=True)
-        keys = [tuple(u.split("\x00", 1)) for u in uniq]
-        return inverse.astype(np.int64), keys
-
-
-def _event_row(e: CallEvent) -> tuple:
-    return (
-        e.event_id,
-        e.kind,
-        e.name,
-        e.call_index,
-        e.enclave_id,
-        e.thread_id,
-        e.start_ns,
-        e.end_ns,
-        e.aex_count,
-        e.parent_id,
-        1 if e.is_sync else 0,
-    )
-
-
-def as_columns(calls: Union["CallColumns", Iterable[CallEvent]]) -> CallColumns:
-    """Coerce either representation to columns.
-
-    Analysis entry points accept both the legacy ``Sequence[CallEvent]``
-    and :class:`CallColumns`; the columnar form is the fast path.
-    """
-    if isinstance(calls, CallColumns):
-        return calls
-    return CallColumns.from_events(calls)
+        """Per-row group code and the code → ``(kind, name)`` table (sorted)."""
+        pairs = list(zip(self.kind.tolist(), self.name.tolist()))
+        keys = sorted(set(pairs))
+        index = {key: code for code, key in enumerate(keys)}
+        return np.fromiter(map(index.__getitem__, pairs), dtype=np.int64, count=len(pairs)), keys

@@ -148,8 +148,10 @@ _INSERT_FAULTS = "INSERT INTO faults VALUES (?,?,?,?,?,?,?)"
 _FLUSH_THRESHOLD = 4096
 
 # Default streaming batch: large enough to amortise per-chunk Python and
-# NumPy overheads, small enough that a window of one chunk stays in cache.
-DEFAULT_CHUNK_EVENTS = 65_536
+# NumPy overheads, small enough that a window of one chunk stays in cache
+# (on the 251,666-call glamdring trace 4,096 rows run as fast as 65,536
+# at 16 MB instead of 57 MB of traced peak memory; 1,024 is 30% slower).
+DEFAULT_CHUNK_EVENTS = 4_096
 
 
 @dataclass(frozen=True)

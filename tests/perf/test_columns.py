@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.perf.columns import CALL_COLUMN_NAMES, NO_PARENT, CallColumns, as_columns
+from repro.perf.columns import CALL_COLUMN_NAMES, NO_PARENT, CallColumns
 from repro.perf.database import TraceDatabase
 from repro.perf.events import CallEvent, ECALL, OCALL
 
@@ -26,6 +26,19 @@ def _event(i, kind=ECALL, name="ecall_a", start=None, parent=None, **kw):
     )
 
 
+def _columns(events) -> CallColumns:
+    return CallColumns.from_rows([e.to_row() for e in events])
+
+
+def _rows(cols: CallColumns) -> list[tuple]:
+    """Column rows back in ``calls`` schema order (``NO_PARENT`` as ``None``)."""
+    rows = []
+    for row in zip(*(getattr(cols, column).tolist() for column in CALL_COLUMN_NAMES)):
+        *head, parent, is_sync = row
+        rows.append((*head, None if parent == NO_PARENT else parent, int(is_sync)))
+    return rows
+
+
 def _populated_db(**db_kwargs) -> TraceDatabase:
     db = TraceDatabase(**db_kwargs)
     db.add_call(_event(1, ECALL, "ecall_a", start=100, dur=40))
@@ -39,14 +52,14 @@ class TestColumnarReaders:
     def test_call_columns_roundtrip_matches_calls(self):
         db = _populated_db()
         cols = db.call_columns()
-        assert cols.to_events() == db.calls()
+        assert _rows(cols) == [e.to_row() for e in db.calls()]
 
     def test_filters(self):
         db = _populated_db()
         cols = db.call_columns(kind=ECALL, name="ecall_a")
         assert len(cols) == 2
         assert list(cols.event_id) == [1, 4]
-        assert db.call_columns(enclave_id=999).to_events() == []
+        assert len(db.call_columns(enclave_id=999)) == 0
 
     def test_durations_and_starts(self):
         db = _populated_db()
@@ -74,7 +87,7 @@ class TestColumnarReaders:
         assert db.durations_ns().shape == (0,)
         assert db.starts_ns(kind=ECALL).shape == (0,)
         assert db.call_summary() == []
-        assert db.call_columns().group_indices() == []
+        assert db.call_columns().group_codes()[1] == []
 
     def test_indexes_deferred_until_first_read(self):
         db = _populated_db()
@@ -126,41 +139,30 @@ class TestColumnarReaders:
 class TestCallColumns:
     def test_from_events_and_sentinel(self):
         events = [_event(1), _event(2, OCALL, "ocall_x", parent=1)]
-        cols = as_columns(events)
+        cols = _columns(events)
         assert cols.parent_id[0] == NO_PARENT
         assert cols.parent_id[1] == 1
-        assert cols.to_events() == events
-
-    def test_as_columns_passthrough(self):
-        cols = CallColumns.empty()
-        assert as_columns(cols) is cols
+        assert _rows(cols) == [e.to_row() for e in events]
 
     def test_positions_of(self):
-        cols = as_columns([_event(5), _event(2), _event(9)])
+        cols = _columns([_event(5), _event(2), _event(9)])
         got = cols.positions_of(np.array([2, 9, 5, 7, NO_PARENT]))
         np.testing.assert_array_equal(got, [1, 2, 0, -1, -1])
 
-    def test_group_indices_first_appearance_order(self):
+    def test_group_codes_index_sorted_keys(self):
         events = [
             _event(1, ECALL, "zz"),
             _event(2, ECALL, "aa"),
             _event(3, ECALL, "zz"),
             _event(4, OCALL, "mm"),
         ]
-        cols = as_columns(events)
-        groups = cols.group_indices()
-        assert [key for key, _ in groups] == [
-            (ECALL, "zz"),
-            (ECALL, "aa"),
-            (OCALL, "mm"),
-        ]
-        np.testing.assert_array_equal(groups[0][1], [0, 2])
+        codes, keys = _columns(events).group_codes()
+        assert keys == [(ECALL, "aa"), (ECALL, "zz"), (OCALL, "mm")]
+        np.testing.assert_array_equal(codes, [1, 0, 1, 2])
 
-    def test_select_and_duration(self):
-        cols = as_columns([_event(1, dur=10), _event(2, dur=20), _event(3, dur=30)])
-        picked = cols.select(cols.duration_ns() >= 20)
-        assert len(picked) == 2
-        np.testing.assert_array_equal(picked.event_id, [2, 3])
+    def test_duration(self):
+        cols = _columns([_event(1, dur=10), _event(2, dur=20), _event(3, dur=30)])
+        np.testing.assert_array_equal(cols.duration_ns(), [10, 20, 30])
 
     def test_column_slots_match_schema(self):
         cols = CallColumns.empty()

@@ -11,7 +11,6 @@ from repro.perf.analysis.export import (
     load_findings,
     report_to_json,
 )
-from repro.perf.analysis.streaming import StreamingAnalyzer
 from repro.perf.database import TraceDatabase
 from repro.workloads.recorders import record_sqlite
 
@@ -46,14 +45,12 @@ class TestExportDocument:
             assert "score" in row["evidence"]
             assert "pairs" in row["evidence"]
 
-    def test_in_memory_and_streaming_exports_byte_identical(self, trace_path):
+    def test_chunked_and_sharded_exports_byte_identical(self, trace_path):
         with TraceDatabase(trace_path) as db:
-            in_memory = report_to_json(Analyzer(db).run())
+            default = report_to_json(Analyzer(db).run())
         with TraceDatabase(trace_path) as db:
-            streamed = report_to_json(
-                StreamingAnalyzer(db, chunk_events=512, jobs=2).run()
-            )
-        assert in_memory == streamed
+            chunked = report_to_json(Analyzer(db, chunk_events=512, jobs=2).run())
+        assert chunked == default
 
     def test_export_is_valid_json_and_stable(self, trace_path):
         with TraceDatabase(trace_path) as db:

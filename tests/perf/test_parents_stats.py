@@ -1,12 +1,18 @@
 """Direct/indirect parent computation (Figure 4) and general statistics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.perf.analysis import callgraph as CG
 from repro.perf.analysis import parents as P
 from repro.perf.analysis import stats as S
+from repro.perf.analysis.detectors import AnalyzerWeights
 from repro.perf.events import CallEvent, ECALL, OCALL
+
+from tests.perf.synthetic import analyze
 
 
 def call(event_id, kind, name, start, end, thread=1, parent=None):
@@ -23,6 +29,12 @@ def call(event_id, kind, name, start, end, thread=1, parent=None):
     )
 
 
+def indirect_edges(calls):
+    """(indirect parent name, child name) → count, from the analyser's graph."""
+    _, graph = analyze(calls)
+    return CG.edge_counts(graph, CG.INDIRECT)
+
+
 class TestFigure4Cases:
     """The four indirect-parent examples of the paper's Figure 4."""
 
@@ -32,8 +44,7 @@ class TestFigure4Cases:
             call(2, ECALL, "E2", 20, 30),
             call(3, ECALL, "E3", 40, 50),
         ]
-        indirect = P.compute_indirect_parents(calls)
-        assert indirect == {2: 1, 3: 2}
+        assert indirect_edges(calls) == {("E1", "E2"): 1, ("E2", "E3"): 1}
 
     def test_case2_ocalls_within_one_ecall_chain(self):
         calls = [
@@ -41,8 +52,8 @@ class TestFigure4Cases:
             call(2, OCALL, "O2", 10, 20, parent=1),
             call(3, OCALL, "O3", 30, 40, parent=1),
         ]
-        indirect = P.compute_indirect_parents(calls)
-        assert indirect == {3: 2}  # only O3 has an indirect parent
+        # Only O3 has an indirect parent.
+        assert indirect_edges(calls) == {("O2", "O3"): 1}
 
     def test_case3_nested_alternating_no_indirect(self):
         calls = [
@@ -50,7 +61,7 @@ class TestFigure4Cases:
             call(2, OCALL, "O2", 10, 90, parent=1),
             call(3, ECALL, "E3", 20, 80, parent=2),
         ]
-        assert P.compute_indirect_parents(calls) == {}
+        assert indirect_edges(calls) == {}
 
     def test_case4_skips_calls_of_other_kind(self):
         calls = [
@@ -58,15 +69,15 @@ class TestFigure4Cases:
             call(2, OCALL, "O2", 10, 20, parent=1),
             call(3, ECALL, "E3", 40, 50),
         ]
-        indirect = P.compute_indirect_parents(calls)
-        assert indirect[3] == 1  # E3's indirect parent is E1, not O2
+        # E3's indirect parent is E1, not O2.
+        assert indirect_edges(calls) == {("E1", "E3"): 1}
 
     def test_threads_do_not_mix(self):
         calls = [
             call(1, ECALL, "E", 0, 10, thread=1),
             call(2, ECALL, "E", 20, 30, thread=2),
         ]
-        assert P.compute_indirect_parents(calls) == {}
+        assert indirect_edges(calls) == {}
 
 
 class TestDirectParentRecomputation:
@@ -83,14 +94,16 @@ class TestDirectParentRecomputation:
             assert recomputed[event.event_id] == event.parent_id
 
     def test_gap_to_indirect_parent(self):
+        # One link (the first call has no indirect parent) with a 7 ns gap:
+        # within 1 us, so it counts in every Equation 3 threshold.
         calls = [
             call(1, ECALL, "E", 0, 10),
             call(2, ECALL, "E", 17, 30),
         ]
-        indirect = P.compute_indirect_parents(calls)
-        by_id = P.index_by_id(calls)
-        assert P.gap_to_indirect_parent_ns(calls[1], indirect, by_id) == 7
-        assert P.gap_to_indirect_parent_ns(calls[0], indirect, by_id) is None
+        report, _ = analyze(calls, weights=AnalyzerWeights(min_calls=1))
+        (batch,) = [f for f in report.findings if "indirect_parent" in f.evidence]
+        assert batch.evidence["pairs"] == 1
+        assert batch.evidence["p1"] == batch.evidence["p20"] == 0.5  # 1 of 2 calls
 
     @given(
         st.lists(
@@ -109,10 +122,12 @@ class TestDirectParentRecomputation:
             start = cursor + gap
             events.append(call(i + 1, ECALL, f"E{i % 3}", start, start + width))
             cursor = start + width
-        indirect = P.compute_indirect_parents(events)
-        by_id = P.index_by_id(events)
-        for child_id, parent_id in indirect.items():
-            assert by_id[parent_id].end_ns <= by_id[child_id].start_ns
+        # Top-level calls on one thread form one chain: each call's indirect
+        # parent is the call that ended right before it started.
+        expected = Counter(
+            (previous.name, current.name) for previous, current in zip(events, events[1:])
+        )
+        assert indirect_edges(events) == dict(expected)
 
 
 class TestStatistics:
@@ -141,17 +156,19 @@ class TestStatistics:
         assert stats.count == 0 and stats.mean_ns == 0.0
 
     def test_execution_durations_subtract_transition_for_ecalls(self):
-        events = self.make_events([5_000, 6_000])
-        adjusted = S.execution_durations_ns(events, 2_130)
-        assert list(adjusted) == [2_870, 3_870]
+        # 11.0 / 12.5 us measured are 8.87 / 10.37 us of execution time.
+        report, _ = analyze(self.make_events([11_000, 12_500]))
+        assert report.ecall_short_fraction == 0.5
 
     def test_execution_durations_clamped_at_zero(self):
-        events = self.make_events([1_000])
-        assert list(S.execution_durations_ns(events, 2_130)) == [0]
+        # A call shorter than the transition executed for 0 ns: under 1 us.
+        report, _ = analyze(self.make_events([1_000]), weights=AnalyzerWeights(min_calls=1))
+        (move,) = [f for f in report.findings if "c1" in f.evidence]
+        assert move.evidence["c1"] == 1.0
 
     def test_ocall_durations_not_adjusted(self):
-        events = [call(1, OCALL, "o", 0, 5_000)]
-        assert list(S.execution_durations_ns(events, 2_130)) == [5_000]
+        report, _ = analyze([call(1, OCALL, "o", 0, 11_000)])
+        assert report.ocall_short_fraction == 0.0
 
     def test_fraction_shorter_than(self):
         values = np.array([1, 5, 9, 20])
@@ -178,10 +195,13 @@ class TestStatistics:
         events = self.make_events([100] * 5) + [
             call(99, OCALL, "big", 0, 10_000)
         ]
-        stats = S.all_statistics(events)
-        assert stats[0].name == "big"
+        report, _ = analyze(events)
+        assert report.statistics[0].name == "big"
 
     def test_group_by_name(self):
         events = self.make_events([1, 2]) + [call(9, OCALL, "o", 0, 5)]
-        groups = S.group_by_name(events)
-        assert set(groups) == {("ecall", "e"), ("ocall", "o")}
+        report, _ = analyze(events)
+        assert {(s.kind, s.name): s.count for s in report.statistics} == {
+            ("ecall", "e"): 2,
+            ("ocall", "o"): 1,
+        }

@@ -119,11 +119,11 @@ class TestCliPressureSection:
         path = str(tmp_path / "node0.db")
         run_clusternode({**spec.to_params(), "seed": 7, "node": 0}, path)
         assert main(["analyze", path, "--pressure"]) == 0
-        in_memory = capsys.readouterr().out
-        assert "-- pressure" in in_memory
-        assert "brownout:" in in_memory
-        assert "shed by class:" in in_memory
-        # The streaming analyser renders the identical section.
-        assert main(["analyze", path, "--pressure", "--streaming"]) == 0
-        streaming = capsys.readouterr().out
-        assert in_memory.split("-- pressure")[1] == streaming.split("-- pressure")[1]
+        default = capsys.readouterr().out
+        assert "-- pressure" in default
+        assert "brownout:" in default
+        assert "shed by class:" in default
+        # Small chunks and sharding render the identical section.
+        assert main(["analyze", path, "--pressure", "--chunk-events", "7", "--jobs", "2"]) == 0
+        chunked = capsys.readouterr().out
+        assert chunked.split("-- pressure")[1] == default.split("-- pressure")[1]

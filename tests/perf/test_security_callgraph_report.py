@@ -3,11 +3,13 @@
 import pytest
 
 from repro.perf.analysis import callgraph as CG
-from repro.perf.analysis import security as SEC
+from repro.perf.analysis.detectors import Problem, Recommendation
 from repro.perf.analysis.report import Analyzer
 from repro.perf.database import TraceDatabase
 from repro.perf.events import CallEvent, ECALL, OCALL
 from repro.sdk.edl import parse_edl
+
+from tests.perf.synthetic import analyze
 
 
 def call(event_id, kind, name, start, end, thread=1, parent=None):
@@ -52,9 +54,27 @@ enclave {
 """
 
 
+def interface_findings(events, recommendation, definition=None):
+    """The analyser's interface findings carrying ``recommendation``."""
+    report, _ = analyze(events, definition=definition)
+    return [
+        f
+        for f in report.findings
+        if f.problem is Problem.INTERFACE and recommendation in f.recommendations
+    ]
+
+
+def private_findings(events):
+    return interface_findings(events, Recommendation.MAKE_PRIVATE)
+
+
+def allowlist_findings(events, definition):
+    return interface_findings(events, Recommendation.NARROW_ALLOWLIST, definition)
+
+
 class TestSecurityAnalysis:
     def test_private_candidate_found(self):
-        findings = SEC.private_ecall_candidates(nested_trace())
+        findings = private_findings(nested_trace())
         assert len(findings) == 1
         assert findings[0].call == "ecall_inner"
         assert findings[0].evidence["allowing_ocalls"] == ["ocall_mid"]
@@ -62,28 +82,30 @@ class TestSecurityAnalysis:
     def test_top_level_instance_disqualifies(self):
         events = nested_trace()
         events.append(call(999, ECALL, "ecall_inner", 99_000_000, 99_000_100))
-        assert SEC.private_ecall_candidates(events) == []
+        assert private_findings(events) == []
 
     def test_allowlist_narrowing_with_edl(self):
         definition = parse_edl(EDL_WITH_WIDE_ALLOW)
-        findings = SEC.allowlist_findings(nested_trace(), definition)
+        findings = allowlist_findings(nested_trace(), definition)
         assert len(findings) == 1
         assert findings[0].call == "ocall_mid"
         assert findings[0].evidence["removable"] == ["ecall_unused"]
         assert findings[0].evidence["observed"] == ["ecall_inner"]
 
     def test_minimal_sets_without_edl(self):
-        findings = SEC.allowlist_findings(nested_trace(), None)
+        findings = allowlist_findings(nested_trace(), None)
         assert findings[0].evidence["observed"] == ["ecall_inner"]
 
     def test_exact_allowlist_not_flagged(self):
         source = EDL_WITH_WIDE_ALLOW.replace(", ecall_unused)", ")")
         definition = parse_edl(source)
-        assert SEC.allowlist_findings(nested_trace(), definition) == []
+        assert allowlist_findings(nested_trace(), definition) == []
 
     def test_user_check_flagged_with_counts(self):
         definition = parse_edl(EDL_WITH_WIDE_ALLOW)
-        findings = SEC.user_check_findings(definition, nested_trace())
+        findings = interface_findings(
+            nested_trace(), Recommendation.CHECK_POINTERS, definition
+        )
         assert len(findings) == 1
         assert findings[0].call == "ecall_unused"
         assert "user_check" in findings[0].message
@@ -91,7 +113,7 @@ class TestSecurityAnalysis:
 
 class TestCallGraph:
     def test_nodes_and_edge_kinds(self):
-        graph = CG.build_call_graph(nested_trace())
+        _, graph = analyze(nested_trace())
         assert set(graph.nodes) == {
             "ecall:ecall_outer",
             "ocall:ocall_mid",
@@ -104,14 +126,14 @@ class TestCallGraph:
         assert indirect[("ecall_outer", "ecall_outer")] == 5
 
     def test_dot_output_shapes(self):
-        dot = CG.to_dot(CG.build_call_graph(nested_trace()))
+        dot = CG.to_dot(analyze(nested_trace())[1])
         assert "shape=box" in dot  # ecalls square
         assert "shape=ellipse" in dot  # ocalls round
         assert "style=solid" in dot and "style=dashed" in dot
         assert 'label="6"' in dot
 
     def test_node_counts(self):
-        graph = CG.build_call_graph(nested_trace())
+        _, graph = analyze(nested_trace())
         assert graph.nodes["ecall:ecall_outer"]["count"] == 6
 
 
@@ -224,3 +246,19 @@ class TestCli:
         from repro.perf.cli import main
 
         assert main(["record", "ghost"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["analyze", "--json"], ["stats", "ecall", "e"], ["dot"]],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_missing_trace_fails_loudly(self, tmp_path, capsys, argv):
+        from repro.perf.cli import main
+
+        path = tmp_path / "typo.db"
+        command, *rest = argv
+        assert main([command, str(path), *rest]) == 2
+        err = capsys.readouterr().err
+        assert err == f"sgxperf: no such trace: {path}\n"
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []

@@ -1,25 +1,55 @@
-"""Streaming analyser equivalence: the in-memory path is the reference twin.
+"""Golden analysis digests: the analyser's outputs are pinned, not twinned.
 
-The contract under test: for ANY ``--chunk-events`` / ``--jobs`` setting,
-the streaming analyser's report text, findings and call graph are
-byte-identical to the in-memory analyser's — on seeded traces from all
-four bundled workloads, on fault/serving traces, and on empty traces.
+The contract under test: for ANY ``chunk_events`` / ``jobs`` setting, the
+analyser's report text (with its availability and pressure sections), its
+``--json`` findings export and its DOT call graph hash to the sha256
+digests committed in ``analysis_golden.json`` — on seeded traces from all
+four bundled workloads, on the talos trace with an EDL, on a salvaged
+fault/serving trace, and on an empty trace.
+
+The digests were pinned from the in-memory analyser that the chunked fold
+replaced, so they also hold the fold to that analyser's exact output.
+Regenerate them (only for an intended output change) with::
+
+    PYTHONPATH=src python tests/perf/test_streaming_analysis.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from typing import Optional
+
 import pytest
 
-from repro.perf.analysis import callgraph as callgraph_mod
+from repro.perf.analysis.export import report_to_json
 from repro.perf.analysis.parallel import shard_threads
 from repro.perf.analysis.report import Analyzer
-from repro.perf.analysis.streaming import StreamingAnalyzer
 from repro.perf.cli import main as cli_main
 from repro.perf.database import TraceDatabase, TraceError
 from repro.sdk.edl import parse_edl
 
 WORKLOADS = ["talos", "sqlite", "glamdring", "securekeeper"]
-CHUNKS = [1, 7, 1000, None]  # None = unbounded (one chunk holds the trace)
+# None = the default chunk; UNBOUNDED = one chunk holds the whole trace.
+UNBOUNDED = 2**31 - 1  # the largest batch SQLite cursors accept
+CHUNKS = [1, 7, 1000, None, UNBOUNDED]
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "analysis_golden.json")
+REGENERATE = "PYTHONPATH=src python tests/perf/test_streaming_analysis.py"
+
+EDL_TEXT = """
+enclave {
+    trusted {
+        public void ecall_handshake([user_check] void *ctx);
+        void ecall_request(void);
+    };
+    untrusted {
+        void ocall_read(void) allow(ecall_request, ecall_handshake);
+    };
+};
+"""
 
 
 def _record(name: str, path: str, seed: int = 5) -> None:
@@ -35,94 +65,8 @@ def _record(name: str, path: str, seed: int = 5) -> None:
     sized[name]()
 
 
-@pytest.fixture(scope="module")
-def traces(tmp_path_factory) -> dict:
-    root = tmp_path_factory.mktemp("streaming-traces")
-    paths = {}
-    for name in WORKLOADS:
-        paths[name] = str(root / f"{name}.db")
-        _record(name, paths[name])
-    return paths
-
-
-@pytest.fixture(scope="module")
-def reference(traces) -> dict:
-    """name → (report text, findings, DOT) from the in-memory analyser."""
-    out = {}
-    for name, path in traces.items():
-        with TraceDatabase(path) as db:
-            analyzer = Analyzer(db)
-            report = analyzer.run()
-            out[name] = (
-                report.render_text() + "\n" + report.render_availability(),
-                report.findings,
-                callgraph_mod.to_dot(analyzer.call_graph()),
-            )
-    return out
-
-
-def _streaming_result(path: str, chunk, jobs: int = 1):
-    with TraceDatabase(path) as db:
-        analyzer = StreamingAnalyzer(db, chunk_events=chunk, jobs=jobs)
-        report = analyzer.run()
-        return (
-            report.render_text() + "\n" + report.render_availability(),
-            report.findings,
-            callgraph_mod.to_dot(analyzer.call_graph()),
-        )
-
-
-@pytest.mark.parametrize("chunk", CHUNKS, ids=lambda c: f"chunk={c or 'inf'}")
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_streaming_byte_identical(traces, reference, workload, chunk):
-    text, findings, dot = _streaming_result(traces[workload], chunk)
-    ref_text, ref_findings, ref_dot = reference[workload]
-    assert text == ref_text
-    assert findings == ref_findings
-    assert dot == ref_dot
-
-
-# One (workload, chunk) pair per chunk size keeps the spawn-pool cost
-# bounded while still crossing jobs=4 with every chunk size.
-@pytest.mark.parametrize(
-    "workload, chunk",
-    [("talos", 7), ("sqlite", 1000), ("glamdring", None), ("securekeeper", 1)],
-    ids=lambda v: str(v),
-)
-def test_parallel_byte_identical(traces, reference, workload, chunk):
-    text, findings, dot = _streaming_result(traces[workload], chunk, jobs=4)
-    ref_text, ref_findings, ref_dot = reference[workload]
-    assert text == ref_text
-    assert findings == ref_findings
-    assert dot == ref_dot
-
-
-EDL_TEXT = """
-enclave {
-    trusted {
-        public void ecall_handshake([user_check] void *ctx);
-        void ecall_request(void);
-    };
-    untrusted {
-        void ocall_read(void) allow(ecall_request, ecall_handshake);
-    };
-};
-"""
-
-
-def test_streaming_with_edl_identical(traces):
-    definition = parse_edl(EDL_TEXT)
-    with TraceDatabase(traces["talos"]) as db:
-        ref = Analyzer(db, definition=definition).run()
-        got = StreamingAnalyzer(db, definition=definition, chunk_events=13).run()
-    assert got.render_text() == ref.render_text()
-    assert got.findings == ref.findings
-
-
-def test_fault_and_serving_sections_identical(tmp_path):
-    """Fault counts, availability and notes come from the same accumulator."""
-    path = str(tmp_path / "faulty.db")
-    _record("glamdring", path)
+def _add_fault_rows(path: str) -> None:
+    """Serving, watchdog and loss/recovery rows, then mark the trace salvaged."""
     with TraceDatabase(path) as db:
         rows = []
         ts = 1_000
@@ -138,26 +82,96 @@ def test_fault_and_serving_sections_identical(tmp_path):
         db.add_fault_rows(rows)
         db.set_meta("trace_state", "salvaged")
         db.flush()
-    for chunk in (3, None):
-        with TraceDatabase(path) as db:
-            ref = Analyzer(db).run()
-            got = StreamingAnalyzer(db, chunk_events=chunk).run()
-        assert got.render_text() == ref.render_text()
-        assert got.render_availability() == ref.render_availability()
-        assert got.findings == ref.findings
-        assert got.notes == ref.notes
 
 
-def test_empty_trace_identical(tmp_path):
-    path = str(tmp_path / "empty.db")
-    with TraceDatabase(path) as db:
+def build_traces(root: str) -> dict[str, str]:
+    """Record every pinned trace under ``root``; name → trace path."""
+    paths = {}
+    for name in WORKLOADS:
+        paths[name] = os.path.join(root, f"{name}.db")
+        _record(name, paths[name])
+    paths["faulty"] = os.path.join(root, "faulty.db")
+    _record("glamdring", paths["faulty"])
+    _add_fault_rows(paths["faulty"])
+    paths["empty"] = os.path.join(root, "empty.db")
+    with TraceDatabase(paths["empty"]) as db:
         db.flush()
+    return paths
+
+
+def digests(path: str, edl: Optional[str] = None, **options) -> dict[str, str]:
+    """sha256 of the report text, the ``--json`` export and the DOT graph."""
+    definition = parse_edl(edl) if edl else None
     with TraceDatabase(path) as db:
-        ref = Analyzer(db).run()
-        got = StreamingAnalyzer(db).run()
-        par = StreamingAnalyzer(db, jobs=4).run()  # no threads → in-process
-    assert got.render_text() == ref.render_text()
-    assert par.render_text() == ref.render_text()
+        analyzer = Analyzer(db, definition=definition, **options)
+        report = analyzer.run()
+        outputs = {
+            "text": "\n".join(
+                (report.render_text(), report.render_availability(), report.render_pressure())
+            ),
+            "json": report_to_json(report),
+            "dot": analyzer.call_graph_dot(),
+        }
+    return {key: hashlib.sha256(text.encode()).hexdigest() for key, text in outputs.items()}
+
+
+def pin_digests(root: str) -> dict[str, dict[str, str]]:
+    """Digests of every pinned trace at the analyser's default settings."""
+    paths = build_traces(root)
+    golden = {name: digests(path) for name, path in paths.items()}
+    golden["talos+edl"] = digests(paths["talos"], EDL_TEXT)
+    return dict(sorted(golden.items()))
+
+
+def _load_golden() -> dict[str, dict[str, str]]:
+    with open(GOLDEN_PATH) as f:
+        return json.load(f)["digests"]
+
+
+GOLDEN = _load_golden() if os.path.exists(GOLDEN_PATH) else {}
+
+
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory) -> dict:
+    return build_traces(str(tmp_path_factory.mktemp("golden-traces")))
+
+
+@pytest.mark.parametrize(
+    "chunk", CHUNKS, ids=lambda c: f"chunk={'inf' if c == UNBOUNDED else c or 'default'}"
+)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_streaming_byte_identical(traces, workload, chunk):
+    assert digests(traces[workload], chunk_events=chunk) == GOLDEN[workload]
+
+
+# One (workload, chunk) pair per chunk size keeps the spawn-pool cost
+# bounded while still crossing jobs=4 with every chunk size.
+@pytest.mark.parametrize(
+    "workload, chunk",
+    [("talos", 7), ("sqlite", 1000), ("glamdring", None), ("securekeeper", 1)],
+    ids=lambda v: str(v),
+)
+def test_parallel_byte_identical(traces, workload, chunk):
+    assert digests(traces[workload], chunk_events=chunk, jobs=4) == GOLDEN[workload]
+
+
+def test_streaming_with_edl_identical(traces):
+    for chunk in (7, 1000, None):
+        got = digests(traces["talos"], EDL_TEXT, chunk_events=chunk)
+        assert got == GOLDEN["talos+edl"], chunk
+
+
+def test_fault_and_serving_sections_identical(traces):
+    """Fault counts, availability and notes of a salvaged trace stay pinned."""
+    for chunk in (7, 1000, None):
+        assert digests(traces["faulty"], chunk_events=chunk) == GOLDEN["faulty"], chunk
+
+
+def test_empty_trace_identical(traces):
+    for chunk in (7, 1000, None):
+        assert digests(traces["empty"], chunk_events=chunk) == GOLDEN["empty"], chunk
+    # No threads to shard: jobs=4 folds in-process.
+    assert digests(traces["empty"], jobs=4) == GOLDEN["empty"]
 
 
 # -- satellite: count fast paths ------------------------------------------
@@ -207,28 +221,6 @@ def test_shard_threads_deterministic_and_balanced():
     assert shard_threads([(7, 3)], 4) == [[7]]
     with pytest.raises(ValueError):
         shard_threads(counts, 0)
-
-
-# -- satellite: one columns fetch per Analyzer ------------------------------
-
-
-def test_analyzer_fetches_columns_once(traces, monkeypatch):
-    with TraceDatabase(traces["glamdring"]) as db:
-        analyzer = Analyzer(db)
-        fetches = []
-        original = db.call_columns
-
-        def counted(*args, **kwargs):
-            fetches.append((args, kwargs))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(db, "call_columns", counted)
-        analyzer.run()
-        analyzer.call_graph()
-        stat = analyzer.run().statistics[0]
-        analyzer.histogram(stat.kind, stat.name)
-        analyzer.scatter(stat.kind, stat.name)
-    assert len(fetches) == 1
 
 
 # -- live top ---------------------------------------------------------------
@@ -318,16 +310,16 @@ def test_live_top_counters_match_trace(tmp_path):
 def test_cli_streaming_flags_match(traces, capsys):
     path = traces["securekeeper"]
     assert cli_main(["analyze", path]) == 0
-    in_memory = capsys.readouterr()
+    default = capsys.readouterr()
     assert cli_main(["analyze", path, "--chunk-events", "11"]) == 0
     chunked = capsys.readouterr()
-    assert cli_main(["analyze", path, "--streaming"]) == 0
-    unbounded = capsys.readouterr()
-    assert chunked.out == in_memory.out
-    assert unbounded.out == in_memory.out
+    assert cli_main(["analyze", path, "--jobs", "2"]) == 0
+    sharded = capsys.readouterr()
+    assert chunked.out == default.out
+    assert sharded.out == default.out
     # Pre-analysis sizing line goes to stderr, report to stdout.
-    assert "calls" in in_memory.err and "in-memory" in in_memory.err
-    assert "streaming (jobs=1" in chunked.err
+    assert "calls" in default.err and "jobs=1, chunk-events=4096" in default.err
+    assert "jobs=1, chunk-events=11" in chunked.err
 
 
 def test_cli_top(capsys):
@@ -336,3 +328,18 @@ def test_cli_top(capsys):
     assert "top" in out
     assert "ecalls" in out
     assert "samples over" in out
+
+
+def main() -> int:
+    """Re-pin ``analysis_golden.json`` from the current analyser."""
+    with tempfile.TemporaryDirectory() as root:
+        golden = pin_digests(root)
+    with open(GOLDEN_PATH, "w") as f:
+        json.dump({"regenerate": REGENERATE, "digests": golden}, f, indent=2)
+        f.write("\n")
+    print(f"pinned {len(golden)} traces to {GOLDEN_PATH}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
