@@ -1,15 +1,16 @@
-"""Scheduler run queue: O(log n) heap vs the seed's linear scan.
+"""Scheduler run queue under a futex hammer, and its seed-schedule pin.
 
 Every scheduling turn the seed kernel scanned all live threads for the
 minimum ``(wake_time, seq)`` key and rebuilt the live-non-daemon list —
-O(n) per turn, O(n²) per simulation.  The heap run queue replaces both
+O(n) per turn, O(n²) per simulation.  The heap run queue replaced both
 with an indexed min-heap (lazy invalidation) and a maintained liveness
 counter, O(log n) per turn.
 
-The workload is adversarial for the linear scan: many threads hammering
-timed futex waits, so the run queue is large and churns every turn.  The
-two kernels must produce the *identical* event log (the heap is a pure
-data-structure swap), and the heap must win on wall-clock.
+The workload is adversarial for a scan: many threads hammering timed
+futex waits, so the run queue is large and churns every turn.  The heap
+was a pure data-structure swap, so its event log must equal the one the
+linear scan produced (pinned below); the benchmark prints the absolute
+wall time and scheduling rate.
 """
 
 from __future__ import annotations
@@ -18,18 +19,20 @@ import time
 
 from conftest import run_once
 
+from repro.digest import sha256_hex
 from repro.sim.kernel import Simulation
 
 THREADS = 160
 ROUNDS = 12
-# The asymptotic gap is large, but constants matter on small n; demand a
-# real margin without flaking on CI noise.
-MIN_SPEEDUP = 1.3
+# sha256_hex(repr(log)) of this hammer on the seed's O(n) linear-scan
+# picker (the kernel's "linear" run queue, deleted after f40c2d1), computed
+# from that picker at f40c2d1.
+LINEAR_SCAN_LOG_DIGEST = "9de3a34db36720e8660cb906955b36dc352bb2d4b28e7a85d7907260d38f0fe9"
 
 
-def _futex_hammer(run_queue: str) -> tuple[float, list]:
+def _futex_hammer() -> tuple[float, list]:
     """Run the hammer workload; return (wall seconds, event log)."""
-    sim = Simulation(seed=7, run_queue=run_queue)
+    sim = Simulation(seed=7)
     log = []
 
     def worker(i: int) -> None:
@@ -49,21 +52,13 @@ def _futex_hammer(run_queue: str) -> tuple[float, list]:
     return time.perf_counter() - begin, log
 
 
-def test_bench_heap_beats_linear_scan(benchmark):
-    linear_wall, linear_log = _futex_hammer("linear")
+def test_bench_scheduler_futex_hammer(benchmark):
+    wall, log = run_once(benchmark, _futex_hammer)
 
-    heap_wall, heap_log = run_once(benchmark, _futex_hammer, "heap")
-
-    # Pure data-structure swap: the schedule itself must not change.
-    assert heap_log == linear_log
-    assert len(heap_log) == THREADS * ROUNDS
-
-    speedup = linear_wall / heap_wall
+    assert len(log) == THREADS * ROUNDS
+    # The schedule itself must be the seed scheduler's.
+    assert sha256_hex(repr(log)) == LINEAR_SCAN_LOG_DIGEST
     print(
         f"\nscheduler run queue ({THREADS} threads x {ROUNDS} rounds): "
-        f"linear {linear_wall:.3f}s, heap {heap_wall:.3f}s, speedup {speedup:.2f}x"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"heap run queue only {speedup:.2f}x faster than linear scan "
-        f"(need >= {MIN_SPEEDUP}x)"
+        f"{wall:.3f}s, {len(log) / wall:,.0f} timed waits/s"
     )

@@ -19,8 +19,6 @@ arrivals over to replicas and scheduled hinted handoffs for recovery.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import replace
 
 from repro.cluster.brownout import BrownoutController, PressureSignal
@@ -41,6 +39,7 @@ from repro.cluster.router import (
 )
 from repro.cluster.slo import LatencyHistogram
 from repro.cluster.spec import ClusterSpec
+from repro.digest import canonical_json, sha256_hex, trace_digest
 from repro.sgx.device import SgxDevice
 from repro.sim.net import Listener
 from repro.sim.process import SimProcess
@@ -118,7 +117,6 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
     of thousands of requests is opt-in, not the price of every sweep).
     """
     from repro.faults import FaultInjector, PressureInjector
-    from repro.faults.campaign import trace_digest
     from repro.perf.logger import AexMode, EventLogger
     from repro.workloads.serving import CircuitBreaker, RetryPolicy, ServingStats
 
@@ -280,6 +278,5 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
         digest = trace_digest(db)
         db.close()
     else:
-        canonical = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        digest = sha256_hex(canonical_json(metrics))
     return digest, metrics, faults

@@ -18,7 +18,6 @@ Run directly::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -30,6 +29,7 @@ from repro.cluster.loadgen import generate_arrivals
 from repro.cluster.router import RoutingInfo, route_requests
 from repro.cluster.slo import SloSummary, render_slo_table, rollup
 from repro.cluster.spec import ClusterSpec, ClusterSpecError
+from repro.digest import canonical_json, sha256_hex
 from repro.sweep import SweepReport, run_sweep
 
 # Shard-metric keys aggregated into the cluster replication health line.
@@ -117,22 +117,18 @@ class ClusterReport:
         lines = [
             self.sweep.manifest.rstrip("\n"),
             "# cluster " + self.spec.canonical_json(),
-            "# routing "
-            + json.dumps(self.routing.as_dict(), sort_keys=True, separators=(",", ":")),
-            "# detector "
-            + json.dumps(self.detector, sort_keys=True, separators=(",", ":")),
-            "# replication "
-            + json.dumps(self.replication, sort_keys=True, separators=(",", ":")),
-            "# brownout "
-            + json.dumps(self.brownout, sort_keys=True, separators=(",", ":")),
-            "# slo " + json.dumps(cluster, sort_keys=True, separators=(",", ":")),
+            "# routing " + canonical_json(self.routing.as_dict()),
+            "# detector " + canonical_json(self.detector),
+            "# replication " + canonical_json(self.replication),
+            "# brownout " + canonical_json(self.brownout),
+            "# slo " + canonical_json(cluster),
         ]
         return "\n".join(lines) + "\n"
 
     @property
     def digest(self) -> str:
         """SHA-256 over the cluster manifest (the CI determinism gate)."""
-        return hashlib.sha256(self.manifest.encode()).hexdigest()
+        return sha256_hex(self.manifest)
 
     def render(self) -> str:
         """Human-readable cluster report (deterministic)."""

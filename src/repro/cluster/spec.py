@@ -20,9 +20,10 @@ away mid-run and ask the cluster to hold its SLO).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, fields, replace
 from typing import Optional
+
+from repro.digest import canonical_json as _canonical_json
 
 VARIANTS = ("securekeeper", "talos")
 POLICIES = ("hash", "least-loaded")
@@ -407,8 +408,7 @@ class ClusterSpec:
 
     def canonical_json(self) -> str:
         """Stable JSON form (used in manifests and digests)."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _canonical_json({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def with_overrides(spec: ClusterSpec, **overrides) -> ClusterSpec:

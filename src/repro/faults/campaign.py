@@ -16,12 +16,12 @@ Run directly::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.digest import trace_digest
 from repro.faults.injector import INJECT_LOSS, FaultInjector
 from repro.faults.plan import (
     EnclaveLossPlan,
@@ -30,7 +30,6 @@ from repro.faults.plan import (
     TcsExhaustionPlan,
     TransientEpcPlan,
 )
-from repro.perf.database import TraceDatabase
 from repro.perf.logger import AexMode, EventLogger
 from repro.sdk.edger8r import build_enclave
 from repro.sdk.errors import EnclaveLostError, SgxError
@@ -51,29 +50,6 @@ enclave {
     };
 };
 """
-
-# Every table a trace can contain, with a deterministic dump order.
-_DIGEST_TABLES = (
-    ("meta", "key"),
-    ("calls", "id"),
-    ("aex", "id"),
-    ("paging", "id"),
-    ("sync", "id"),
-    ("faults", "id"),
-    ("threads", "thread_id"),
-    ("enclaves", "enclave_id"),
-)
-
-
-def trace_digest(db: TraceDatabase) -> str:
-    """SHA-256 over every table's full contents, in deterministic order."""
-    h = hashlib.sha256()
-    for table, order in _DIGEST_TABLES:
-        h.update(table.encode())
-        for row in db.execute(f"SELECT * FROM {table} ORDER BY {order}"):
-            h.update(repr(row).encode())
-    return h.hexdigest()
-
 
 def default_plan() -> FaultPlan:
     """The standard campaign: every fault family armed."""

@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from repro.faults.campaign import trace_digest
+from repro.digest import trace_digest
 from repro.faults.plan import FaultPlan, NetworkChaosPlan
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice

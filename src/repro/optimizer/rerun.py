@@ -24,6 +24,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.digest import trace_digest
 from repro.optimizer.plan import OptimizationPlan
 from repro.optimizer.switchless import WORKER_ECALL
 from repro.optimizer.transforms import PlanKnobs, build_plan
@@ -73,8 +74,6 @@ class RunMetrics:
 def _metrics_from(
     label: str, db, requests: int, latencies: list, wall_ns: Optional[int] = None
 ) -> RunMetrics:
-    from repro.faults.campaign import trace_digest
-
     ecalls = len(db.calls(kind="ecall"))
     ocalls = len(db.calls(kind="ocall"))
     wall = int(wall_ns if wall_ns is not None else sum(latencies))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from typing import Callable, Optional
 
@@ -58,6 +59,14 @@ def _missing_trace(path: str) -> bool:
     return True
 
 
+def _existing_trace(path: str) -> bool:
+    """Report an output path that exists (recording into it would collide)."""
+    if path == ":memory:" or not os.path.exists(path):
+        return False
+    print(f"sgxperf: trace already exists: {path}", file=sys.stderr)
+    return True
+
+
 def _cmd_record(args: argparse.Namespace) -> int:
     registry = _workload_registry()
     recorder = registry.get(args.workload)
@@ -67,6 +76,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
             + ", ".join(sorted(registry)),
             file=sys.stderr,
         )
+        return 2
+    if _existing_trace(args.output):
         return 2
     recorder(args.output, args.seed)
     print(f"trace written to {args.output}")
@@ -143,6 +154,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if _existing_trace(args.output):
+        return 2
     tops: list[LiveTop] = []
 
     def attach(logger) -> None:
@@ -194,6 +207,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_salvage(args: argparse.Namespace) -> int:
+    if _missing_trace(args.trace):
+        return 2
     with TraceDatabase(args.trace) as db:
         result = db.salvage()
         print(
@@ -316,6 +331,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             return 1
         return 0
 
+    if _missing_trace(args.target):
+        return 2
     definition = _optimize_definition(args)
     with TraceDatabase(args.target) as db:
         report = Analyzer(db, definition=definition).run()
@@ -559,7 +576,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Entry point for the ``sgxperf`` console script."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+    except BrokenPipeError:
+        # The reader went away (``sgxperf analyze t.db | head -1``).  Point
+        # stdout at /dev/null so the interpreter's exit-time flush cannot
+        # raise again, and exit as a SIGPIPE-killed process would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -177,20 +177,16 @@ class TraceDatabase:
     Use as a context manager or call :meth:`close` to flush buffered rows.
     A path of ``":memory:"`` keeps the trace in RAM (handy for tests).
 
-    ``tuned=False`` skips the recording pragmas; ``defer_indexes=False``
-    creates the read indexes eagerly (the seed writer's behaviour, kept for
-    apples-to-apples comparisons).  ``readonly=True`` opens an existing
-    file-backed trace through SQLite's read-only URI mode: no schema or
-    index creation, no pragma writes — many processes can read the same
-    trace concurrently without ever contending on a write lock.
+    ``readonly=True`` opens an existing file-backed trace through SQLite's
+    read-only URI mode: no schema or index creation, no pragma writes —
+    many processes can read the same trace concurrently without ever
+    contending on a write lock.
     """
 
     def __init__(
         self,
         path: str = ":memory:",
         flush_threshold: int = _FLUSH_THRESHOLD,
-        tuned: bool = True,
-        defer_indexes: bool = True,
         readonly: bool = False,
     ) -> None:
         self.path = path
@@ -215,12 +211,9 @@ class TraceDatabase:
             self._conn = sqlite3.connect(
                 path, check_same_thread=False, isolation_level=None
             )
-            if tuned:
-                self._apply_recording_pragmas()
+            self._apply_recording_pragmas()
             self._conn.executescript(_SCHEMA_TABLES)
             self._indexed = False
-            if not defer_indexes:
-                self._create_indexes()
         self._calls: list[tuple] = []
         self._aex: list[tuple] = []
         self._paging: list[tuple] = []

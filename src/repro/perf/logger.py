@@ -27,9 +27,7 @@ tuples to per-thread append-only buffers** — no per-event dataclass, no
 per-event SQL.  Buffers are drained into the :class:`TraceDatabase` in
 batches (at a threshold and at :meth:`EventLogger.flush`/
 :meth:`~EventLogger.finalize`), merged back into event-id order.
-:class:`~repro.perf.events.CallEvent` is a *reader-side* type only; the
-seed's event-object-per-call implementation survives as
-:class:`repro.perf.legacy.LegacyEventLogger` for comparisons.
+:class:`~repro.perf.events.CallEvent` is a *reader-side* type only.
 """
 
 from __future__ import annotations

@@ -22,8 +22,6 @@ timed-wait deadline) live in an indexed min-heap keyed on
 ``(wake_time, seq)`` with lazy invalidation — every state transition pushes
 a fresh entry and stamps the thread with its push id, so stale heap entries
 are recognised and discarded at pop time instead of being searched for.
-The seed linear-scan picker is kept as ``run_queue="linear"`` purely as the
-reference implementation for the scheduler benchmark.
 """
 
 from __future__ import annotations
@@ -165,19 +163,9 @@ class SimThread:
 
 
 class Simulation:
-    """Owner of the virtual clock, the scheduler and the futex table.
+    """Owner of the virtual clock, the scheduler and the futex table."""
 
-    ``run_queue`` selects the scheduler's picker: ``"heap"`` (default) uses
-    the O(log n) indexed min-heap; ``"linear"`` keeps the seed O(n) scan as
-    a reference implementation for the scheduler benchmark.  Both produce
-    byte-identical schedules.
-    """
-
-    def __init__(
-        self, seed: int = 0, frequency_ghz: float = 3.4, run_queue: str = "heap"
-    ) -> None:
-        if run_queue not in ("heap", "linear"):
-            raise ValueError(f"unknown run_queue {run_queue!r}; use 'heap' or 'linear'")
+    def __init__(self, seed: int = 0, frequency_ghz: float = 3.4) -> None:
         self.clock = VirtualClock(frequency_ghz)
         self.rng = DeterministicRng(seed)
         self._threads: list[SimThread] = []
@@ -188,15 +176,13 @@ class Simulation:
         self._futexes: dict[Any, list[SimThread]] = {}
         self._running = False
         self._exit_hooks: list[Callable[[SimThread], None]] = []
-        self._use_heap = run_queue == "heap"
         # Indexed min-heap of (time, seq, push_id, thread) with lazy
         # invalidation; push ids are globally unique so tuple comparison
         # never reaches the (uncomparable) thread object.
         self._runq: list[tuple[int, int, int, SimThread]] = []
         self._runq_push_id = 0
-        # Maintained count of live non-daemon threads, replacing the
-        # per-turn _live_non_daemon() list rebuild on the run() hot loop.
-        self._live_non_daemon_count = 0
+        # Live non-daemon threads; run() drives the simulation until 0.
+        self._non_daemons_alive = 0
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -237,7 +223,7 @@ class Simulation:
         thread.state = _RUNNABLE
         self._threads.append(thread)
         if not daemon:
-            self._live_non_daemon_count += 1
+            self._non_daemons_alive += 1
         self._runq_push(thread, thread.wake_time, thread.seq)
         return thread
 
@@ -250,8 +236,6 @@ class Simulation:
         ``thread._rq_entry``.  Anything else in the heap is stale and gets
         discarded lazily at peek/pop time.
         """
-        if not self._use_heap:
-            return
         self._runq_push_id += 1
         thread._rq_entry = pid = self._runq_push_id
         heapq.heappush(self._runq, (time, seq, pid, thread))
@@ -278,24 +262,6 @@ class Simulation:
 
     # -- the scheduler ------------------------------------------------------
 
-    def _pick_next(self) -> Optional[SimThread]:
-        """Seed linear-scan picker (``run_queue="linear"`` reference path)."""
-        best: Optional[SimThread] = None
-        best_key: tuple[int, int] = (0, 0)
-        for thread in self._threads:
-            if thread.state == _RUNNABLE:
-                key = (thread.wake_time, thread.seq)
-            elif thread.state == _BLOCKED and thread.timeout_at is not None:
-                # A timed wait competes for the turn at its expiry time; the
-                # scheduler expires it if nothing woke it first.
-                key = (thread.timeout_at, thread.seq)
-            else:
-                continue
-            if best is None or key < best_key:
-                best = thread
-                best_key = key
-        return best
-
     def _expire_timed_wait(self, thread: SimThread) -> None:
         """Turn a timed-out futex wait into a wake-up flagged ``timed_out``."""
         queue = self._futexes.get(thread.futex_key)
@@ -309,10 +275,6 @@ class Simulation:
         thread.timed_out = True
         thread.timeout_at = None
         thread.blocked_since_ns = None
-
-    def _live_non_daemon(self) -> list[SimThread]:
-        """Seed O(n) liveness rebuild (``run_queue="linear"`` reference path)."""
-        return [t for t in self._threads if t.is_alive and not t.daemon]
 
     def _deadlock(self) -> DeadlockError:
         """Build the no-runnable-thread diagnostic, one entry per blocked thread.
@@ -337,14 +299,9 @@ class Simulation:
         if self._running:
             raise SimulationError("simulation is already running")
         self._running = True
-        use_heap = self._use_heap
         try:
-            while (
-                self._live_non_daemon_count > 0
-                if use_heap
-                else self._live_non_daemon()
-            ):
-                nxt = self._runq_pop() if use_heap else self._pick_next()
+            while self._non_daemons_alive > 0:
+                nxt = self._runq_pop()
                 if nxt is None:
                     raise self._deadlock()
                 if nxt.state == _BLOCKED:
@@ -390,7 +347,7 @@ class Simulation:
 
     def _note_thread_done(self, thread: SimThread) -> None:
         if not thread.daemon:
-            self._live_non_daemon_count -= 1
+            self._non_daemons_alive -= 1
 
     def _on_thread_done(self, thread: SimThread) -> None:
         self._note_thread_done(thread)
@@ -427,25 +384,17 @@ class Simulation:
         self._seq = seq = self._seq + 1
         current.seq = seq
         current.state = _RUNNABLE
-        if self._use_heap:
-            # Keep the turn unless some other schedulable thread precedes
-            # our new key — a peek, not a push+pop, so the single-runnable
-            # fast path never touches the heap.  ``seq`` is freshly bumped,
-            # so ties resolve exactly as the linear scan would.
-            entry = self._runq_peek()
-            if entry is None or (deadline, seq) < (entry[0], entry[1]):
-                current.state = _RUNNING
-                if deadline > clock.now_ns:
-                    clock.now_ns = deadline
-                return
-            self._runq_push(current, deadline, seq)
-        else:
-            nxt = self._pick_next()
-            if nxt is current:
-                current.state = _RUNNING
-                if deadline > clock.now_ns:
-                    clock.now_ns = deadline
-                return
+        # Keep the turn unless some other schedulable thread precedes our
+        # new key — a peek, not a push+pop, so the single-runnable fast
+        # path never touches the heap.  ``seq`` is freshly bumped, so a
+        # key tie goes to the thread that queued first.
+        entry = self._runq_peek()
+        if entry is None or (deadline, seq) < (entry[0], entry[1]):
+            current.state = _RUNNING
+            if deadline > clock.now_ns:
+                clock.now_ns = deadline
+            return
+        self._runq_push(current, deadline, seq)
         self._yield_turn(current)
         current.state = _RUNNING
 
@@ -487,7 +436,7 @@ class Simulation:
         current.timeout_at = self.clock.now_ns + int(timeout_ns)
         current.timed_out = False
         # A timed wait competes for the turn at its expiry key; enqueue it
-        # so the heap scheduler can expire it without scanning.
+        # so the scheduler can expire it without scanning.
         self._runq_push(current, current.timeout_at, current.seq)
         self.block_current()
         woken = not current.timed_out

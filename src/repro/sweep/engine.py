@@ -21,8 +21,6 @@ wall-clock) live on the report object and never enter the manifest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,6 +29,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Optional, Union
 
+from repro.digest import canonical_json, sha256_hex
 from repro.sweep.grid import expand_grid
 from repro.sweep.tasks import SweepTask, TaskResult, run_task
 
@@ -95,10 +94,8 @@ class SweepReport:
         """
         lines = [MANIFEST_HEADER, f"# tasks={len(self.results)}"]
         for result in self.results:
-            record = json.dumps(
-                {"metrics": result.metrics, "faults": result.faults, "error": result.error},
-                sort_keys=True,
-                separators=(",", ":"),
+            record = canonical_json(
+                {"metrics": result.metrics, "faults": result.faults, "error": result.error}
             )
             lines.append(
                 "\t".join([result.key, result.status, result.digest or "-", record])
@@ -108,7 +105,7 @@ class SweepReport:
     @property
     def digest(self) -> str:
         """SHA-256 over the merged manifest."""
-        return hashlib.sha256(self.manifest.encode()).hexdigest()
+        return sha256_hex(self.manifest)
 
     def render_report(self) -> str:
         """Deterministic human-readable summary (no timing, no attempts)."""

@@ -39,6 +39,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from repro.digest import sha256_hex
+
 # Parameters consumed by the engine/wrapper, not by the workload runners.
 CONTROL_PARAMS = ("trace_dir", "crash", "crash_dir")
 
@@ -264,8 +266,7 @@ def _run_selftest_task(params: dict, db_path: str) -> tuple[str, dict, dict]:
     for i in range(int(params.get("threads", 3))):
         sim.spawn(worker, i)
     sim.run()
-    digest = hashlib.sha256(repr(log).encode()).hexdigest()
-    return digest, {"events": len(log), "duration_ns": sim.now_ns}, {}
+    return sha256_hex(repr(log)), {"events": len(log), "duration_ns": sim.now_ns}, {}
 
 
 _RUNNERS = {

@@ -15,10 +15,9 @@ Run it directly for one-off characterisation::
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 from dataclasses import dataclass, field
 
+from repro.digest import canonical_json, sha256_hex, trace_digest
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sgx.epc import Epc
@@ -51,8 +50,6 @@ def run_stressor(
     db_path: str = ":memory:",
 ) -> StressorResult:
     """Run one profile at one intensity on an isolated machine."""
-    from repro.faults.campaign import trace_digest
-
     profile = get_profile(stressor, intensity)
     process = SimProcess(seed=seed)
     epc = Epc(epc_pages) if epc_pages else Epc()
@@ -82,8 +79,7 @@ def run_stressor(
     if traced:
         digest = trace_digest(db)
     else:
-        canonical = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        digest = sha256_hex(canonical_json(metrics))
     return StressorResult(digest=digest, metrics=metrics, faults={})
 
 

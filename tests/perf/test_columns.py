@@ -101,13 +101,6 @@ class TestColumnarReaders:
             "idx_calls_thread",
         }
 
-    def test_eager_indexes_option(self):
-        db = TraceDatabase(defer_indexes=False)
-        rows = db.execute(
-            "SELECT name FROM sqlite_master WHERE type='index' AND name LIKE 'idx_%'"
-        )
-        assert len(rows) == 2
-
     def test_reopen_closed_file_database(self, tmp_path):
         path = str(tmp_path / "trace.db")
         db = _populated_db(path=path)

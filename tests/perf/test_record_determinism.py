@@ -1,19 +1,20 @@
-"""Determinism regression: seed recording path vs the buffered fast path.
+"""Determinism regression: the recording path against its pinned seed trace.
 
-The buffered logger must be a pure wall-clock optimisation — the same
-workload recorded through :class:`LegacyEventLogger` (dataclass per event,
-row-at-a-time writes) and :class:`EventLogger` (per-thread flat-tuple
-buffers, batched drains) must produce **identical** ``calls``/``sync``/
-``aex``/``paging`` table contents: same rows, same ordering keys.  Partial
-mid-run drains must not reorder or drop anything either.
+The buffered logger is a pure wall-clock optimisation of the seed's
+recording path (one ``CallEvent`` dataclass per event, row-at-a-time
+writes): the same workload must produce **identical** ``calls``/``sync``/
+``aex``/``paging`` table contents — same rows, same ordering keys, same
+virtual end times.  Partial mid-run drains must not reorder or drop
+anything either.  The seed path itself is gone; its trace survives as the
+pinned :func:`~repro.digest.trace_digest` below.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.digest import trace_digest
 from repro.perf.database import TraceDatabase
-from repro.perf.legacy import LegacyEventLogger
 from repro.perf.logger import AexMode, EventLogger
 from repro.sdk.edger8r import build_enclave
 from repro.sdk.urts import Urts
@@ -24,10 +25,13 @@ from repro.sim.process import SimProcess
 
 from tests.conftest import SIMPLE_EDL, make_simple_impls
 
-TABLES = ("calls", "aex", "paging", "sync", "threads", "enclaves")
+# trace_digest of _record() through the seed's dataclass-per-event legacy
+# logger (src/repro/perf/legacy.py, deleted after f40c2d1), computed from
+# that logger at f40c2d1.
+LEGACY_TRACE_DIGEST = "c4ab712d974afecf9f6d30ada2babb5c678abd25a87bef757ea0675080c5e543"
 
 
-def _record(logger_cls, seed: int = 11, db: TraceDatabase = None):
+def _record(seed: int = 11, db: TraceDatabase = None):
     """Run one mixed workload (ecalls, nested ocalls, AEX, paging, sync)."""
     process = SimProcess(seed=seed)
     device = SgxDevice(
@@ -56,7 +60,7 @@ def _record(logger_cls, seed: int = 11, db: TraceDatabase = None):
         untrusted,
         config=EnclaveConfig(heap_bytes=256 * 1024, code_bytes=128 * 1024, tcs_count=4),
     )
-    logger = logger_cls(
+    logger = EventLogger(
         process, urts, database=db or TraceDatabase(), aex_mode=AexMode.TRACE
     )
     logger.install()
@@ -80,42 +84,25 @@ def _record(logger_cls, seed: int = 11, db: TraceDatabase = None):
     return logger.finalize()
 
 
-def _dump(db: TraceDatabase) -> dict[str, list[tuple]]:
-    return {t: db.execute(f"SELECT * FROM {t} ORDER BY 1") for t in TABLES}
-
-
 @pytest.fixture(scope="module")
-def legacy_dump():
-    return _dump(_record(LegacyEventLogger))
+def recorded():
+    return _record()
 
 
-def test_tables_nonempty(legacy_dump):
+def test_tables_nonempty(recorded):
     """The workload must exercise every event source to be a real oracle."""
     for table in ("calls", "aex", "paging", "sync"):
-        assert legacy_dump[table], f"workload produced no {table} rows"
+        assert recorded.execute(f"SELECT count(*) FROM {table}")[0][0], (
+            f"workload produced no {table} rows"
+        )
 
 
-def test_buffered_path_matches_legacy(legacy_dump):
-    assert _dump(_record(EventLogger)) == legacy_dump
+def test_buffered_path_matches_legacy(recorded):
+    assert trace_digest(recorded) == LEGACY_TRACE_DIGEST
 
 
-def test_partial_drains_do_not_reorder(legacy_dump, monkeypatch):
+def test_partial_drains_do_not_reorder(monkeypatch):
     """Tiny thresholds force many mid-run drains of both buffer layers."""
     monkeypatch.setattr("repro.perf.logger.DRAIN_THRESHOLD", 8)
     db = TraceDatabase(flush_threshold=4)
-    assert _dump(_record(EventLogger, db=db)) == legacy_dump
-
-
-def test_untuned_eager_index_database_matches(legacy_dump):
-    """Pragmas and deferred indexes change speed, never contents."""
-    db = TraceDatabase(tuned=False, defer_indexes=False)
-    assert _dump(_record(EventLogger, db=db)) == legacy_dump
-
-
-def test_virtual_time_identical():
-    """Both paths charge identical virtual time — Table 2 stays calibrated."""
-    legacy = _record(LegacyEventLogger)
-    buffered = _record(EventLogger)
-    legacy_end = legacy.execute("SELECT MAX(end_ns) FROM calls")[0][0]
-    buffered_end = buffered.execute("SELECT MAX(end_ns) FROM calls")[0][0]
-    assert legacy_end == buffered_end
+    assert trace_digest(_record(db=db)) == LEGACY_TRACE_DIGEST

@@ -1,7 +1,12 @@
 """Security hints, call graphs, the analyzer facade and the CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.perf.analysis import callgraph as CG
 from repro.perf.analysis.detectors import Problem, Recommendation
 from repro.perf.analysis.report import Analyzer
@@ -249,7 +254,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [["analyze"], ["analyze", "--json"], ["stats", "ecall", "e"], ["dot"]],
+        [
+            ["analyze"],
+            ["analyze", "--json"],
+            ["stats", "ecall", "e"],
+            ["dot"],
+            ["salvage"],
+            ["optimize"],
+        ],
         ids=lambda argv: " ".join(argv),
     )
     def test_missing_trace_fails_loudly(self, tmp_path, capsys, argv):
@@ -262,3 +274,41 @@ class TestCli:
         assert err == f"sgxperf: no such trace: {path}\n"
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["record", "top"])
+    def test_existing_trace_refused_before_the_workload_runs(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        from repro.perf.cli import main
+        from repro.workloads import recorders
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the workload started")
+
+        monkeypatch.setitem(recorders.REGISTRY, "sqlite", must_not_run)
+        path = tmp_path / "trace.db"
+        path.write_bytes(b"an earlier trace")
+        assert main([command, "sqlite", "-o", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"sgxperf: trace already exists: {path}\n"
+        assert captured.out == ""
+        assert path.read_bytes() == b"an earlier trace"
+
+    def test_closed_pipe_exits_without_traceback(self, tmp_path):
+        """``sgxperf analyze t.db | head -1``: the reader leaves early."""
+        path = str(tmp_path / "t.db")
+        with TraceDatabase(path) as db:
+            for event in nested_trace():
+                db.add_call(event)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.perf.cli", "analyze", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        proc.stdout.close()  # no reader left before the first write
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 141, err  # 128 + SIGPIPE, like any pipeline stage
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err

@@ -1,33 +1,50 @@
-"""The indexed min-heap run queue (and its linear reference twin)."""
+"""The indexed min-heap run queue."""
 
 import pytest
 
+from repro.digest import sha256_hex
 from repro.sim.kernel import DeadlockError, Simulation
 
+# sha256_hex(repr(_interleaving(seed))) on the seed's O(n) linear-scan
+# picker (the kernel's "linear" run queue, deleted after f40c2d1), computed
+# from that picker at f40c2d1.
+LINEAR_SCHEDULE_DIGESTS = {
+    0: "95decf99cd10d92d0ef3ddc2f6b9cfd420b32a87f0b71d0a361c52f26d480945",
+    7: "6193d6dfb43f965567e267bf887e2ed2d786eb623098b4c6c1d8ac86426d7f57",
+    21: "d6a8bb6a7758b871f9f1a41d44980c6d2c1826c5f77a194c1ba997974cf3f0d1",
+}
 
-def _interleaving(run_queue: str, seed: int = 0):
-    """A mixed workload's event log: computes, timed waits, wakes, a daemon."""
-    sim = Simulation(seed=seed, run_queue=run_queue)
+
+def _interleaving(seed: int):
+    """A mixed workload's event log: jittered computes, timed waits, wakes, a daemon.
+
+    Means of a few dozen ns keep the jittered deadlines small integers, so
+    seeds differ in where threads tie on ``(wake_time, seq)`` order.
+    """
+    sim = Simulation(seed=seed)
     log = []
+
+    def compute(stream, mean_ns):
+        sim.compute(sim.rng.jitter_ns(stream, mean_ns))
 
     def daemon():
         while True:
-            sim.compute(40)
+            compute("daemon", 40)
             log.append(("daemon", sim.now_ns))
 
     def sleeper(name, timeout_ns):
-        sim.compute(5)
+        compute(name, 5)
         woke = sim.futex_wait("gate", timeout_ns=timeout_ns)
         log.append((name, "woke" if woke else "expired", sim.now_ns))
 
     def waker():
-        sim.compute(120)
+        compute("waker", 120)
         n = sim.futex_wake("gate", count=1)
         log.append(("waker", n, sim.now_ns))
 
     def worker(name, step):
         for _ in range(4):
-            sim.compute(step)
+            compute(name, step)
             log.append((name, sim.now_ns))
 
     sim.spawn(daemon, daemon=True)
@@ -41,14 +58,10 @@ def _interleaving(run_queue: str, seed: int = 0):
 
 
 class TestHeapRunQueue:
-    def test_invalid_run_queue_rejected(self):
-        with pytest.raises(ValueError):
-            Simulation(run_queue="bogus")
-
     def test_timed_wait_expiry_ordering(self):
         # Two timed waiters with different deadlines must expire in
         # deadline order, interleaved correctly with a computing thread.
-        sim = Simulation(run_queue="heap")
+        sim = Simulation()
         log = []
 
         def sleeper(name, timeout_ns):
@@ -75,7 +88,7 @@ class TestHeapRunQueue:
     def test_same_wake_time_fifo_by_seq(self):
         # Threads resumable at the same virtual instant run in seq
         # (spawn/block) order — the heap must not reorder key ties.
-        sim = Simulation(run_queue="heap")
+        sim = Simulation()
         log = []
 
         def waiter(name):
@@ -89,7 +102,7 @@ class TestHeapRunQueue:
         assert log == ["a", "b", "c"]
 
     def test_daemon_killed_when_last_non_daemon_exits(self):
-        sim = Simulation(run_queue="heap")
+        sim = Simulation()
         log = []
 
         def daemon():
@@ -104,13 +117,13 @@ class TestHeapRunQueue:
         assert log == [10, 20, 30]
 
     def test_unstarted_daemon_killed_cleanly(self):
-        sim = Simulation(run_queue="heap")
+        sim = Simulation()
         sim.spawn(lambda: None, daemon=True)
         sim.spawn(lambda: None, daemon=True)
         sim.run()  # no non-daemon work at all; must not hang or leak
 
     def test_deadlock_detected_with_diagnostics(self):
-        sim = Simulation(run_queue="heap")
+        sim = Simulation()
         sim.spawn(lambda: sim.futex_wait("lost-key"))
         with pytest.raises(DeadlockError) as exc:
             sim.run()
@@ -118,20 +131,14 @@ class TestHeapRunQueue:
         assert "futex_key='lost-key'" in message
         assert "blocked_since_ns=" in message
 
-    def test_deadlock_diagnostics_linear_path_too(self):
-        sim = Simulation(run_queue="linear")
-        sim.spawn(lambda: sim.futex_wait("other-key"))
-        with pytest.raises(DeadlockError, match="futex_key='other-key'"):
-            sim.run()
-
     def test_heap_matches_linear_reference_schedule(self):
-        for seed in (0, 7, 21):
-            assert _interleaving("heap", seed) == _interleaving("linear", seed)
+        for seed, digest in LINEAR_SCHEDULE_DIGESTS.items():
+            assert sha256_hex(repr(_interleaving(seed))) == digest, seed
 
     def test_compute_fast_path_keeps_thread_running(self):
         # A lone thread doing many computes must not churn the heap: the
         # peeked queue is empty, so the thread stays RUNNING inline.
-        sim = Simulation(run_queue="heap")
+        sim = Simulation()
 
         def worker():
             for _ in range(50):
