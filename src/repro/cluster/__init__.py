@@ -17,7 +17,7 @@ from repro.cluster.brownout import (
 )
 from repro.cluster.loadgen import Arrival, generate_arrivals
 from repro.cluster.router import ConsistentHashRing, route_requests
-from repro.cluster.runner import ClusterReport, run_cluster, run_cluster_command
+from repro.cluster.runner import ClusterReport, run_cluster
 from repro.cluster.slo import LatencyHistogram, SloSummary, rollup
 from repro.cluster.spec import ClusterSpec, ClusterSpecError
 
@@ -37,5 +37,4 @@ __all__ = [
     "rollup",
     "route_requests",
     "run_cluster",
-    "run_cluster_command",
 ]

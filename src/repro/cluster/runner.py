@@ -9,18 +9,15 @@ parent then reassembles per-node :class:`~repro.cluster.slo.SloSummary`
 records from the shard metrics and rolls them up into the cluster-wide
 availability + p50/p99/p999 report.
 
-Run directly::
+From the command line::
 
-    python -m repro.cluster.runner --nodes 4 --clients 10000 --jobs 4
+    sgxperf cluster --nodes 4 --clients 10000 --jobs 4
 
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +25,7 @@ from repro.cluster.detector import build_detector
 from repro.cluster.loadgen import generate_arrivals
 from repro.cluster.router import RoutingInfo, route_requests
 from repro.cluster.slo import SloSummary, render_slo_table, rollup
-from repro.cluster.spec import ClusterSpec, ClusterSpecError
+from repro.cluster.spec import ClusterSpec
 from repro.digest import canonical_json, sha256_hex
 from repro.sweep import SweepReport, run_sweep
 
@@ -238,221 +235,3 @@ def run_cluster(
         replication=replication,
         brownout=brownout,
     )
-
-
-def spec_from_args(args: argparse.Namespace) -> ClusterSpec:
-    """Build the spec from ``--spec`` JSON or inline flags."""
-    if args.spec:
-        if args.spec == "-":
-            mapping = json.load(sys.stdin)
-        else:
-            with open(args.spec) as f:
-                mapping = json.load(f)
-        return ClusterSpec.from_dict(mapping)
-    return ClusterSpec(
-        variant=args.variant,
-        nodes=args.nodes,
-        clients=args.clients,
-        ops_per_client=args.ops,
-        policy=args.policy,
-        seed=args.seed,
-        rate_rps=args.rate,
-        mux_connections=args.mux,
-        batch_size=args.batch,
-        chaos=not args.no_chaos,
-        kill_node=args.kill_node,
-        kill_count=args.kill_count,
-        flaps=args.flaps,
-        asym=args.asym,
-        slow_nodes=args.slow_nodes,
-        replication=args.replication,
-        stressor=args.stressor,
-        stressor_intensity=args.stressor_intensity,
-        epc_pages=args.epc_pages,
-        brownout=not args.no_brownout,
-    )
-
-
-def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``sgxperf cluster`` / ``python -m repro.cluster.runner`` flags."""
-    parser.add_argument("--spec", help="JSON cluster spec file ('-' reads stdin)")
-    parser.add_argument(
-        "--variant",
-        choices=("securekeeper", "talos"),
-        default="securekeeper",
-        help="enclave serving stack each node runs",
-    )
-    parser.add_argument("--nodes", type=int, default=4, help="node count")
-    parser.add_argument(
-        "--clients", type=int, default=10_000, help="simulated open-loop clients"
-    )
-    parser.add_argument("--ops", type=int, default=2, help="operations per client")
-    parser.add_argument(
-        "--policy",
-        choices=("hash", "least-loaded"),
-        default="hash",
-        help="router policy",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="cluster seed")
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        help="cluster-wide arrival rate in requests/s (0 = per-variant default)",
-    )
-    parser.add_argument(
-        "--mux", type=int, default=4, help="gateway connections per node"
-    )
-    parser.add_argument(
-        "--batch", type=int, default=8, help="max requests per batched send"
-    )
-    parser.add_argument(
-        "--no-chaos", action="store_true", help="run the chaos-off baseline"
-    )
-    parser.add_argument(
-        "--kill-node",
-        type=int,
-        default=-1,
-        help="node lost mid-run under chaos (-1 = last node; needs >= 2 nodes)",
-    )
-    parser.add_argument(
-        "--kill-count",
-        type=int,
-        default=1,
-        help="correlated kill: lose this many nodes in the same window",
-    )
-    parser.add_argument(
-        "--flaps",
-        type=int,
-        default=0,
-        help="split the kill window into N down pulses (flapping node)",
-    )
-    parser.add_argument(
-        "--asym",
-        action="store_true",
-        help="asymmetric kill: requests reach the node but replies stall",
-    )
-    parser.add_argument(
-        "--slow-nodes",
-        type=int,
-        default=0,
-        help="gray failure: this many nodes drag through their slow window",
-    )
-    parser.add_argument(
-        "--replication",
-        type=int,
-        default=2,
-        help="replication factor R: copies of every write across the ring",
-    )
-    parser.add_argument(
-        "--stressor",
-        default="",
-        help="noisy-neighbour stressor profile every node hosts "
-        "(cpu-spin, epc-thrash, ocall-storm, futex-hammer, mixed; '' = none)",
-    )
-    parser.add_argument(
-        "--stressor-intensity",
-        type=float,
-        default=1.0,
-        help="stressor scaling factor (footprint, op mix, threads)",
-    )
-    parser.add_argument(
-        "--epc-pages",
-        type=int,
-        default=0,
-        help="scaled-down per-node EPC in pages (0 = the full hardware pool)",
-    )
-    parser.add_argument(
-        "--no-brownout",
-        action="store_true",
-        help="ablation: disable the gateway brownout controller "
-        "(cliff-edge admission only)",
-    )
-    parser.add_argument(
-        "--write-slo",
-        type=float,
-        default=None,
-        help="high-priority gate: exit 1 if client-write availability "
-        "falls below this floor",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="shard worker processes (default: SGXPERF_JOBS, else cpu count; 0 = inline)",
-    )
-    parser.add_argument(
-        "--trace-dir", help="keep per-node trace databases in this directory"
-    )
-    parser.add_argument("--manifest", help="write the cluster manifest to this path")
-    parser.add_argument(
-        "--digest-only",
-        action="store_true",
-        help="print only the manifest digest (the CI determinism gate)",
-    )
-    parser.add_argument(
-        "--slo",
-        type=float,
-        default=0.99,
-        help="availability floor: exit 1 below this success rate (default 0.99)",
-    )
-    parser.add_argument(
-        "--max-lost",
-        type=int,
-        default=None,
-        metavar="N",
-        help="durability gate: exit 1 if more than N acknowledged writes "
-        "were lost (the CI zero-loss gate passes 0)",
-    )
-
-
-def run_cluster_command(args: argparse.Namespace) -> int:
-    """Shared implementation behind ``sgxperf cluster`` and ``__main__``."""
-    try:
-        spec = spec_from_args(args)
-    except ClusterSpecError as exc:
-        print(f"cluster: {exc}", file=sys.stderr)
-        return 2
-    report = run_cluster(spec, jobs=args.jobs, trace_dir=args.trace_dir)
-    if args.manifest:
-        with open(args.manifest, "w") as f:
-            f.write(report.manifest)
-    if args.digest_only:
-        print(report.digest)
-    else:
-        print(report.render())
-        print(
-            f"wall-clock: {report.sweep.wall_seconds:.2f}s "
-            f"with jobs={report.sweep.jobs}"
-        )
-    if report.degraded:
-        return 1
-    if args.max_lost is not None and report.lost_writes > args.max_lost:
-        print(
-            f"cluster: {report.lost_writes} acknowledged write(s) lost "
-            f"(gate allows {args.max_lost})",
-            file=sys.stderr,
-        )
-        return 1
-    if args.write_slo is not None and report.write_availability < args.write_slo:
-        print(
-            f"cluster: write availability {report.write_availability:.4%} "
-            f"below the {args.write_slo:.4%} floor",
-            file=sys.stderr,
-        )
-        return 1
-    return 0 if report.availability >= args.slo else 1
-
-
-def main(argv: Optional[list] = None) -> int:
-    """Entry point: ``python -m repro.cluster.runner``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.cluster.runner",
-        description="Run a sharded multi-enclave serving cluster",
-    )
-    add_cluster_arguments(parser)
-    return run_cluster_command(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

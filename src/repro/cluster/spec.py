@@ -360,7 +360,11 @@ class ClusterSpec:
 
     @classmethod
     def from_params(cls, params: dict) -> "ClusterSpec":
-        """Rebuild the spec a worker received as flat task parameters."""
+        """Build the spec from flat parameters, ignoring non-field keys.
+
+        The parameters are a worker's sweep task parameters or the parsed
+        ``sgxperf cluster`` flags.
+        """
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in params.items() if k in names})
 

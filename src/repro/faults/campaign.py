@@ -7,17 +7,14 @@ digests the resulting trace.  Same seed → same faults → same retries →
 same trace, byte for byte; the CI gate runs each seed twice and compares
 digests.
 
-Run directly::
+From the command line::
 
-    python -m repro.faults.campaign --seed 7 --digest-only
+    sgxperf campaign --seed 7 --digest-only
 
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -195,75 +192,3 @@ def run_campaign(
     )
     db.close()
     return result
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Entry point: ``python -m repro.faults.campaign``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.faults.campaign",
-        description="Run one deterministic fault-injection campaign",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument(
-        "--seeds",
-        default=None,
-        help="multi-seed sweep via the parallel engine: '0-15', '0,3,7' or a single seed",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="sweep worker processes (default: SGXPERF_JOBS, else cpu count; 0 = inline)",
-    )
-    parser.add_argument("--output", default=":memory:", help="trace database path")
-    parser.add_argument("--workers", type=int, default=3)
-    parser.add_argument("--calls", type=int, default=40, help="calls per worker")
-    parser.add_argument(
-        "--no-faults", action="store_true", help="run the fault-free baseline"
-    )
-    parser.add_argument(
-        "--digest-only",
-        action="store_true",
-        help="print only the trace digest (the CI determinism gate)",
-    )
-    args = parser.parse_args(argv)
-    if args.seeds is not None:
-        from repro.sweep import run_sweep
-
-        params = {"workers": args.workers, "calls": args.calls, "faults": not args.no_faults}
-        if args.output != ":memory:":
-            # In sweep mode --output names a directory of per-task traces.
-            os.makedirs(args.output, exist_ok=True)
-            params["trace_dir"] = args.output
-        report = run_sweep(
-            spec={"kind": "campaign", "seeds": args.seeds, "params": params},
-            jobs=args.jobs,
-        )
-        if args.digest_only:
-            print(report.digest)
-        else:
-            print(report.render_report())
-            print(f"wall-clock: {report.wall_seconds:.2f}s with jobs={report.jobs}")
-        return 0 if report.failed == 0 and report.lost == 0 else 1
-    result = run_campaign(
-        args.seed,
-        db_path=args.output,
-        workers=args.workers,
-        calls_per_worker=args.calls,
-        plan=FaultPlan.disabled() if args.no_faults else None,
-        use_injector=not args.no_faults,
-    )
-    if args.digest_only:
-        print(result.digest)
-        return 0
-    print(f"seed {result.seed}: {result.completed_calls} calls completed, "
-          f"{result.failed_calls} failed, {result.duration_ns} ns virtual")
-    print(f"injected: {result.injected or '{}'}")
-    print(f"recovery: {result.recovery or '{}'} ({result.recreates} re-creates, "
-          f"mean loss->recreate latency {result.mean_recovery_latency_ns:.0f} ns)")
-    print(f"digest: {result.digest}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

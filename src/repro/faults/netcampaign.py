@@ -9,17 +9,14 @@ virtual-time hang watchdog.  The run is traced by the event logger and
 digested; same seed → same chaos → same retries → same trace, byte for
 byte.  The CI gate runs each seed twice and compares digests.
 
-Run directly::
+From the command line::
 
-    python -m repro.faults.netcampaign --workload talos --seed 7 --digest-only
+    sgxperf netcampaign --workload talos --seed 7 --digest-only
 
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
 from dataclasses import dataclass, field
 
 from repro.digest import trace_digest
@@ -159,117 +156,3 @@ def run_netcampaign(
     )
     db.close()
     return result
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point: ``python -m repro.faults.netcampaign``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.faults.netcampaign",
-        description="Run a networked workload under deterministic chaos",
-    )
-    parser.add_argument(
-        "--workload",
-        choices=WORKLOADS + ("both",),
-        default="both",
-        help="which serving workload to drive",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument(
-        "--seeds",
-        default=None,
-        help="multi-seed sweep via the parallel engine: '0-15', '0,3,7' or a single seed",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="sweep worker processes (default: SGXPERF_JOBS, else cpu count; 0 = inline)",
-    )
-    parser.add_argument("--output", default=":memory:", help="trace database path")
-    parser.add_argument("--requests", type=int, default=120, help="TaLoS GETs")
-    parser.add_argument("--clients", type=int, default=4, help="SecureKeeper clients")
-    parser.add_argument(
-        "--ops", type=int, default=20, help="SecureKeeper operations per client"
-    )
-    parser.add_argument(
-        "--no-chaos", action="store_true", help="run the chaos-off baseline"
-    )
-    parser.add_argument(
-        "--digest-only",
-        action="store_true",
-        help="print only '<workload>:<digest>' lines (the CI determinism gate)",
-    )
-    args = parser.parse_args(argv)
-    plan = FaultPlan.disabled() if args.no_chaos else None
-    workloads = WORKLOADS if args.workload == "both" else (args.workload,)
-    if args.seeds is not None:
-        from repro.sweep import run_sweep
-
-        params = {
-            "requests": args.requests,
-            "clients": args.clients,
-            "ops": args.ops,
-            "chaos": not args.no_chaos,
-        }
-        if args.output != ":memory:":
-            # In sweep mode --output names a directory of per-task traces.
-            os.makedirs(args.output, exist_ok=True)
-            params["trace_dir"] = args.output
-        report = run_sweep(
-            spec={
-                "kind": "netcampaign",
-                "seeds": args.seeds,
-                "params": params,
-                "grid": {"workload": list(workloads)},
-            },
-            jobs=args.jobs,
-        )
-        if args.digest_only:
-            print(report.digest)
-        else:
-            print(report.render_report())
-            print(f"wall-clock: {report.wall_seconds:.2f}s with jobs={report.jobs}")
-        degraded = any(
-            r.status != "ok" or r.metrics.get("success_rate", 0.0) < 0.99
-            for r in report.results
-        )
-        return 1 if degraded else 0
-    exit_code = 0
-    for workload in workloads:
-        db_path = args.output
-        if db_path != ":memory:" and len(workloads) > 1:
-            # One trace file per workload — call ids are per-database.
-            root, dot, ext = db_path.rpartition(".")
-            db_path = f"{root}.{workload}.{ext}" if dot else f"{db_path}.{workload}"
-        result = run_netcampaign(
-            workload,
-            args.seed,
-            db_path=db_path,
-            requests=args.requests,
-            clients=args.clients,
-            operations_per_client=args.ops,
-            plan=plan,
-        )
-        if args.digest_only:
-            print(f"{workload}:{result.digest}")
-            continue
-        a = result.availability
-        print(
-            f"{workload} seed {args.seed}: success rate {result.success_rate:.4f} "
-            f"({a['succeeded']}/{a['attempted']}), {a['retries']} retries, "
-            f"{a['shed']} shed, {a['failed']} failed"
-        )
-        print(
-            f"  latency p50 {a['p50_ns']} ns, p99 {a['p99_ns']} ns, "
-            f"p999 {a['p999_ns']} ns; "
-            f"injected {result.injected or '{}'}; "
-            f"watchdog detections {result.watchdog_detections}"
-        )
-        print(f"  digest: {result.digest}")
-        if result.success_rate < 0.99:
-            exit_code = 1
-    return exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,7 +20,10 @@ Subcommands:
   switchless calls, ocall batching) from a trace's findings; ``--apply``
   prints the rewritten EDL, ``--rerun WORKLOAD`` replays the same seeded
   load on the optimized interface and prints the before/after report;
-* ``sweep``   — fan a declarative grid of seeded campaign/netcampaign runs
+* ``campaign`` / ``netcampaign`` / ``stressor`` — one seeded fault
+  campaign, network-chaos campaign or stressor run, with its summary or
+  (``--digest-only``) its trace digest;
+* ``sweep``   — fan a declarative grid of seeded runs of any task kind
   across a shared-nothing process pool and print the deterministically
   merged report (``--jobs N``, default cpu count / ``SGXPERF_JOBS``);
 * ``cluster`` — run a sharded multi-enclave serving cluster (router,
@@ -28,20 +31,33 @@ Subcommands:
   shard per worker process and print the merged per-node + cluster-wide
   SLO report;
 * ``workloads`` — list recordable workloads.
+
+Bad input (a malformed spec or EDL, an existing output trace) exits 2
+with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
 import sys
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
+from repro.cluster.spec import POLICIES, VARIANTS, ClusterSpec, ClusterSpecError
+from repro.faults.netcampaign import WORKLOADS as NET_WORKLOADS
 from repro.perf.analysis import Analyzer
 from repro.perf.analysis import stats as stats_mod
-from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase
-from repro.sdk.edl import parse_edl
+from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase, TraceError
+from repro.sdk.edl import EdlError, parse_edl
+from repro.sweep import SweepError
+from repro.sweep.grid import GridError
+from repro.sweep.tasks import TASK_KINDS, UnknownTaskKind
+from repro.workloads.stressors import DEFAULT_EPC_PAGES, STRESSOR_NAMES
+
+# Bad input from outside the program: ``main`` reports one stderr line, exit 2.
+_INPUT_ERRORS = (ClusterSpecError, EdlError, GridError, SweepError, TraceError, UnknownTaskKind)
 
 
 def _workload_registry() -> dict[str, Callable[[str, int], None]]:
@@ -65,6 +81,20 @@ def _existing_trace(path: str) -> bool:
         return False
     print(f"sgxperf: trace already exists: {path}", file=sys.stderr)
     return True
+
+
+def _read_input(path: str, parse: Callable[[str], Any], error: type[Exception]) -> Any:
+    """Parse the input file at ``path`` (``-`` reads stdin).
+
+    A missing, unreadable or malformed file raises ``error`` naming the path.
+    """
+    try:
+        if path == "-":
+            return parse(sys.stdin.read())
+        with open(path) as f:
+            return parse(f.read())
+    except (OSError, ValueError) as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
@@ -110,10 +140,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return _cmd_analyze_cluster(args)
     if _missing_trace(args.trace):
         return 2
-    definition = None
-    if args.edl:
-        with open(args.edl) as f:
-            definition = parse_edl(f.read())
+    definition = _read_input(args.edl, parse_edl, EdlError) if args.edl else None
     with TraceDatabase(args.trace) as db:
         counts = db.table_counts()
         total = sum(counts.values())
@@ -224,6 +251,101 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.faults.campaign import run_campaign
+    from repro.faults.plan import FaultPlan
+
+    if _existing_trace(args.output):
+        return 2
+    result = run_campaign(
+        args.seed,
+        db_path=args.output,
+        workers=args.workers,
+        calls_per_worker=args.calls,
+        plan=FaultPlan.disabled() if args.no_faults else None,
+        use_injector=not args.no_faults,
+    )
+    if args.digest_only:
+        print(result.digest)
+        return 0
+    print(f"seed {result.seed}: {result.completed_calls} calls completed, "
+          f"{result.failed_calls} failed, {result.duration_ns} ns virtual")
+    print(f"injected: {result.injected or '{}'}")
+    print(f"recovery: {result.recovery or '{}'} ({result.recreates} re-creates, "
+          f"mean loss->recreate latency {result.mean_recovery_latency_ns:.0f} ns)")
+    print(f"digest: {result.digest}")
+    return 0
+
+
+def _cmd_netcampaign(args: argparse.Namespace) -> int:
+    from repro.faults.netcampaign import run_netcampaign
+    from repro.faults.plan import FaultPlan
+
+    workloads = NET_WORKLOADS if args.workload == "both" else (args.workload,)
+    paths = [args.output] * len(workloads)
+    if args.output != ":memory:" and len(workloads) > 1:
+        # One trace file per workload (call ids are per database):
+        # chaos.db -> chaos.talos.db, chaos.securekeeper.db.
+        root, ext = os.path.splitext(args.output)
+        paths = [f"{root}.{workload}{ext}" for workload in workloads]
+    if any(_existing_trace(path) for path in paths):
+        return 2
+    plan = FaultPlan.disabled() if args.no_chaos else None
+    exit_code = 0
+    for workload, db_path in zip(workloads, paths):
+        result = run_netcampaign(
+            workload,
+            args.seed,
+            db_path=db_path,
+            requests=args.requests,
+            clients=args.clients,
+            operations_per_client=args.ops,
+            plan=plan,
+        )
+        if args.digest_only:
+            print(f"{workload}:{result.digest}")
+            continue
+        a = result.availability
+        print(
+            f"{workload} seed {args.seed}: success rate {result.success_rate:.4f} "
+            f"({a['succeeded']}/{a['attempted']}), {a['retries']} retries, "
+            f"{a['shed']} shed, {a['failed']} failed"
+        )
+        print(
+            f"  latency p50 {a['p50_ns']} ns, p99 {a['p99_ns']} ns, "
+            f"p999 {a['p999_ns']} ns; "
+            f"injected {result.injected or '{}'}; "
+            f"watchdog detections {result.watchdog_detections}"
+        )
+        print(f"  digest: {result.digest}")
+        if result.success_rate < 0.99:
+            exit_code = 1
+    return exit_code
+
+
+def _cmd_stressor(args: argparse.Namespace) -> int:
+    from repro.workloads.stressors.runner import run_stressor
+
+    if _existing_trace(args.output):
+        return 2
+    result = run_stressor(
+        args.stressor,
+        args.seed,
+        intensity=args.intensity,
+        ops=args.ops,
+        epc_pages=args.epc_pages,
+        db_path=args.output,
+    )
+    if args.digest_only:
+        print(result.digest)
+        return 0
+    print(f"stressor: {args.stressor} x{args.intensity} seed={args.seed}")
+    for key in sorted(result.metrics):
+        print(f"  {key}: {result.metrics[key]}")
+    print(f"digest: {result.digest}")
+    return 0
+
+
 def _sweep_value(text: str):
     """Parse one grid value: int, then float, then bool keyword, else string."""
     for cast in (int, float):
@@ -238,60 +360,56 @@ def _sweep_value(text: str):
 
 def _sweep_spec(args: argparse.Namespace) -> dict:
     """Build the declarative grid spec from ``--spec`` or inline flags."""
-    import json
-
     if args.spec:
-        if args.spec == "-":
-            spec = json.load(sys.stdin)
-        else:
-            with open(args.spec) as f:
-                spec = json.load(f)
+        spec = _read_input(args.spec, json.loads, GridError)
     else:
         if not args.kind:
-            raise SystemExit(
-                "sweep: pass a task kind "
-                "(campaign|clusternode|netcampaign|optimizer|selftest|stressor) "
-                "or --spec"
-            )
+            raise GridError(f"pass a task kind ({'|'.join(TASK_KINDS)}) or --spec")
         spec = {"kind": args.kind, "seeds": args.seeds, "params": {}, "grid": {}}
         for item in args.params:
             name, eq, value = item.partition("=")
             if not eq:
-                raise SystemExit(f"sweep: --set needs NAME=VALUE, got {item!r}")
+                raise GridError(f"--set needs NAME=VALUE, got {item!r}")
             spec["params"][name] = _sweep_value(value)
         for item in args.axes:
             name, eq, values = item.partition("=")
             if not eq:
-                raise SystemExit(f"sweep: --axis needs NAME=V1,V2,..., got {item!r}")
+                raise GridError(f"--axis needs NAME=V1,V2,..., got {item!r}")
             spec["grid"][name] = [_sweep_value(v) for v in values.split(",") if v.strip()]
     if args.trace_dir:
-        import os
-
         os.makedirs(args.trace_dir, exist_ok=True)
         spec.setdefault("params", {})["trace_dir"] = args.trace_dir
     return spec
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import run_sweep
+def _print_fanned(args: argparse.Namespace, report, render: Callable[[], str], sweep) -> None:
+    """Honour ``--manifest`` and ``--digest-only`` for ``sweep`` and ``cluster``.
 
-    report = run_sweep(spec=_sweep_spec(args), jobs=args.jobs, retries=args.retries)
+    ``report`` is the sweep or cluster report, ``render`` its text form and
+    ``sweep`` the sweep report underneath (for the wall-clock line).
+    """
     if args.manifest:
         with open(args.manifest, "w") as f:
             f.write(report.manifest)
     if args.digest_only:
         print(report.digest)
     else:
-        print(report.render_report())
-        print(f"wall-clock: {report.wall_seconds:.2f}s with jobs={report.jobs}")
+        print(render())
+        print(f"wall-clock: {sweep.wall_seconds:.2f}s with jobs={sweep.jobs}")
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.sweep import run_sweep
+
+    report = run_sweep(spec=_sweep_spec(args), jobs=args.jobs, retries=args.retries)
+    _print_fanned(args, report, report.render_report, report)
     return 0 if report.failed == 0 and report.lost == 0 else 1
 
 
 def _optimize_definition(args: argparse.Namespace):
     """The declared interface for plan building / rewriting, if known."""
     if args.edl:
-        with open(args.edl) as f:
-            return parse_edl(f.read())
+        return _read_input(args.edl, parse_edl, EdlError)
     if args.workload == "sqlite":
         from repro.workloads.minisql.enclavised import sqlite_definition
 
@@ -360,10 +478,39 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0 if plan.transform_count() else 1
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster.runner import run_cluster_command
+def _cluster_spec(args: argparse.Namespace) -> ClusterSpec:
+    """Build the spec from ``--spec`` JSON or the inline flags.
 
-    return run_cluster_command(args)
+    Every inline cluster flag stores into the :class:`ClusterSpec` field
+    of the same name, so the parsed flags are the spec's parameters.
+    """
+    if args.spec:
+        return ClusterSpec.from_dict(_read_input(args.spec, json.loads, ClusterSpecError))
+    return ClusterSpec.from_params(vars(args))
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.cluster.runner import run_cluster
+
+    report = run_cluster(_cluster_spec(args), jobs=args.jobs, trace_dir=args.trace_dir)
+    _print_fanned(args, report, report.render, report.sweep)
+    if report.degraded:
+        return 1
+    if args.max_lost is not None and report.lost_writes > args.max_lost:
+        print(
+            f"cluster: {report.lost_writes} acknowledged write(s) lost "
+            f"(gate allows {args.max_lost})",
+            file=sys.stderr,
+        )
+        return 1
+    if args.write_slo is not None and report.write_availability < args.write_slo:
+        print(
+            f"cluster: write availability {report.write_availability:.4%} "
+            f"below the {args.write_slo:.4%} floor",
+            file=sys.stderr,
+        )
+        return 1
+    return 0 if report.availability >= args.slo else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,10 +521,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_record = sub.add_parser("record", help="run a bundled workload under the logger")
+    # Flags several subcommands share, defined once.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="simulation seed")
+    single_run = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    single_run.add_argument(
+        "-o", "--output", default=":memory:", help="trace database path (default: discard)"
+    )
+    single_run.add_argument(
+        "--digest-only",
+        action="store_true",
+        help="print only the trace digest (the CI determinism gate)",
+    )
+    fanned = argparse.ArgumentParser(add_help=False)
+    fanned.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes (default: SGXPERF_JOBS, else cpu count; 0 = inline)",
+    )
+    fanned.add_argument("--trace-dir", help="keep per-task trace databases in this directory")
+    fanned.add_argument("--manifest", help="write the merged manifest to this path")
+    fanned.add_argument(
+        "--digest-only",
+        action="store_true",
+        help="print only the manifest digest (the CI determinism gate)",
+    )
+
+    p_record = sub.add_parser(
+        "record", parents=[seeded], help="run a bundled workload under the logger"
+    )
     p_record.add_argument("workload", help="workload name (see `sgxperf workloads`)")
     p_record.add_argument("-o", "--output", default="trace.db", help="trace database path")
-    p_record.add_argument("--seed", type=int, default=0, help="simulation seed")
     p_record.set_defaults(func=_cmd_record)
 
     p_analyze = sub.add_parser("analyze", help="analyse a recorded trace")
@@ -423,7 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_top = sub.add_parser(
-        "top", help="run a workload with a live sampling display (virtual time)"
+        "top",
+        parents=[seeded],
+        help="run a workload with a live sampling display (virtual time)",
     )
     p_top.add_argument("workload", help="workload name (see `sgxperf workloads`)")
     p_top.add_argument(
@@ -432,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=":memory:",
         help="also keep the trace database at this path (default: discard)",
     )
-    p_top.add_argument("--seed", type=int, default=0, help="simulation seed")
     p_top.add_argument(
         "--interval-us",
         type=int,
@@ -458,21 +634,58 @@ def build_parser() -> argparse.ArgumentParser:
     p_salvage.add_argument("trace", help="trace database path")
     p_salvage.set_defaults(func=_cmd_salvage)
 
+    p_campaign = sub.add_parser(
+        "campaign",
+        parents=[single_run],
+        help="run one deterministic fault-injection campaign",
+    )
+    p_campaign.add_argument("--workers", type=int, default=3)
+    p_campaign.add_argument("--calls", type=int, default=40, help="calls per worker")
+    p_campaign.add_argument(
+        "--no-faults", action="store_true", help="run the fault-free baseline"
+    )
+    p_campaign.set_defaults(func=_cmd_campaign)
+
+    p_netcampaign = sub.add_parser(
+        "netcampaign",
+        parents=[single_run],
+        help="run a networked workload under deterministic chaos "
+        "(exit 1 below 99%% success)",
+    )
+    p_netcampaign.add_argument(
+        "--workload",
+        choices=NET_WORKLOADS + ("both",),
+        default="both",
+        help="which serving workload to drive",
+    )
+    p_netcampaign.add_argument("--requests", type=int, default=120, help="TaLoS GETs")
+    p_netcampaign.add_argument(
+        "--clients", type=int, default=4, help="SecureKeeper clients"
+    )
+    p_netcampaign.add_argument(
+        "--ops", type=int, default=20, help="SecureKeeper operations per client"
+    )
+    p_netcampaign.add_argument(
+        "--no-chaos", action="store_true", help="run the chaos-off baseline"
+    )
+    p_netcampaign.set_defaults(func=_cmd_netcampaign)
+
+    p_stressor = sub.add_parser(
+        "stressor", parents=[single_run], help="run one SGX stressor profile"
+    )
+    p_stressor.add_argument("--stressor", choices=STRESSOR_NAMES, default="epc-thrash")
+    p_stressor.add_argument("--intensity", type=float, default=1.0)
+    p_stressor.add_argument("--ops", type=int, default=30)
+    p_stressor.add_argument("--epc-pages", type=int, default=DEFAULT_EPC_PAGES)
+    p_stressor.set_defaults(func=_cmd_stressor)
+
     p_sweep = sub.add_parser(
-        "sweep", help="fan a grid of seeded runs across a shared-nothing process pool"
+        "sweep",
+        parents=[fanned],
+        help="fan a grid of seeded runs across a shared-nothing process pool",
     )
     p_sweep.add_argument(
-        "kind",
-        nargs="?",
-        choices=[
-            "campaign",
-            "clusternode",
-            "netcampaign",
-            "optimizer",
-            "selftest",
-            "stressor",
-        ],
-        help="task kind (omit when using --spec)",
+        "kind", nargs="?", choices=TASK_KINDS, help="task kind (omit when using --spec)"
     )
     p_sweep.add_argument("--spec", help="JSON sweep spec file ('-' reads stdin)")
     p_sweep.add_argument(
@@ -495,25 +708,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid axis swept over the given values (repeatable)",
     )
     p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: SGXPERF_JOBS, else cpu count; 0 = inline)",
-    )
-    p_sweep.add_argument(
         "--retries", type=int, default=1, help="bounded retries for crashed workers"
-    )
-    p_sweep.add_argument("--trace-dir", help="keep per-task trace databases in this directory")
-    p_sweep.add_argument("--manifest", help="write the merged manifest to this path")
-    p_sweep.add_argument(
-        "--digest-only",
-        action="store_true",
-        help="print only the manifest digest (the CI determinism gate)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_optimize = sub.add_parser(
         "optimize",
+        parents=[seeded],
         help="build an interface-optimization plan from analyser findings "
         "(fused calls, switchless calls, ocall batching)",
     )
@@ -528,7 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay the same load on the optimized interface and print the "
         "before/after report",
     )
-    p_optimize.add_argument("--seed", type=int, default=0, help="simulation seed")
     p_optimize.add_argument(
         "--requests", type=int, default=400, help="requests per run (--rerun)"
     )
@@ -561,11 +761,121 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser(
         "cluster",
+        parents=[seeded, fanned],
         help="run a sharded multi-enclave serving cluster and report SLOs",
     )
-    from repro.cluster.runner import add_cluster_arguments
-
-    add_cluster_arguments(p_cluster)
+    p_cluster.add_argument("--spec", help="JSON cluster spec file ('-' reads stdin)")
+    p_cluster.add_argument(
+        "--variant",
+        choices=VARIANTS,
+        default="securekeeper",
+        help="enclave serving stack each node runs",
+    )
+    p_cluster.add_argument("--nodes", type=int, default=4, help="node count")
+    p_cluster.add_argument(
+        "--clients", type=int, default=10_000, help="simulated open-loop clients"
+    )
+    p_cluster.add_argument(
+        "--ops", dest="ops_per_client", type=int, default=2, help="operations per client"
+    )
+    p_cluster.add_argument("--policy", choices=POLICIES, default="hash", help="router policy")
+    p_cluster.add_argument(
+        "--rate",
+        dest="rate_rps",
+        type=float,
+        default=0.0,
+        help="cluster-wide arrival rate in requests/s (0 = per-variant default)",
+    )
+    p_cluster.add_argument(
+        "--mux", dest="mux_connections", type=int, default=4, help="gateway connections per node"
+    )
+    p_cluster.add_argument(
+        "--batch", dest="batch_size", type=int, default=8, help="max requests per batched send"
+    )
+    p_cluster.add_argument(
+        "--no-chaos", dest="chaos", action="store_false", help="run the chaos-off baseline"
+    )
+    p_cluster.add_argument(
+        "--kill-node",
+        type=int,
+        default=-1,
+        help="node lost mid-run under chaos (-1 = last node; needs >= 2 nodes)",
+    )
+    p_cluster.add_argument(
+        "--kill-count",
+        type=int,
+        default=1,
+        help="correlated kill: lose this many nodes in the same window",
+    )
+    p_cluster.add_argument(
+        "--flaps",
+        type=int,
+        default=0,
+        help="split the kill window into N down pulses (flapping node)",
+    )
+    p_cluster.add_argument(
+        "--asym",
+        action="store_true",
+        help="asymmetric kill: requests reach the node but replies stall",
+    )
+    p_cluster.add_argument(
+        "--slow-nodes",
+        type=int,
+        default=0,
+        help="gray failure: this many nodes drag through their slow window",
+    )
+    p_cluster.add_argument(
+        "--replication",
+        type=int,
+        default=2,
+        help="replication factor R: copies of every write across the ring",
+    )
+    p_cluster.add_argument(
+        "--stressor",
+        default="",
+        help="noisy-neighbour stressor profile every node hosts "
+        "(cpu-spin, epc-thrash, ocall-storm, futex-hammer, mixed; '' = none)",
+    )
+    p_cluster.add_argument(
+        "--stressor-intensity",
+        type=float,
+        default=1.0,
+        help="stressor scaling factor (footprint, op mix, threads)",
+    )
+    p_cluster.add_argument(
+        "--epc-pages",
+        type=int,
+        default=0,
+        help="scaled-down per-node EPC in pages (0 = the full hardware pool)",
+    )
+    p_cluster.add_argument(
+        "--no-brownout",
+        dest="brownout",
+        action="store_false",
+        help="ablation: disable the gateway brownout controller "
+        "(cliff-edge admission only)",
+    )
+    p_cluster.add_argument(
+        "--write-slo",
+        type=float,
+        default=None,
+        help="high-priority gate: exit 1 if client-write availability "
+        "falls below this floor",
+    )
+    p_cluster.add_argument(
+        "--slo",
+        type=float,
+        default=0.99,
+        help="availability floor: exit 1 below this success rate (default 0.99)",
+    )
+    p_cluster.add_argument(
+        "--max-lost",
+        type=int,
+        default=None,
+        metavar="N",
+        help="durability gate: exit 1 if more than N acknowledged writes "
+        "were lost (the CI zero-loss gate passes 0)",
+    )
     p_cluster.set_defaults(func=_cmd_cluster)
 
     p_list = sub.add_parser("workloads", help="list recordable workloads")
@@ -585,6 +895,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # raise again, and exit as a SIGPIPE-killed process would.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + signal.SIGPIPE
+    except _INPUT_ERRORS as exc:
+        print(f"sgxperf {args.command}: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

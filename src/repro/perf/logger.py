@@ -33,9 +33,10 @@ batches (at a threshold and at :meth:`EventLogger.flush`/
 from __future__ import annotations
 
 import enum
+import os
 from typing import Any, Callable, Optional, Union
 
-from repro.perf.database import TraceDatabase
+from repro.perf.database import TraceDatabase, TraceError
 from repro.perf.events import ECALL, OCALL, EnclaveRecord, SyncKind, ThreadRecord
 from repro.sdk.edger8r import (
     SYNC_OCALL_NAMES,
@@ -106,7 +107,13 @@ class _LoggerOcallTable:
 
 
 class EventLogger:
-    """sgx-perf's preloadable event logger."""
+    """sgx-perf's preloadable event logger.
+
+    A ``database`` path that already exists raises :class:`TraceError`
+    before anything is written: every recording starts a fresh trace (event
+    ids restart at 1, so appending would collide).  ``:memory:`` and an
+    open :class:`TraceDatabase` are used as given.
+    """
 
     def __init__(
         self,
@@ -116,10 +123,14 @@ class EventLogger:
         aex_mode: AexMode = AexMode.COUNT,
         trace_paging: bool = True,
     ) -> None:
+        if not isinstance(database, TraceDatabase):
+            if database != ":memory:" and os.path.exists(database):
+                raise TraceError(f"trace already exists: {database}")
+            database = TraceDatabase(database)
+        self.db = database
         self.process = process
         self.urts = urts
         self.sim = process.sim
-        self.db = database if isinstance(database, TraceDatabase) else TraceDatabase(database)
         self.aex_mode = aex_mode
         self.trace_paging = trace_paging
         self.library = Library("libsgxperf.so")

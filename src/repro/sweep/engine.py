@@ -51,7 +51,10 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs is None:
         env = os.environ.get("SGXPERF_JOBS", "").strip()
         if env:
-            jobs = int(env)
+            try:
+                jobs = int(env)
+            except ValueError:
+                raise SweepError(f"SGXPERF_JOBS must be an integer, got {env!r}") from None
         else:
             jobs = os.cpu_count() or 1
     jobs = int(jobs)

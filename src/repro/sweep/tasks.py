@@ -281,6 +281,14 @@ _RUNNERS = {
 TASK_KINDS = tuple(sorted(_RUNNERS))
 
 
+def check_kind(kind: str) -> None:
+    """Raise :class:`UnknownTaskKind` unless a runner exists for ``kind``."""
+    if kind not in _RUNNERS:
+        raise UnknownTaskKind(
+            f"unknown sweep task kind {kind!r}; known: {', '.join(TASK_KINDS)}"
+        )
+
+
 def _maybe_crash(task: SweepTask) -> None:
     """Honour the test-only ``crash`` control parameter.
 
@@ -313,11 +321,8 @@ def run_task(task: SweepTask) -> TaskResult:
     """
     import time
 
-    runner = _RUNNERS.get(task.kind)
-    if runner is None:
-        raise UnknownTaskKind(
-            f"unknown sweep task kind {task.kind!r}; known: {', '.join(TASK_KINDS)}"
-        )
+    check_kind(task.kind)
+    runner = _RUNNERS[task.kind]
     _maybe_crash(task)
     trace_dir: Optional[str] = task.param("trace_dir")
     db_path = os.path.join(trace_dir, f"{task.slug}.db") if trace_dir else ":memory:"

@@ -7,14 +7,13 @@ sweep task kind dispatches here, which is what makes
 ``sgxperf sweep stressor --axis stressor=... --axis intensity=...``
 span the EPC-pressure scenario matrix.
 
-Run it directly for one-off characterisation::
+Run one from the command line for one-off characterisation::
 
-    python -m repro.workloads.stressors.runner --stressor epc-thrash --seed 7
+    sgxperf stressor --stressor epc-thrash --seed 7
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.digest import canonical_json, sha256_hex, trace_digest
@@ -23,7 +22,7 @@ from repro.sgx.device import SgxDevice
 from repro.sgx.epc import Epc
 from repro.sim.process import SimProcess
 from repro.workloads.stressors.app import StressorApp
-from repro.workloads.stressors.profiles import STRESSOR_NAMES, get_profile
+from repro.workloads.stressors.profiles import get_profile
 
 # Default EPC for standalone runs: small enough that an epc-thrash
 # footprint (1.25x) stays tractable while behaving exactly like the
@@ -94,35 +93,3 @@ def run_stressor_task(params: dict, db_path: str) -> tuple[str, dict, dict]:
         db_path=db_path,
     )
     return result.digest, result.metrics, result.faults
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="run one SGX stressor profile")
-    parser.add_argument("--stressor", choices=STRESSOR_NAMES, default="epc-thrash")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--intensity", type=float, default=1.0)
-    parser.add_argument("--ops", type=int, default=30)
-    parser.add_argument("--epc-pages", type=int, default=DEFAULT_EPC_PAGES)
-    parser.add_argument("--output", default=":memory:", help="trace database path")
-    parser.add_argument("--digest-only", action="store_true")
-    args = parser.parse_args(argv)
-    result = run_stressor(
-        args.stressor,
-        args.seed,
-        intensity=args.intensity,
-        ops=args.ops,
-        epc_pages=args.epc_pages,
-        db_path=args.output,
-    )
-    if args.digest_only:
-        print(result.digest)
-        return 0
-    print(f"stressor: {args.stressor} x{args.intensity} seed={args.seed}")
-    for key in sorted(result.metrics):
-        print(f"  {key}: {result.metrics[key]}")
-    print(f"digest: {result.digest}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

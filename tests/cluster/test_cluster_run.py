@@ -113,11 +113,11 @@ class TestTraceAnalysis:
 
 class TestCli:
     def test_digest_only_round_trip(self, capsys):
-        from repro.cluster.runner import main
+        from repro.perf.cli import main
 
         code = main(
             [
-                "--nodes", "2", "--clients", "16", "--ops", "2",
+                "cluster", "--nodes", "2", "--clients", "16", "--ops", "2",
                 "--seed", "4", "--jobs", "0", "--digest-only",
             ]
         )
@@ -126,9 +126,9 @@ class TestCli:
         assert len(out) == 64 and int(out, 16) >= 0
 
     def test_bad_spec_exits_2(self, capsys, tmp_path):
-        from repro.cluster.runner import main
+        from repro.perf.cli import main
 
         bad = tmp_path / "spec.json"
         bad.write_text('{"nodes": 0}')
-        assert main(["--spec", str(bad)]) == 2
+        assert main(["cluster", "--spec", str(bad)]) == 2
         assert "cluster:" in capsys.readouterr().err

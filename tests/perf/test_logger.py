@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.database import TraceDatabase
+from repro.perf.database import TraceDatabase, TraceError
 from repro.perf.events import ECALL, OCALL, SyncKind
 from repro.perf.logger import (
     AexMode,
@@ -253,3 +253,16 @@ class TestSyncAndPaging:
         with pytest.raises(RuntimeError):
             logger.install()
         logger.uninstall()
+
+
+def test_existing_trace_refused_before_anything_is_written(process, urts, tmp_path):
+    path = tmp_path / "trace.db"
+    path.write_bytes(b"an earlier trace")
+    with pytest.raises(TraceError) as info:
+        make_logger(process, urts, database=str(path))
+    assert str(info.value) == f"trace already exists: {path}"
+    assert path.read_bytes() == b"an earlier trace"
+    assert list(tmp_path.iterdir()) == [path]
+    # An open database is the caller's to manage, even on an existing file.
+    with TraceDatabase(str(tmp_path / "open.db")) as db:
+        assert make_logger(process, urts, database=db).db is db

@@ -275,20 +275,35 @@ class TestCli:
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["record", "top"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["record", "sqlite"],
+            ["top", "sqlite"],
+            ["campaign"],
+            ["netcampaign", "--workload", "talos"],
+            ["stressor"],
+        ],
+        ids=lambda argv: argv[0],
+    )
     def test_existing_trace_refused_before_the_workload_runs(
-        self, tmp_path, capsys, monkeypatch, command
+        self, tmp_path, capsys, monkeypatch, argv
     ):
+        from repro.faults import campaign, netcampaign
         from repro.perf.cli import main
         from repro.workloads import recorders
+        from repro.workloads.stressors import runner
 
         def must_not_run(*args, **kwargs):
             raise AssertionError("the workload started")
 
         monkeypatch.setitem(recorders.REGISTRY, "sqlite", must_not_run)
+        monkeypatch.setattr(campaign, "run_campaign", must_not_run)
+        monkeypatch.setattr(netcampaign, "run_netcampaign", must_not_run)
+        monkeypatch.setattr(runner, "run_stressor", must_not_run)
         path = tmp_path / "trace.db"
         path.write_bytes(b"an earlier trace")
-        assert main([command, "sqlite", "-o", str(path)]) == 2
+        assert main([*argv, "-o", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"sgxperf: trace already exists: {path}\n"
         assert captured.out == ""
