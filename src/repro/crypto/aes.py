@@ -1,9 +1,9 @@
-"""AES-128 from scratch (FIPS 197): ECB core and CTR mode.
+"""AES-128 from scratch (FIPS 197): ECB core and CTR mode, plus the cost model.
 
-The workloads genuinely encrypt their data (SecureKeeper payloads, TLS
-records), so ciphertexts in traces and tests are real.  Correctness is
-validated against the FIPS 197 / NIST SP 800-38A vectors in the test
-suite.
+The workloads charge virtual time through :func:`aes_cost_ns` and
+:func:`sha256_cost_ns` but encrypt their payloads with
+:func:`repro.crypto.stream.stream_xor`; only the test suite runs the
+cipher, against the FIPS 197 / NIST SP 800-38A vectors.
 """
 
 from __future__ import annotations

@@ -1,30 +1,18 @@
-"""HMAC-SHA256 from scratch (RFC 2104), over :mod:`repro.crypto.sha256`."""
+"""HMAC-SHA256 (RFC 2104) over the standard :mod:`hmac`, plus a key derivation."""
 
 from __future__ import annotations
 
-from repro.crypto.sha256 import Sha256, sha256
-
-_BLOCK = 64
+import hmac
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """Compute HMAC-SHA256 of ``message`` under ``key``."""
-    if len(key) > _BLOCK:
-        key = sha256(key)
-    key = key.ljust(_BLOCK, b"\x00")
-    inner = Sha256(bytes(k ^ 0x36 for k in key)).update(message).digest()
-    return Sha256(bytes(k ^ 0x5C for k in key)).update(inner).digest()
+    return hmac.digest(key, message, "sha256")
 
 
 def verify_hmac_sha256(key: bytes, message: bytes, tag: bytes) -> bool:
-    """Constant-time-ish verification of an HMAC tag."""
-    expected = hmac_sha256(key, message)
-    if len(expected) != len(tag):
-        return False
-    diff = 0
-    for a, b in zip(expected, tag):
-        diff |= a ^ b
-    return diff == 0
+    """Constant-time verification of an HMAC tag."""
+    return hmac.compare_digest(hmac_sha256(key, message), tag)
 
 
 def hkdf_like(key: bytes, label: bytes, length: int = 32) -> bytes:

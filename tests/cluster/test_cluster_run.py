@@ -64,6 +64,18 @@ class TestDeterminism:
             _spec(seed=2), jobs=0
         ).digest
 
+    def test_securekeeper_report_digest_is_pinned(self):
+        # End to end through the load generator, the gateway, hkdf_like
+        # session keys and stream_xor payloads: a change to any of them
+        # that alters an output byte changes this digest.
+        spec = ClusterSpec.from_dict(
+            {"variant": "securekeeper", "nodes": 2, "clients": 16, "seed": 3}
+        )
+        assert (
+            run_cluster(spec, jobs=0).digest
+            == "e106b4d2095d6764d546b30933167216ac7f3afc7964142593509367bce7b995"
+        )
+
 
 class TestTalosCluster:
     def test_tiny_talos_cluster_holds_slo(self):

@@ -134,6 +134,24 @@ class TestStreamCipher:
     def test_self_inverse(self, data, key, nonce):
         assert stream_xor(key, nonce, stream_xor(key, nonce, data)) == data
 
+    def test_known_answer(self):
+        # The keystream is part of every pinned cluster and chaos digest;
+        # this pins it directly, across lengths that straddle word
+        # boundaries and both empty and long keys and nonces.
+        h = hashlib.sha256()
+        for n in range(130):
+            data = bytes((i * 7 + n) & 0xFF for i in range(n))
+            for key, nonce in (
+                (b"", b""),
+                (b"k" * 32, b"nonce123"),
+                (bytes(range(n % 41)), bytes(range(n % 13))),
+            ):
+                h.update(stream_xor(key, nonce, data))
+        assert (
+            h.hexdigest()
+            == "89ffd9c882c8de6d7b7593615c1727fce04658a52442b8c35c2782135fa38fde"
+        )
+
     def test_key_and_nonce_matter(self):
         data = b"payload" * 10
         a = stream_xor(b"k1", b"n", data)
