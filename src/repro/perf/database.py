@@ -39,11 +39,8 @@ from __future__ import annotations
 import os
 import sqlite3
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
-from repro.perf.columns import CallColumns
 from repro.perf.events import (
     ECALL,
     OCALL,
@@ -56,6 +53,11 @@ from repro.perf.events import (
     SyncKind,
     ThreadRecord,
 )
+
+if TYPE_CHECKING:  # NumPy loads on the first columnar read, not with the writer
+    import numpy as np
+
+    from repro.perf.columns import CallColumns
 
 # Name given to calls synthesised by salvage for ids the crashed logger
 # never flushed (their real names died with the in-memory frames).
@@ -470,6 +472,8 @@ class TraceDatabase:
         enclave_id: Optional[int] = None,
     ) -> CallColumns:
         """Load call events as columns — the analyser fast path."""
+        from repro.perf.columns import CallColumns
+
         self._ensure_read()
         where, params = self._call_filter(kind, name, enclave_id)
         rows = self._conn.execute(
@@ -538,6 +542,8 @@ class TraceDatabase:
         ``order="time"`` yields the reader convention ``(start_ns, id)``.
         ``thread_ids`` restricts the stream to one shard's threads.
         """
+        from repro.perf.columns import CallColumns
+
         self._ensure_read()
         if order == "thread":
             order_by = " ORDER BY thread_id, start_ns, id"
@@ -562,6 +568,8 @@ class TraceDatabase:
         self, chunk_events: int = DEFAULT_CHUNK_EVENTS
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Stream ``(event ids, durations)`` pairs, id-ordered, two ints per row."""
+        import numpy as np
+
         self._ensure_read()
         cursor = self._conn.execute(
             "SELECT id, end_ns - start_ns FROM calls ORDER BY id"
@@ -631,6 +639,8 @@ class TraceDatabase:
         enclave_id: Optional[int] = None,
     ) -> np.ndarray:
         """Measured durations straight from SQL, ``(start_ns, id)``-ordered."""
+        import numpy as np
+
         self._ensure_read()
         where, params = self._call_filter(kind, name, enclave_id)
         rows = self._conn.execute(
@@ -646,6 +656,8 @@ class TraceDatabase:
         enclave_id: Optional[int] = None,
     ) -> np.ndarray:
         """Start timestamps straight from SQL, ``(start_ns, id)``-ordered."""
+        import numpy as np
+
         self._ensure_read()
         where, params = self._call_filter(kind, name, enclave_id)
         rows = self._conn.execute(

@@ -22,6 +22,20 @@ timed-wait deadline) live in an indexed min-heap keyed on
 ``(wake_time, seq)`` with lazy invalidation — every state transition pushes
 a fresh entry and stamps the thread with its push id, so stale heap entries
 are recognised and discarded at pop time instead of being searched for.
+
+The turn passes directly from thread to thread.  Every simulated thread
+owns a *baton*, a ``threading.Lock`` that stays locked except while the
+turn is being handed to it; waiting for the turn is acquiring it.  A
+thread that yields, blocks or finishes calls :meth:`Simulation._pass_turn`
+itself: it pops the next live run-queue entry (expiring a timed wait if
+that is what it popped), advances the clock, sets the current thread and
+releases that thread's baton — one OS thread switch per turn, with no
+scheduler loop in between.  A lone thread whose timed wait expires pops
+itself and so hands the turn to itself.  :meth:`Simulation.run` starts the
+first thread and then sleeps on a baton of its own.  It wakes only when
+the simulation is over: every non-daemon thread has finished, no thread is
+schedulable (deadlock), or a thread raised.  It then kills the threads
+still alive one at a time, each victim waking it again as it exits.
 """
 
 from __future__ import annotations
@@ -97,7 +111,9 @@ class SimThread:
         # Push id of this thread's only live run-queue entry (0 = none);
         # see Simulation._runq_push.
         self._rq_entry = 0
-        self._go = threading.Event()
+        # The turn baton: locked unless the turn is being handed to us.
+        self._baton = threading.Lock()
+        self._baton.acquire()
         self._os_thread: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -122,17 +138,16 @@ class SimThread:
     # -- scheduling primitives (called with the sim lock conventions) ------
 
     def _resume(self) -> None:
-        """Scheduler side: hand the turn to this thread."""
+        """Hand the turn to this thread; the caller's last touch of the sim."""
         self.state = _RUNNING
         if self._os_thread is None:
             self._start_os_thread()
         else:
-            self._go.set()
+            self._baton.release()
 
     def _wait_for_turn(self) -> None:
-        """Thread side: sleep until the scheduler hands us the turn."""
-        self._go.wait()
-        self._go.clear()
+        """Thread side: sleep until another thread hands us the turn."""
+        self._baton.acquire()
         if self._killed:
             raise _ThreadKilled()
 
@@ -172,7 +187,11 @@ class Simulation:
         self._next_tid = 1
         self._seq = 0
         self._current: Optional[SimThread] = None
-        self._sched_event = threading.Event()
+        # run()'s own baton, released when the simulation is over (and by
+        # each thread the kill sweep unwinds); ``_failure`` says why.
+        self._wake = threading.Lock()
+        self._wake.acquire()
+        self._failure: Optional[BaseException] = None
         self._futexes: dict[Any, list[SimThread]] = {}
         self._running = False
         self._exit_hooks: list[Callable[[SimThread], None]] = []
@@ -300,32 +319,47 @@ class Simulation:
             raise SimulationError("simulation is already running")
         self._running = True
         try:
-            while self._non_daemons_alive > 0:
-                nxt = self._runq_pop()
-                if nxt is None:
-                    raise self._deadlock()
-                if nxt.state == _BLOCKED:
-                    self._expire_timed_wait(nxt)
-                self.clock.advance_to(nxt.wake_time)
-                self._current = nxt
-                self._sched_event.clear()
-                nxt._resume()
-                self._sched_event.wait()
-                self._current = None
-                if nxt.state == _DONE and nxt.exception is not None:
-                    raise nxt.exception
+            self._pass_turn()
+            self._wake.acquire()
+            if self._failure is not None:
+                raise self._failure
         finally:
             self._kill_remaining()
             self._running = False
             self._current = None
 
+    def _pass_turn(self) -> None:
+        """Hand the turn to the next schedulable thread, or wake ``run()``.
+
+        Called by the thread giving up the turn (and by ``run()`` to start
+        the first one).  Releasing the next thread's baton is the caller's
+        last touch of simulation state.
+        """
+        if self._non_daemons_alive <= 0:
+            self._stop(None)
+            return
+        nxt = self._runq_pop()
+        if nxt is None:
+            self._stop(self._deadlock())
+            return
+        if nxt.state == _BLOCKED:
+            self._expire_timed_wait(nxt)
+        self.clock.advance_to(nxt.wake_time)
+        self._current = nxt
+        nxt._resume()
+
+    def _stop(self, failure: Optional[BaseException]) -> None:
+        """End the simulation: wake ``run()``, to raise ``failure`` if any."""
+        self._failure = failure
+        self._current = None
+        self._wake.release()
+
     def _kill_remaining(self) -> None:
         for thread in self._threads:
             if thread.is_alive and thread._os_thread is not None:
                 thread._killed = True
-                self._sched_event.clear()
-                thread._go.set()
-                self._sched_event.wait()
+                thread._baton.release()
+                self._wake.acquire()
             elif thread.is_alive:
                 thread.state = _DONE
                 thread._rq_entry = 0
@@ -352,11 +386,16 @@ class Simulation:
     def _on_thread_done(self, thread: SimThread) -> None:
         self._note_thread_done(thread)
         self._run_exit_hooks(thread)
-        self._sched_event.set()
+        if thread._killed:
+            self._wake.release()  # the kill sweep waits for each victim
+        elif thread.exception is not None:
+            self._stop(thread.exception)
+        else:
+            self._pass_turn()
 
     def _yield_turn(self, thread: SimThread) -> None:
-        """Thread side: give the turn back and wait to be rescheduled."""
-        self._sched_event.set()
+        """Thread side: hand the turn on and wait until it comes back."""
+        self._pass_turn()
         thread._wait_for_turn()
 
     # -- primitives available to simulated threads (and inline) -------------

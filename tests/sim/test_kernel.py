@@ -1,5 +1,7 @@
 """The deterministic cooperative scheduler."""
 
+import sys
+
 import pytest
 
 from repro.sim.kernel import DeadlockError, Simulation, SimulationError
@@ -282,3 +284,123 @@ class TestTimedFutexWait:
         sim.run()
         assert order == ["early", "late"]
         assert sim.now_ns == 9_000
+
+
+def _assert_no_os_thread_left(threads):
+    """Every simulated thread's OS thread has exited once run() is over."""
+    for thread in threads:
+        if thread._os_thread is not None:
+            thread._os_thread.join(timeout=1.0)
+    assert [t for t in threads if t._os_thread is not None and t._os_thread.is_alive()] == []
+    assert [t for t in threads if t.is_alive] == []
+
+
+class TestTurnHandoff:
+    def test_lone_timed_waiter_hands_the_turn_to_itself(self):
+        # Once "late" has queued at 100, the waiter's expiry at 30 is the
+        # only earlier entry: the waiter pops itself.
+        sim = Simulation()
+        log = []
+
+        def late():
+            sim.compute(100)
+            log.append(("late", sim.now_ns))
+
+        def waiter():
+            log.append(("woke", sim.futex_wait("never", timeout_ns=30), sim.now_ns))
+
+        sim.spawn(late)
+        sim.spawn(waiter)
+        sim.run()
+        assert log == [("woke", False, 30), ("late", 100)]
+
+    def test_current_thread_follows_the_turn(self):
+        sim = Simulation()
+        players = {}
+        turns = []
+
+        def player(name):
+            for _ in range(4):
+                sim.compute(10)  # the other player precedes us: a handoff
+                assert sim.current_thread is players[name]
+                turns.append((name, sim.now_ns))
+
+        players["a"] = sim.spawn(player, "a")
+        players["b"] = sim.spawn(player, "b")
+        sim.run()
+        assert turns == [(name, t) for t in (10, 20, 30, 40) for name in "ab"]
+        assert sim.current_thread is None
+
+    def test_schedule_survives_forced_interpreter_switches(self):
+        # A thread giving up the turn must touch no simulation state after
+        # releasing the next thread's baton.  A tiny switch interval lets
+        # the next thread run inside that window; the log must not change.
+        def hammer(switch_interval_s):
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(switch_interval_s)
+            try:
+                sim = Simulation(seed=3)
+                log = []
+
+                def worker(i):
+                    for r in range(20):
+                        sim.compute(sim.rng.jitter_ns(f"w{i}", 1_000))
+                        woke = sim.futex_wait(("k", i % 4), timeout_ns=1_500)
+                        log.append((i, r, woke, sim.now_ns, sim.current_thread.tid))
+                        sim.futex_wake(("k", (i + 1) % 4))
+
+                for i in range(16):
+                    sim.spawn(worker, i)
+                sim.run()
+                return log
+            finally:
+                sys.setswitchinterval(old)
+
+        reference = hammer(0.005)
+        assert len(reference) == 16 * 20
+        assert hammer(1e-6) == reference
+
+
+class TestNoLeakedOsThreads:
+    def test_thread_exception(self):
+        sim = Simulation()
+
+        def spinner():
+            while True:
+                sim.compute(5)
+
+        def boom():
+            sim.compute(50)
+            raise ValueError("boom")
+
+        threads = [
+            sim.spawn(lambda: sim.futex_wait("never")),
+            sim.spawn(spinner, daemon=True),
+            sim.spawn(boom),
+        ]
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        _assert_no_os_thread_left(threads)
+
+    def test_deadlock(self):
+        sim = Simulation()
+
+        def last():
+            sim.compute(10)
+            sim.futex_wait("also-never")
+
+        threads = [sim.spawn(lambda: sim.futex_wait("never")), sim.spawn(last)]
+        with pytest.raises(DeadlockError):
+            sim.run()
+        _assert_no_os_thread_left(threads)
+
+    def test_daemon_killed_at_end(self):
+        sim = Simulation()
+
+        def spinner():
+            while True:
+                sim.compute(5)
+
+        threads = [sim.spawn(spinner, daemon=True), sim.spawn(lambda: sim.compute(20))]
+        sim.run()
+        _assert_no_os_thread_left(threads)

@@ -1,0 +1,71 @@
+"""Import weight of the recording path.
+
+Every ``run_cluster`` call runs each node shard in a fresh spawn worker,
+so whatever a shard imports is paid again per node per run.  An untraced
+shard records nothing it analyses: it must not load the analysis package,
+NumPy or networkx.  ``repro.perf`` re-exports resolve on first use, which
+keeps ``import repro.perf.logger`` lean; this test fails as soon as a
+top-level import pulls the analysis stack back onto that path.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import repro
+
+HEAVY = ("numpy", "networkx", "repro.perf.analysis")
+
+# Runs in a fresh interpreter, with the HEAVY module names as arguments:
+# one securekeeper node shard, as a spawn worker runs it, then the logger
+# import a traced shard adds.
+PROBE = """
+import json, sys
+
+from repro.cluster.spec import ClusterSpec
+from repro.sweep.grid import expand_grid
+from repro.sweep.tasks import run_task
+
+spec = ClusterSpec(variant="securekeeper", nodes=2, clients=8)
+task = expand_grid({
+    "kind": "clusternode",
+    "seeds": [spec.seed],
+    "params": spec.to_params(),
+    "grid": {"node": list(range(spec.nodes))},
+})[0]
+result = run_task(task)
+import repro.perf.logger
+
+loaded = [name for name in sys.argv[1:] if name in sys.modules]
+import repro.perf
+
+unresolved = []
+for name in repro.perf.__all__:
+    try:
+        getattr(repro.perf, name)
+    except AttributeError:
+        unresolved.append(name)
+print(json.dumps({
+    "status": result.status,
+    "error": result.error,
+    "loaded": loaded,
+    "unresolved": unresolved,
+}))
+"""
+
+
+def test_untraced_cluster_shard_loads_no_analysis_stack():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *HEAVY],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (report["status"], report["error"]) == ("ok", "")
+    assert report["loaded"] == []
+    assert report["unresolved"] == []
