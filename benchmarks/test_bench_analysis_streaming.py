@@ -64,13 +64,13 @@ def four_thread_trace(big_trace, tmp_path_factory) -> str:
     path = str(tmp_path_factory.mktemp("bench-parallel") / "four-threads.db")
     shutil.copyfile(big_trace, path)
     with TraceDatabase(path) as db:
-        (last_id,) = db.execute("SELECT max(id) FROM calls")[0]
+        (last_id,) = db.execute("SELECT max(id) FROM call_rows")[0]
         for copy in range(1, THREADS):
             offset = copy * last_id
             db.execute(
-                "INSERT INTO calls SELECT id + ?, kind, name, call_index, enclave_id, "
+                "INSERT INTO call_rows SELECT id + ?, site_id, call_index, enclave_id, "
                 "thread_id + ?, start_ns, end_ns, aex_count, parent_id + ?, is_sync "
-                "FROM calls WHERE id <= ?",
+                "FROM call_rows WHERE id <= ?",
                 (offset, copy, offset, last_id),
             )
     return path

@@ -5,7 +5,8 @@ and serialising off the critical path (§4.1).  This benchmark measures
 recorded events per *wall-clock* second on a Table-2-style ecall+ocall
 workload through :class:`EventLogger` (per-thread flat-tuple buffers,
 batched drains) into the bulk writer (WAL-style pragmas, one transaction
-per batch, deferred indexes), and prints the absolute rate.
+per batch, one index once the trace is complete), and prints the
+absolute rate.
 
 The seed recording path (one ``CallEvent`` dataclass per event,
 row-at-a-time writes into an untuned, eagerly indexed store) charged the

@@ -11,10 +11,10 @@ which, because the merge is commutative over disjoint thread sets,
 reproduces the sequential fold's state exactly.
 
 Mirrors the sweep engine's process model (spawn context, shared-nothing
-workers, ``BrokenProcessPool`` tolerance): the coordinator builds the
-read indexes *before* the workers attach, so workers never take SQLite's
-write lock, and a lost pool degrades to the in-process fold rather than
-failing the analysis.
+workers, ``BrokenProcessPool`` tolerance): readers never write — the read
+index is built when the recording completes — so workers never take
+SQLite's write lock, and a lost pool degrades to the in-process fold
+rather than failing the analysis.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ def parallel_fold(
     shard) or the worker pool is lost, in which case the caller runs the
     in-process fold instead — same result, one process.
     """
-    # Build the read indexes up front: workers open mode=ro connections
-    # and must never need the write lock.
     thread_counts = db.thread_row_counts()
     shards = shard_threads(thread_counts, max(1, jobs))
     if len(shards) <= 1:

@@ -1,4 +1,4 @@
-"""The call fold: the analyser's one pass over the ``calls`` table.
+"""The call fold: the analyser's one pass over a trace's call rows.
 
 :class:`CallFold` folds bounded-size column batches from
 :meth:`~repro.perf.database.TraceDatabase.call_columns_chunks` into every

@@ -32,8 +32,10 @@ Subcommands:
   SLO report;
 * ``workloads`` — list recordable workloads.
 
-Bad input (a malformed spec or EDL, an existing output trace) exits 2
-with one line on stderr.
+Bad input (a malformed spec or EDL, an existing output trace, an input
+trace in the schema before interned call sites) exits 2 with one line on
+stderr.  ``analyze``, ``stats``, ``dot`` and ``optimize TRACE`` open their
+input read-only: analysing a trace never changes its bytes.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if _missing_trace(args.trace):
         return 2
     definition = _read_input(args.edl, parse_edl, EdlError) if args.edl else None
-    with TraceDatabase(args.trace) as db:
+    with TraceDatabase(args.trace, readonly=True) as db:
         counts = db.table_counts()
         total = sum(counts.values())
         print(
@@ -205,7 +207,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if _missing_trace(args.trace):
         return 2
-    with TraceDatabase(args.trace) as db:
+    with TraceDatabase(args.trace, readonly=True) as db:
         events = db.calls(kind=args.kind, name=args.call)
         if not events:
             print(f"no events for {args.kind} {args.call!r}", file=sys.stderr)
@@ -228,7 +230,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_dot(args: argparse.Namespace) -> int:
     if _missing_trace(args.trace):
         return 2
-    with TraceDatabase(args.trace) as db:
+    with TraceDatabase(args.trace, readonly=True) as db:
         print(Analyzer(db).call_graph_dot())
     return 0
 
@@ -452,7 +454,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if _missing_trace(args.target):
         return 2
     definition = _optimize_definition(args)
-    with TraceDatabase(args.target) as db:
+    with TraceDatabase(args.target, readonly=True) as db:
         report = Analyzer(db, definition=definition).run()
     plan = build_plan(report.findings, definition=definition, source=args.target)
     if args.plan_out:

@@ -4,41 +4,59 @@
 analyse the data with other tools without having to implement parsing of
 the data." (paper §4).
 
+**Schema.**  Completed calls live in two tables: ``sites(site_id, kind,
+name)`` interns each call site once, and the all-integer ``call_rows(id,
+site_id, call_index, enclave_id, thread_id, start_ns, end_ns, aex_count,
+parent_id, is_sync)`` holds one row per call.  ``calls`` is a view joining
+them back into the eleven columns ``(id, kind, name, call_index, ...)``,
+so other tools (and :func:`repro.digest.trace_digest`) query ``calls``
+as a plain table.  The side tables (``aex``, ``paging``, ``sync``,
+``faults``, ``threads``, ``enclaves``, ``meta``) are plain tables.  A
+trace whose ``calls`` is still a table predates this schema and is
+refused with :class:`TraceError`.
+
 The writer is tuned for trace recording (§4.1's "keep the hot path cheap,
 serialise off the critical path" design applied to the store itself):
 
-* rows arrive as **flat tuples** in schema order (``add_*_row``) or in bulk
-  (``add_call_rows`` et al.) — the dataclass-taking ``add_*`` methods
-  remain as thin compatibility shims;
+* rows arrive as **flat tuples** in ``calls`` view order (``add_*_row``)
+  or in bulk (``add_call_rows`` et al.) — the dataclass-taking ``add_*``
+  methods remain as thin compatibility shims; ``(kind, name)`` is interned
+  through a dict that a writable reopen loads from ``sites``;
 * buffered rows flush **one transaction per batch** via ``executemany``,
   with a uniform per-table flush threshold (calls, aex, paging *and* sync);
 * recording pragmas: WAL journaling (file-backed traces),
   ``synchronous=OFF``, in-memory temp store and a larger page cache — a
   crashed trace run is worthless anyway, so durability is traded for speed;
-* index creation is **deferred until first read** (bulk-load then index):
-  inserts never pay index maintenance while the logger is recording.
+* the one read index, ``idx_calls_thread`` on ``call_rows(thread_id,
+  start_ns)``, is built **once the trace is complete**
+  (:meth:`create_read_index`, run by ``EventLogger.finalize()`` and
+  :meth:`salvage`): inserts never pay index maintenance.
 
-The reader side exposes typed records for compatibility, a **columnar API**
-(:meth:`call_columns`, :meth:`durations_ns`, :meth:`starts_ns`,
-:meth:`call_summary`) returning NumPy arrays straight from SQL for the
-analysers, and raw SQL for everyone else.
+**Readers never write.**  The reader side exposes typed records for
+compatibility, a **columnar API** (:meth:`call_columns`,
+:meth:`durations_ns`, :meth:`starts_ns`, :meth:`call_summary`) returning
+NumPy arrays straight from SQL for the analysers, and raw SQL for
+everyone else.  ``readonly=True`` opens an existing trace through
+SQLite's read-only mode: no write lock, and the file's bytes never change
+— the mode every analysis command and the parallel analyser's shard
+workers use.
 
 For traces too large to materialise, the **streaming API** walks the same
 tables through SQLite cursors in bounded-size batches:
-:meth:`call_columns_chunks` yields :class:`CallColumns` windows (ordered by
-``(thread, start, id)`` so per-thread parent state stays windowed, or
-globally by ``(start, id)``), with row-count fast paths
-(:meth:`calls_count`, :meth:`event_count`) that never load a column.
-``readonly=True`` opens an existing trace without taking any write lock —
-the mode the parallel analyser's shard workers use so N readers never
-contend on index creation.
+:meth:`call_columns_chunks` reads the integer ``call_rows`` columns (in
+``idx_calls_thread`` order, so per-thread parent state stays windowed, or
+globally by ``(start, id)``) and yields :class:`CallColumns` windows whose
+rows carry site ids, not strings; row-count fast paths
+(:meth:`calls_count`, :meth:`event_count`) never load a column.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.perf.events import (
@@ -78,10 +96,15 @@ CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS calls (
-    id INTEGER PRIMARY KEY,
+CREATE TABLE IF NOT EXISTS sites (
+    site_id INTEGER PRIMARY KEY,
     kind TEXT NOT NULL,
     name TEXT NOT NULL,
+    UNIQUE (kind, name)
+);
+CREATE TABLE IF NOT EXISTS call_rows (
+    id INTEGER PRIMARY KEY,
+    site_id INTEGER NOT NULL,
     call_index INTEGER NOT NULL,
     enclave_id INTEGER NOT NULL,
     thread_id INTEGER NOT NULL,
@@ -91,6 +114,10 @@ CREATE TABLE IF NOT EXISTS calls (
     parent_id INTEGER,
     is_sync INTEGER NOT NULL DEFAULT 0
 );
+CREATE VIEW IF NOT EXISTS calls AS
+    SELECT id, kind, name, call_index, enclave_id, thread_id,
+           start_ns, end_ns, aex_count, parent_id, is_sync
+    FROM call_rows JOIN sites USING (site_id);
 CREATE TABLE IF NOT EXISTS aex (
     id INTEGER PRIMARY KEY,
     ts_ns INTEGER NOT NULL,
@@ -136,16 +163,26 @@ CREATE TABLE IF NOT EXISTS enclaves (
 );
 """
 
-_SCHEMA_INDEXES = """
-CREATE INDEX IF NOT EXISTS idx_calls_name ON calls(kind, name);
-CREATE INDEX IF NOT EXISTS idx_calls_thread ON calls(thread_id, start_ns);
-"""
+# Built once when a recording completes (EventLogger.finalize, salvage):
+# it serves the thread-major read order without a sort.
+_READ_INDEX = "CREATE INDEX IF NOT EXISTS idx_calls_thread ON call_rows(thread_id, start_ns)"
 
-_INSERT_CALLS = "INSERT INTO calls VALUES (?,?,?,?,?,?,?,?,?,?,?)"
+_INSERT_SITE = "INSERT INTO sites(kind, name) VALUES (?, ?)"
+_INSERT_CALL_ROWS = "INSERT INTO call_rows VALUES (?,?,?,?,?,?,?,?,?,?)"
 _INSERT_AEX = "INSERT INTO aex VALUES (?,?,?,?,?)"
 _INSERT_PAGING = "INSERT INTO paging VALUES (?,?,?,?,?)"
 _INSERT_SYNC = "INSERT INTO sync VALUES (?,?,?,?,?,?)"
 _INSERT_FAULTS = "INSERT INTO faults VALUES (?,?,?,?,?,?,?)"
+
+# ``table_counts()`` keys and the tables they count (call rows are counted
+# on ``call_rows``: a count through the ``calls`` view pays its join).
+_EVENT_TABLES = (
+    ("calls", "call_rows"),
+    ("aex", "aex"),
+    ("paging", "paging"),
+    ("sync", "sync"),
+    ("faults", "faults"),
+)
 
 _FLUSH_THRESHOLD = 4096
 
@@ -182,7 +219,12 @@ class TraceDatabase:
     ``readonly=True`` opens an existing file-backed trace through SQLite's
     read-only URI mode: no schema or index creation, no pragma writes —
     many processes can read the same trace concurrently without ever
-    contending on a write lock.
+    contending on a write lock, and the file's bytes never change.
+
+    Either mode refuses, with :class:`TraceError` and before writing
+    anything, a trace whose ``calls`` is still a table (the schema before
+    interned call sites); a read-only open also refuses a file that holds
+    no trace.
     """
 
     def __init__(
@@ -201,9 +243,8 @@ class TraceDatabase:
                 f"file:{path}?mode=ro", uri=True, check_same_thread=False,
                 isolation_level=None,
             )
-            # Whatever indexes exist are what reads get; creating them
-            # would need the write lock this mode exists to avoid.
-            self._indexed = True
+            self._check_schema()
+            self._site_ids: dict[tuple[str, str], int] = {}
         else:
             # Simulated threads are backed by OS threads, but the cooperative
             # scheduler guarantees only one runs at a time — cross-thread use
@@ -213,9 +254,16 @@ class TraceDatabase:
             self._conn = sqlite3.connect(
                 path, check_same_thread=False, isolation_level=None
             )
+            self._check_schema()
             self._apply_recording_pragmas()
             self._conn.executescript(_SCHEMA_TABLES)
-            self._indexed = False
+            # (kind, name) → site id; a reopened trace keeps its ids.
+            self._site_ids = {
+                (kind, name): site
+                for site, kind, name in self._conn.execute(
+                    "SELECT site_id, kind, name FROM sites"
+                )
+            }
         self._calls: list[tuple] = []
         self._aex: list[tuple] = []
         self._paging: list[tuple] = []
@@ -225,6 +273,24 @@ class TraceDatabase:
         # Owning process: a connection inherited across fork()/spawn() must
         # never touch the database file (shared-nothing guard).
         self._owner_pid = os.getpid()
+
+    def _check_schema(self) -> None:
+        """Refuse a file this store cannot read, before anything is written."""
+        try:
+            objects = dict(
+                self._conn.execute("SELECT name, type FROM sqlite_master").fetchall()
+            )
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise TraceError(f"{self.path}: not a trace database ({exc})") from None
+        if objects.get("calls") == "table":
+            problem = "trace predates interned call sites; re-record it"
+        elif self.readonly and "call_rows" not in objects:
+            problem = "not a trace database (no call_rows table)"
+        else:
+            return
+        self._conn.close()
+        raise TraceError(f"{self.path}: {problem}")
 
     def _check_owner(self) -> None:
         if os.getpid() != self._owner_pid:
@@ -242,15 +308,21 @@ class TraceDatabase:
         conn.execute("PRAGMA temp_store=MEMORY")
         conn.execute("PRAGMA cache_size=-32768")  # 32 MiB page cache
 
-    def _create_indexes(self) -> None:
-        if not self._indexed:
-            self._conn.executescript(_SCHEMA_INDEXES)
-            self._indexed = True
+    def create_read_index(self) -> None:
+        """Index ``call_rows`` for thread-major reads (once a trace is complete).
+
+        Recording inserts never pay index maintenance; the event logger's
+        :meth:`~repro.perf.logger.EventLogger.finalize` and :meth:`salvage`
+        build the one index here, so no reader ever sorts or writes.
+        """
+        self._check_owner()
+        self.flush()
+        self._conn.execute(_READ_INDEX)
 
     # -- writer side: flat rows (the fast path) -------------------------------
 
     def add_call_row(self, row: tuple) -> None:
-        """Buffer one completed call as a flat ``calls``-schema tuple."""
+        """Buffer one completed call as a flat tuple in ``calls`` view order."""
         buf = self._calls
         buf.append(row)
         if len(buf) >= self._flush_threshold:
@@ -285,8 +357,29 @@ class TraceDatabase:
             self.flush()
 
     def add_call_rows(self, rows: Iterable[tuple]) -> None:
-        """Bulk-insert completed call rows (one transaction, no buffering)."""
-        self._write_batch(_INSERT_CALLS, rows)
+        """Bulk-insert completed call rows (one transaction, no buffering).
+
+        Rows arrive in the ``calls`` view's eleven-column order; each
+        ``(kind, name)`` pair is interned into ``sites`` (ids in first-seen
+        order) and ``call_rows`` stores its integer site id instead.
+        """
+        site_ids = self._site_ids
+        fresh: list[tuple[str, str]] = []
+        with self._transaction() as conn:
+            try:
+                packed = []
+                for row in rows:
+                    key = (row[1], row[2])
+                    site = site_ids.get(key)
+                    if site is None:
+                        site = site_ids[key] = conn.execute(_INSERT_SITE, key).lastrowid
+                        fresh.append(key)
+                    packed.append((row[0], site, *row[3:]))
+                conn.executemany(_INSERT_CALL_ROWS, packed)
+            except BaseException:
+                for key in fresh:  # rolled back with the batch
+                    del site_ids[key]
+                raise
 
     def add_aex_rows(self, rows: Iterable[tuple]) -> None:
         """Bulk-insert traced AEX rows."""
@@ -305,11 +398,16 @@ class TraceDatabase:
         self._write_batch(_INSERT_FAULTS, rows)
 
     def _write_batch(self, sql: str, rows: Iterable[tuple]) -> None:
+        with self._transaction() as conn:
+            conn.executemany(sql, rows)
+
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
         self._check_owner()
         conn = self._conn
         conn.execute("BEGIN")
         try:
-            conn.executemany(sql, rows)
+            yield conn
         except BaseException:
             conn.execute("ROLLBACK")
             raise
@@ -423,10 +521,9 @@ class TraceDatabase:
     # -- reader side ---------------------------------------------------------
 
     def _ensure_read(self) -> None:
-        """Flush pending rows and build the deferred read indexes."""
+        """Flush pending rows so reads see them."""
         self._check_owner()
         self.flush()
-        self._create_indexes()
 
     def get_meta(self, key: str, default: Optional[str] = None) -> Optional[str]:
         """Fetch one metadata value."""
@@ -490,40 +587,31 @@ class TraceDatabase:
         enclave_id: Optional[int] = None,
     ) -> int:
         """Row count of ``calls`` via ``SELECT count(*)`` — no columns loaded."""
-        self._check_owner()
-        self.flush()
+        self._ensure_read()
         where, params = self._call_filter(kind, name, enclave_id)
+        # Unfiltered counts skip the view's join.
+        source = "calls" if where else "call_rows"
         return int(
-            self._conn.execute("SELECT count(*) FROM calls" + where, params).fetchone()[0]
+            self._conn.execute(f"SELECT count(*) FROM {source}" + where, params).fetchone()[0]
         )
 
     def event_count(self) -> int:
         """Total rows across every event table, via ``count(*)`` fast paths."""
-        self._check_owner()
-        self.flush()
-        total = 0
-        for table in ("calls", "aex", "paging", "sync", "faults"):
-            total += int(
-                self._conn.execute(f"SELECT count(*) FROM {table}").fetchone()[0]
-            )
-        return total
+        return sum(self.table_counts().values())
 
     def table_counts(self) -> dict[str, int]:
         """Per-table row counts (the CLI's pre-analysis sizing line)."""
-        self._check_owner()
-        self.flush()
+        self._ensure_read()
         return {
-            table: int(
-                self._conn.execute(f"SELECT count(*) FROM {table}").fetchone()[0]
-            )
-            for table in ("calls", "aex", "paging", "sync", "faults")
+            name: int(self._conn.execute(f"SELECT count(*) FROM {table}").fetchone()[0])
+            for name, table in _EVENT_TABLES
         }
 
     def thread_row_counts(self) -> list[tuple[int, int]]:
         """``(thread_id, call rows)`` pairs — the parallel analyser's shard key."""
         self._ensure_read()
         rows = self._conn.execute(
-            "SELECT thread_id, count(*) FROM calls GROUP BY thread_id ORDER BY thread_id"
+            "SELECT thread_id, count(*) FROM call_rows GROUP BY thread_id ORDER BY thread_id"
         ).fetchall()
         return [(int(t), int(c)) for t, c in rows]
 
@@ -533,7 +621,7 @@ class TraceDatabase:
         thread_ids: Optional[Sequence[int]] = None,
         order: str = "thread",
     ) -> Iterator[CallColumns]:
-        """Stream the ``calls`` table as bounded-size column batches.
+        """Stream the call rows as bounded-size column batches.
 
         ``order="thread"`` yields rows ordered by ``(thread_id, start_ns,
         id)`` — each thread is one contiguous run, which is what the
@@ -541,10 +629,15 @@ class TraceDatabase:
         small (and what ``idx_calls_thread`` serves without a sort).
         ``order="time"`` yields the reader convention ``(start_ns, id)``.
         ``thread_ids`` restricts the stream to one shard's threads.
-        """
-        from repro.perf.columns import CallColumns
 
-        self._ensure_read()
+        Reads the integer ``call_rows`` table, not the ``calls`` view: each
+        batch carries per-row site ids and the trace's site table, so no
+        row's ``kind`` or ``name`` string is ever fetched.
+        """
+        import numpy as np
+
+        from repro.perf.columns import NO_PARENT, CallColumns
+
         if order == "thread":
             order_by = " ORDER BY thread_id, start_ns, id"
         elif order == "time":
@@ -556,13 +649,21 @@ class TraceDatabase:
             marks = ",".join("?" for _ in thread_ids)
             where = f" WHERE thread_id IN ({marks})"
             params = [int(t) for t in thread_ids]
-        cursor = self._conn.execute("SELECT * FROM calls" + where + order_by, params)
-        chunk = max(1, int(chunk_events))
-        while True:
-            rows = cursor.fetchmany(chunk)
-            if not rows:
-                break
-            yield CallColumns.from_rows(rows)
+        self._ensure_read()
+        sites = {
+            site: (kind, name)
+            for site, kind, name in self._conn.execute("SELECT site_id, kind, name FROM sites")
+        }
+        sql = (
+            "SELECT id, site_id, call_index, enclave_id, thread_id, start_ns, end_ns,"
+            f" aex_count, ifnull(parent_id, {NO_PARENT}), is_sync FROM call_rows"
+            + where
+            + order_by
+        )
+        for rows in self._rows_chunks(sql, chunk_events, params):
+            n = len(rows)
+            matrix = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n * 10)
+            yield CallColumns.from_matrix(matrix.reshape(n, 10), sites)
 
     def call_durations_chunks(
         self, chunk_events: int = DEFAULT_CHUNK_EVENTS
@@ -570,15 +671,9 @@ class TraceDatabase:
         """Stream ``(event ids, durations)`` pairs, id-ordered, two ints per row."""
         import numpy as np
 
-        self._ensure_read()
-        cursor = self._conn.execute(
-            "SELECT id, end_ns - start_ns FROM calls ORDER BY id"
-        )
-        chunk = max(1, int(chunk_events))
-        while True:
-            rows = cursor.fetchmany(chunk)
-            if not rows:
-                break
+        for rows in self._rows_chunks(
+            "SELECT id, end_ns - start_ns FROM call_rows ORDER BY id", chunk_events
+        ):
             n = len(rows)
             ids = np.fromiter((r[0] for r in rows), dtype=np.int64, count=n)
             durations = np.fromiter((r[1] for r in rows), dtype=np.int64, count=n)
@@ -742,17 +837,17 @@ class TraceDatabase:
         conn = self._conn
         missing: set[int] = set()
         for sql in (
-            "SELECT DISTINCT parent_id FROM calls WHERE parent_id IS NOT NULL"
-            " AND parent_id NOT IN (SELECT id FROM calls)",
+            "SELECT DISTINCT parent_id FROM call_rows WHERE parent_id IS NOT NULL"
+            " AND parent_id NOT IN (SELECT id FROM call_rows)",
             "SELECT DISTINCT call_id FROM aex WHERE call_id IS NOT NULL"
-            " AND call_id NOT IN (SELECT id FROM calls)",
+            " AND call_id NOT IN (SELECT id FROM call_rows)",
             "SELECT DISTINCT call_id FROM sync"
-            " WHERE call_id NOT IN (SELECT id FROM calls)",
+            " WHERE call_id NOT IN (SELECT id FROM call_rows)",
         ):
             missing.update(r[0] for r in conn.execute(sql).fetchall())
         horizon = 0
         for sql in (
-            "SELECT MAX(end_ns) FROM calls",
+            "SELECT MAX(end_ns) FROM call_rows",
             "SELECT MAX(ts_ns) FROM aex",
             "SELECT MAX(ts_ns) FROM paging",
             "SELECT MAX(ts_ns) FROM sync",
@@ -828,14 +923,14 @@ class TraceDatabase:
             self.add_call_rows(rows)
             self.add_fault_rows(fault_rows)
         self.set_meta("trace_state", "salvaged")
+        self.create_read_index()
         return {"closed": len(rows), "horizon_ns": horizon}
 
     def execute(self, sql: str, params: Iterable = ()) -> list[tuple]:
         """Run raw SQL against the trace — the 'other tools' escape hatch.
 
-        Flushes buffered rows but does not force the deferred read indexes;
-        ad-hoc SQL decides for itself what it needs.
+        Flushes buffered rows first.  Query ``calls`` (the view) for the
+        eleven-column rows; ``call_rows`` and ``sites`` are its storage.
         """
-        self._check_owner()
-        self.flush()
+        self._ensure_read()
         return self._conn.execute(sql, tuple(params)).fetchall()

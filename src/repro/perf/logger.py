@@ -247,7 +247,7 @@ class EventLogger:
         self._pending = 0
 
     def finalize(self) -> TraceDatabase:
-        """Write static records and trace metadata; returns the database."""
+        """Write static records and metadata, build the read index; returns the db."""
         if self._aborted:
             return self.db  # abort() was this trace's (terminal) finalization
         self.flush()
@@ -267,7 +267,7 @@ class EventLogger:
         self.db.set_meta("transition_round_trip_ns", cpu.transition_round_trip_ns)
         self.db.set_meta("frequency_ghz", self.sim.clock.frequency_ghz)
         self.db.set_meta("aex_mode", self.aex_mode.value)
-        self.db.flush()
+        self.db.create_read_index()
         return self.db
 
     def abort(self) -> TraceDatabase:

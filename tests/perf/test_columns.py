@@ -1,13 +1,17 @@
-"""The columnar reader API and the CallColumns container."""
+"""The columnar reader API, the CallColumns container and the store schema."""
 
 from __future__ import annotations
+
+import sqlite3
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 from repro.perf.columns import CALL_COLUMN_NAMES, NO_PARENT, CallColumns
-from repro.perf.database import TraceDatabase
+from repro.perf.database import TraceDatabase, TraceError
 from repro.perf.events import CallEvent, ECALL, OCALL
+from repro.perf.logger import EventLogger
 
 
 def _event(i, kind=ECALL, name="ecall_a", start=None, parent=None, **kw):
@@ -89,17 +93,16 @@ class TestColumnarReaders:
         assert db.call_summary() == []
         assert db.call_columns().group_codes()[1] == []
 
-    def test_indexes_deferred_until_first_read(self):
+    def test_read_index_built_when_the_trace_completes(self):
         db = _populated_db()
         index_names = (
             "SELECT name FROM sqlite_master WHERE type='index' AND name LIKE 'idx_%'"
         )
-        assert db.execute(index_names) == []  # raw SQL does not force them
         db.calls()
-        assert {r[0] for r in db.execute(index_names)} == {
-            "idx_calls_name",
-            "idx_calls_thread",
-        }
+        list(db.call_columns_chunks())
+        assert db.execute(index_names) == []  # readers never build it
+        db.create_read_index()
+        assert db.execute(index_names) == [("idx_calls_thread",)]
 
     def test_reopen_closed_file_database(self, tmp_path):
         path = str(tmp_path / "trace.db")
@@ -161,3 +164,115 @@ class TestCallColumns:
         cols = CallColumns.empty()
         for column in CALL_COLUMN_NAMES:
             assert len(getattr(cols, column)) == 0
+
+
+# The ``calls`` table of traces recorded before call sites were interned.
+OLD_CALLS_DDL = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE calls (
+    id INTEGER PRIMARY KEY, kind TEXT NOT NULL, name TEXT NOT NULL,
+    call_index INTEGER NOT NULL, enclave_id INTEGER NOT NULL,
+    thread_id INTEGER NOT NULL, start_ns INTEGER NOT NULL,
+    end_ns INTEGER NOT NULL, aex_count INTEGER NOT NULL DEFAULT 0,
+    parent_id INTEGER, is_sync INTEGER NOT NULL DEFAULT 0
+);
+INSERT INTO calls VALUES (1, 'ecall', 'ecall_a', 0, 1, 1, 100, 140, 0, NULL, 0);
+"""
+
+
+def _schema(path) -> list[tuple]:
+    with closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as conn:
+        return conn.execute("SELECT type, name FROM sqlite_master ORDER BY name").fetchall()
+
+
+class TestStoreSchema:
+    def test_calls_view_round_trips_the_eleven_columns(self):
+        db = _populated_db()
+        names = [row[1] for row in db.execute("PRAGMA table_info(calls)")]
+        assert names == ["id", *CALL_COLUMN_NAMES[1:]]
+        written = [
+            e.to_row()
+            for e in (
+                _event(1, ECALL, "ecall_a", start=100, dur=40),
+                _event(2, OCALL, "ocall_x", start=120, dur=10, parent=1),
+                _event(3, ECALL, "ecall_b", start=300, dur=60, enclave_id=1),
+                _event(4, ECALL, "ecall_a", start=500, dur=45),
+            )
+        ]
+        assert written[0][9] is None  # a NULL parent_id survives the view
+        assert db.execute("SELECT * FROM calls ORDER BY id") == written
+        # The integer stream carries the same rows, site ids for strings.
+        chunks = list(db.call_columns_chunks(chunk_events=3, order="time"))
+        assert [len(c) for c in chunks] == [3, 1]
+        assert [row for c in chunks for row in _rows(c)] == written
+
+    def test_call_sites_interned_once_and_kept_on_reopen(self, tmp_path):
+        path = str(tmp_path / "trace.db")
+        db = _populated_db(path=path)
+        db.flush()
+        sites = db.execute("SELECT site_id, kind, name FROM sites ORDER BY site_id")
+        # First-seen order; the second ecall_a row reuses its site.
+        assert sites == [(1, ECALL, "ecall_a"), (2, OCALL, "ocall_x"), (3, ECALL, "ecall_b")]
+        db.close()
+        reopened = TraceDatabase(path)
+        reopened.add_call(_event(5, OCALL, "ocall_x", start=600, dur=5))
+        reopened.add_call(_event(6, OCALL, "ocall_y", start=700, dur=5))
+        reopened.flush()
+        assert reopened.execute("SELECT site_id, kind, name FROM sites ORDER BY site_id") == [
+            *sites,
+            (4, OCALL, "ocall_y"),
+        ]
+        assert reopened.execute("SELECT id, site_id FROM call_rows WHERE id > 4") == [
+            (5, 2),
+            (6, 4),
+        ]
+        reopened.close()
+
+    def test_failed_batch_forgets_the_sites_it_interned(self):
+        db = _populated_db()
+        db.flush()
+        with pytest.raises(sqlite3.IntegrityError):  # id 1 already exists
+            db.add_call_rows([_event(1, ECALL, "ecall_new").to_row()])
+        assert db.execute("SELECT count(*) FROM sites WHERE name = 'ecall_new'") == [(0,)]
+        db.add_call_rows([_event(9, ECALL, "ecall_new").to_row()])
+        assert db.execute("SELECT id, name FROM calls WHERE id = 9") == [(9, "ecall_new")]
+
+    def test_finalized_trace_carries_the_index_and_readonly_opens_write_nothing(
+        self, process, urts, simple_enclave, tmp_path
+    ):
+        path = str(tmp_path / "trace.db")
+        logger = EventLogger(process, urts, database=path)
+        logger.install()
+        simple_enclave.ecall("ecall_with_ocall")
+        logger.uninstall()
+        logger.finalize().close()
+        schema = _schema(path)
+        assert ("index", "idx_calls_thread") in schema
+        with TraceDatabase(path, readonly=True) as db:
+            plan = db.execute(
+                "EXPLAIN QUERY PLAN SELECT id FROM call_rows ORDER BY thread_id, start_ns, id"
+            )
+            assert "idx_calls_thread" in plan[0][3]
+            list(db.call_columns_chunks())
+            db.calls()
+            db.call_summary()
+        assert _schema(path) == schema
+
+    @pytest.mark.parametrize("readonly", [False, True])
+    def test_trace_before_interned_sites_is_refused_untouched(self, tmp_path, readonly):
+        path = str(tmp_path / "old.db")
+        with closing(sqlite3.connect(path)) as conn:
+            conn.executescript(OLD_CALLS_DDL)
+        before = (tmp_path / "old.db").read_bytes()
+        with pytest.raises(TraceError, match="predates interned call sites; re-record it"):
+            TraceDatabase(path, readonly=readonly)
+        assert (tmp_path / "old.db").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.db"]
+
+    @pytest.mark.parametrize("content", [b"", b"not a database" * 100], ids=["empty", "garbage"])
+    def test_readonly_open_refuses_a_file_without_a_trace(self, tmp_path, content):
+        path = tmp_path / "other.db"
+        path.write_bytes(content)
+        with pytest.raises(TraceError, match="not a trace database"):
+            TraceDatabase(str(path), readonly=True)
+        assert path.read_bytes() == content

@@ -1,5 +1,6 @@
 """The ``sgxperf`` campaign, netcampaign and stressor subcommands, trace
-refusal on re-runs, and bad input.
+refusal on re-runs, analysis that leaves its input trace untouched, and
+bad input.
 
 The digests were printed at 7238102 by the standalone mains these
 subcommands replace (``python -m repro.faults.campaign``,
@@ -7,11 +8,17 @@ subcommands replace (``python -m repro.faults.campaign``,
 campaign main's ``--seeds`` sweep mode).
 """
 
+import hashlib
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.digest import trace_digest
 from repro.perf.cli import main
 from repro.perf.database import TraceDatabase
+
+from tests.perf.test_columns import OLD_CALLS_DDL
 
 CAMPAIGN_DIGESTS = {
     7: "437c6b98534379f4fe2d2e000db649cd2e38f7d172ed89ef499dfbddb34de310",
@@ -126,6 +133,7 @@ BAD_INPUT = [
     ["sweep", "selftest", "--set", "x"],
     ["cluster", "--spec", "missing.json"],
     ["cluster", "--spec", "malformed.json"],
+    ["analyze", "empty.db"],
     ["analyze", "t.db", "--edl", "missing.edl"],
     ["analyze", "t.db", "--edl", "malformed.edl"],
     ["optimize", "t.db", "--edl", "missing.edl"],
@@ -141,6 +149,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "unknown-kind.json").write_text('{"kind": "nope", "seeds": "0"}')
     (tmp_path / "malformed.edl").write_text("enclave { trusted {")
     TraceDatabase("t.db").close()
+    (tmp_path / "empty.db").write_bytes(b"")
     if "=" in argv[0]:
         name, _, value = argv[0].partition("=")
         monkeypatch.setenv(name, value)
@@ -150,3 +159,44 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"sgxperf {argv[0]}: ")
     assert captured.err.count("\n") == 1
+
+
+def _trace_hashes(path) -> tuple[str, str]:
+    """sha256 of the trace file and of its WAL (an absent WAL hashes as empty)."""
+    wal = path.with_name(path.name + "-wal")
+    return tuple(
+        hashlib.sha256(p.read_bytes() if p.exists() else b"").hexdigest() for p in (path, wal)
+    )
+
+
+def test_analysis_commands_leave_the_trace_unchanged(tmp_path, capsys):
+    path = tmp_path / "trace.db"
+    assert main(["record", "sqlite", "-o", str(path)]) == 0
+    before = _trace_hashes(path)
+    for argv in (
+        ["analyze", str(path)],
+        ["stats", str(path), "ocall", "ocall_lseek"],
+        ["dot", str(path)],
+        ["optimize", str(path)],
+    ):
+        assert main(argv) == 0, argv
+        assert _trace_hashes(path) == before, argv
+
+
+def test_trace_before_interned_sites_exits_2_untouched(tmp_path, capsys):
+    path = tmp_path / "old.db"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(OLD_CALLS_DDL)
+    before = path.read_bytes()
+    for argv in (
+        ["analyze", str(path)],
+        ["stats", str(path), "ecall", "ecall_a"],
+        ["dot", str(path)],
+        ["optimize", str(path)],
+        ["salvage", str(path)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"sgxperf {argv[0]}: {path}: trace predates interned call sites; re-record it\n"
+        )
+    assert path.read_bytes() == before
