@@ -73,6 +73,7 @@ def four_thread_trace(big_trace, tmp_path_factory) -> str:
                 "FROM call_rows WHERE id <= ?",
                 (offset, copy, offset, last_id),
             )
+        db.seal()  # raw-SQL rows: rebuild the column blocks that cover them
     return path
 
 
@@ -116,6 +117,7 @@ def test_bench_parallel_equivalence_and_scaling(four_thread_trace, benchmark):
     with TraceDatabase(four_thread_trace) as db:
         counts = db.thread_row_counts()
         assert len(shard_threads(counts, THREADS)) == THREADS
+        assert sum(rows for _, rows in counts) == db.calls_count()  # blocks cover every row
         serial_s, ref = _timed(lambda: Analyzer(db).run())
         parallel_s, got = run_once(
             benchmark, lambda: _timed(lambda: Analyzer(db, jobs=4).run())

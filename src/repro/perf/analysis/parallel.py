@@ -11,9 +11,9 @@ which, because the merge is commutative over disjoint thread sets,
 reproduces the sequential fold's state exactly.
 
 Mirrors the sweep engine's process model (spawn context, shared-nothing
-workers, ``BrokenProcessPool`` tolerance): readers never write — the read
-index is built when the recording completes — so workers never take
-SQLite's write lock, and a lost pool degrades to the in-process fold
+workers, ``BrokenProcessPool`` tolerance): readers never write — the
+column blocks are written when the recording completes — so workers never
+take SQLite's write lock, and a lost pool degrades to the in-process fold
 rather than failing the analysis.
 """
 
@@ -62,9 +62,7 @@ def _fold_shard(
     db = TraceDatabase(path, readonly=True)
     try:
         fold = CallFold(transition_ns, weights, sleep_counts)
-        for cols in db.call_columns_chunks(
-            chunk_events, thread_ids=thread_ids, order="thread"
-        ):
+        for cols in db.call_columns_chunks(chunk_events, thread_ids=thread_ids):
             fold.fold(cols)
         return fold.seal()
     finally:

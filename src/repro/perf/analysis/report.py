@@ -465,7 +465,7 @@ class Analyzer:
             if fold is not None:
                 return fold
         fold = CallFold(transition_ns, self.weights, sleep_counts)
-        for cols in self.db.call_columns_chunks(self.chunk_events, order="thread"):
+        for cols in self.db.call_columns_chunks(self.chunk_events):
             fold.fold(cols)
         return fold.seal()
 

@@ -33,9 +33,11 @@ Subcommands:
 * ``workloads`` — list recordable workloads.
 
 Bad input (a malformed spec or EDL, an existing output trace, an input
-trace in the schema before interned call sites) exits 2 with one line on
-stderr.  ``analyze``, ``stats``, ``dot`` and ``optimize TRACE`` open their
-input read-only: analysing a trace never changes its bytes.
+trace in a schema before interned call sites or column blocks) exits 2
+with one line on stderr.  ``analyze``, ``stats``, ``dot`` and ``optimize
+TRACE`` open their input read-only: analysing a trace never changes its
+bytes, and a trace that was never finalized is refused until ``salvage``
+seals it.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-NO_PARENT = -1
+from repro.perf.database import NO_PARENT
 
 # Column order mirrors the ``calls`` view of the trace store.
 CALL_COLUMN_NAMES = (
@@ -124,27 +124,28 @@ class CallColumns:
         )
 
     @classmethod
-    def from_matrix(
-        cls, matrix: np.ndarray, sites: dict[int, tuple[str, str]]
+    def from_block(
+        cls, block: np.ndarray, sites: dict[int, tuple[str, str]]
     ) -> "CallColumns":
-        """Build from an ``(n, 10)`` int64 matrix in ``call_rows`` order.
+        """Build from a ``(10, n)`` int64 array, one ``call_rows`` column per row.
 
-        ``parent_id`` must already hold ``NO_PARENT`` for SQL ``NULL``;
-        ``sites`` is the trace's site table (site id → ``(kind, name)``).
+        The layout of a decoded column block: ``parent_id`` holds
+        ``NO_PARENT`` for SQL ``NULL``; ``sites`` is the trace's site table
+        (site id → ``(kind, name)``).  Every column but ``is_sync`` is a
+        view of ``block``.
         """
-        cols = np.ascontiguousarray(matrix.T)
         return cls(
-            event_id=cols[0],
-            site=cols[1],
+            event_id=block[0],
+            site=block[1],
             sites=sites,
-            call_index=cols[2],
-            enclave_id=cols[3],
-            thread_id=cols[4],
-            start_ns=cols[5],
-            end_ns=cols[6],
-            aex_count=cols[7],
-            parent_id=cols[8],
-            is_sync=cols[9].astype(bool),
+            call_index=block[2],
+            enclave_id=block[3],
+            thread_id=block[4],
+            start_ns=block[5],
+            end_ns=block[6],
+            aex_count=block[7],
+            parent_id=block[8],
+            is_sync=block[9].astype(bool),
         )
 
     @classmethod

@@ -11,9 +11,28 @@ parent_id, is_sync)`` holds one row per call.  ``calls`` is a view joining
 them back into the eleven columns ``(id, kind, name, call_index, ...)``,
 so other tools (and :func:`repro.digest.trace_digest`) query ``calls``
 as a plain table.  The side tables (``aex``, ``paging``, ``sync``,
-``faults``, ``threads``, ``enclaves``, ``meta``) are plain tables.  A
-trace whose ``calls`` is still a table predates this schema and is
-refused with :class:`TraceError`.
+``faults``, ``threads``, ``enclaves``, ``meta``) are plain tables.
+
+**Column blocks.**  ``call_blocks(thread_id, seq, nrows, data)`` holds the
+same call rows a second time, for the analyser: each thread's rows in
+``(start_ns, id)`` order, at most :data:`DEFAULT_CHUNK_EVENTS` rows per
+block.  ``data`` is the ten ``call_rows`` columns, column-major, as
+little-endian int64 (a SQL ``NULL`` parent as :data:`NO_PARENT`),
+compressed with zlib level 1.  The recording encodes blocks as it writes
+its rows, with the stdlib's ``array`` and ``zlib``: the logger's drains
+name each thread's oldest open call, and rows that sort after it wait in
+memory (at most one open call tree per thread) until a later drain or the
+seal.  The writer never imports NumPy and never reads its trace back.
+
+**Sealing.**  :meth:`TraceDatabase.seal` completes a trace; the event
+logger's ``finalize()``/``abort()`` and :meth:`salvage` call it.  It
+encodes the rows still waiting, and reads ``call_rows`` back only to
+recover: a thread whose new rows sort before its last block (salvage's
+truncated rows, earlier rows added to a reopened trace) is re-encoded,
+and when the blocks do not cover ``call_rows`` (a crashed run, rows
+inserted by raw SQL) every block is rebuilt.  It then switches the
+journal to ``DELETE``, so a finished trace is one complete file.  Reads
+on a writable handle seal first.
 
 The writer is tuned for trace recording (§4.1's "keep the hot path cheap,
 serialise off the critical path" design applied to the store itself):
@@ -24,39 +43,42 @@ serialise off the critical path" design applied to the store itself):
   through a dict that a writable reopen loads from ``sites``;
 * buffered rows flush **one transaction per batch** via ``executemany``,
   with a uniform per-table flush threshold (calls, aex, paging *and* sync);
-* recording pragmas: WAL journaling (file-backed traces),
+* recording pragmas: WAL journaling (file-backed traces, until the seal),
   ``synchronous=OFF``, in-memory temp store and a larger page cache — a
   crashed trace run is worthless anyway, so durability is traded for speed;
-* the one read index, ``idx_calls_thread`` on ``call_rows(thread_id,
-  start_ns)``, is built **once the trace is complete**
-  (:meth:`create_read_index`, run by ``EventLogger.finalize()`` and
-  :meth:`salvage`): inserts never pay index maintenance.
+* ``call_rows`` carries no index: no reader needs its rows in any order
+  but the blocks'.
 
 **Readers never write.**  The reader side exposes typed records for
 compatibility, a **columnar API** (:meth:`call_columns`,
 :meth:`durations_ns`, :meth:`starts_ns`, :meth:`call_summary`) returning
-NumPy arrays straight from SQL for the analysers, and raw SQL for
-everyone else.  ``readonly=True`` opens an existing trace through
-SQLite's read-only mode: no write lock, and the file's bytes never change
-— the mode every analysis command and the parallel analyser's shard
-workers use.
+NumPy arrays straight from SQL, and raw SQL for everyone else.
+``readonly=True`` opens an existing trace through SQLite's read-only mode:
+no write lock, and the file's bytes never change — the mode every analysis
+command and the parallel analyser's shard workers use.  Either mode
+refuses, with :class:`TraceError` and before writing anything, a trace
+whose ``calls`` is still a table or that has no ``call_blocks`` (the two
+schemas before this one); a read-only open also refuses a trace whose
+blocks do not cover ``call_rows`` (one that was never sealed).
 
-For traces too large to materialise, the **streaming API** walks the same
-tables through SQLite cursors in bounded-size batches:
-:meth:`call_columns_chunks` reads the integer ``call_rows`` columns (in
-``idx_calls_thread`` order, so per-thread parent state stays windowed, or
-globally by ``(start, id)``) and yields :class:`CallColumns` windows whose
-rows carry site ids, not strings; row-count fast paths
-(:meth:`calls_count`, :meth:`event_count`) never load a column.
+For traces too large to materialise, the **streaming API** walks the
+trace in bounded-size batches: :meth:`call_columns_chunks` decodes the
+column blocks and yields :class:`CallColumns` windows in ``(thread_id,
+start_ns, id)`` order whose rows carry site ids, not strings; row-count
+fast paths (:meth:`calls_count`, :meth:`event_count`,
+:meth:`thread_row_counts`) never load a column.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
+import sys
+import zlib
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.perf.events import (
@@ -80,6 +102,9 @@ if TYPE_CHECKING:  # NumPy loads on the first columnar read, not with the writer
 # Name given to calls synthesised by salvage for ids the crashed logger
 # never flushed (their real names died with the in-memory frames).
 TRUNCATED_CALL_NAME = "<truncated>"
+
+# A SQL NULL parent_id in a column block, and in every CallColumns batch.
+NO_PARENT = -1
 
 
 class TraceError(RuntimeError):
@@ -113,6 +138,13 @@ CREATE TABLE IF NOT EXISTS call_rows (
     aex_count INTEGER NOT NULL DEFAULT 0,
     parent_id INTEGER,
     is_sync INTEGER NOT NULL DEFAULT 0
+);
+CREATE TABLE IF NOT EXISTS call_blocks (
+    thread_id INTEGER NOT NULL,
+    seq INTEGER NOT NULL,
+    nrows INTEGER NOT NULL,
+    data BLOB NOT NULL,
+    PRIMARY KEY (thread_id, seq)
 );
 CREATE VIEW IF NOT EXISTS calls AS
     SELECT id, kind, name, call_index, enclave_id, thread_id,
@@ -163,12 +195,18 @@ CREATE TABLE IF NOT EXISTS enclaves (
 );
 """
 
-# Built once when a recording completes (EventLogger.finalize, salvage):
-# it serves the thread-major read order without a sort.
-_READ_INDEX = "CREATE INDEX IF NOT EXISTS idx_calls_thread ON call_rows(thread_id, start_ns)"
-
 _INSERT_SITE = "INSERT INTO sites(kind, name) VALUES (?, ?)"
 _INSERT_CALL_ROWS = "INSERT INTO call_rows VALUES (?,?,?,?,?,?,?,?,?,?)"
+_INSERT_BLOCK = "INSERT INTO call_blocks VALUES (?,?,?,?)"
+# Recovery only: re-encoding blocks is the one read of call_rows.
+_SELECT_CALL_ROWS = (
+    "SELECT id, site_id, call_index, enclave_id, thread_id, start_ns, end_ns,"
+    " aex_count, parent_id, is_sync FROM call_rows"
+)
+_BLOCKS_COVER_ROWS = (
+    "SELECT (SELECT ifnull(sum(nrows), 0) FROM call_blocks)"
+    " = (SELECT count(*) FROM call_rows)"
+)
 _INSERT_AEX = "INSERT INTO aex VALUES (?,?,?,?,?)"
 _INSERT_PAGING = "INSERT INTO paging VALUES (?,?,?,?,?)"
 _INSERT_SYNC = "INSERT INTO sync VALUES (?,?,?,?,?,?)"
@@ -186,11 +224,44 @@ _EVENT_TABLES = (
 
 _FLUSH_THRESHOLD = 4096
 
-# Default streaming batch: large enough to amortise per-chunk Python and
-# NumPy overheads, small enough that a window of one chunk stays in cache
-# (on the 251,666-call glamdring trace 4,096 rows run as fast as 65,536
-# at 16 MB instead of 57 MB of traced peak memory; 1,024 is 30% slower).
+# Default streaming batch, and the most rows one column block holds: large
+# enough to amortise per-chunk Python and NumPy overheads, small enough
+# that a window of one chunk stays in cache (on the 251,666-call glamdring
+# trace 4,096 rows run as fast as 65,536 at 16 MB instead of 57 MB of
+# traced peak memory; 1,024 is 30% slower).
 DEFAULT_CHUNK_EVENTS = 4_096
+
+_CALL_COLUMNS = 10  # call_rows columns, the rows of a decoded block
+_START_ID = itemgetter(5, 0)  # (start_ns, id): a thread's block order
+_START = itemgetter(5)
+
+
+def _pack_block(rows: Sequence[tuple]) -> bytes:
+    """Encode ``call_rows`` tuples (one thread, block order) as one block.
+
+    Column by column through one compressor: no transposed copy of the
+    rows is ever built.
+    """
+    compressor = zlib.compressobj(1)
+    parts = []
+    for column in range(_CALL_COLUMNS):
+        values = map(itemgetter(column), rows)
+        if column == 8:  # parent_id
+            values = [NO_PARENT if p is None else p for p in values]
+        packed = array("q", values)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        parts.append(compressor.compress(packed))
+    parts.append(compressor.flush())
+    return b"".join(parts)
+
+
+def _block_last_key(nrows: int, data: bytes) -> tuple[int, int]:
+    """``(start_ns, id)`` of a block's last row, decoded without NumPy."""
+    values = array("q", zlib.decompress(data))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values[6 * nrows - 1], values[nrows - 1]
 
 
 @dataclass(frozen=True)
@@ -217,14 +288,15 @@ class TraceDatabase:
     A path of ``":memory:"`` keeps the trace in RAM (handy for tests).
 
     ``readonly=True`` opens an existing file-backed trace through SQLite's
-    read-only URI mode: no schema or index creation, no pragma writes —
-    many processes can read the same trace concurrently without ever
-    contending on a write lock, and the file's bytes never change.
+    read-only URI mode: no schema creation, no pragma writes — many
+    processes can read the same trace concurrently without ever contending
+    on a write lock, and the file's bytes never change.
 
     Either mode refuses, with :class:`TraceError` and before writing
     anything, a trace whose ``calls`` is still a table (the schema before
-    interned call sites); a read-only open also refuses a file that holds
-    no trace.
+    interned call sites) or that has ``call_rows`` but no ``call_blocks``
+    (the schema before column blocks); a read-only open also refuses a
+    file that holds no trace, and a trace that was never sealed.
     """
 
     def __init__(
@@ -264,6 +336,24 @@ class TraceDatabase:
                     "SELECT site_id, kind, name FROM sites"
                 )
             }
+        # Block encoder state, per thread: rows waiting behind an open call
+        # (block order), the next block's seq, the (start_ns, id) of the
+        # last encoded row, and threads whose blocks the seal re-encodes.
+        self._held: dict[int, list[tuple]] = {}
+        self._next_seq: dict[int, int] = {}
+        self._last_key: dict[int, tuple[int, int]] = {}
+        self._stale: set[int] = set()
+        if not readonly:
+            # A reopened trace appends after its threads' last blocks.  The
+            # aggregate's bare columns come from the row holding max(seq).
+            for tid, seq, nrows, data in self._conn.execute(
+                "SELECT thread_id, max(seq), nrows, data FROM call_blocks GROUP BY thread_id"
+            ):
+                self._next_seq[tid] = seq + 1
+                self._last_key[tid] = _block_last_key(nrows, data)
+        # A read-only open has checked the blocks; a writable one seals
+        # before its first read.
+        self._sealed = readonly
         self._calls: list[tuple] = []
         self._aex: list[tuple] = []
         self._paging: list[tuple] = []
@@ -285,8 +375,14 @@ class TraceDatabase:
             raise TraceError(f"{self.path}: not a trace database ({exc})") from None
         if objects.get("calls") == "table":
             problem = "trace predates interned call sites; re-record it"
-        elif self.readonly and "call_rows" not in objects:
+        elif "call_rows" in objects and "call_blocks" not in objects:
+            problem = "trace predates column blocks; re-record it"
+        elif not self.readonly:
+            return
+        elif "call_rows" not in objects:
             problem = "not a trace database (no call_rows table)"
+        elif not self._conn.execute(_BLOCKS_COVER_ROWS).fetchone()[0]:
+            problem = "trace never finalized; run sgxperf salvage TRACE"
         else:
             return
         self._conn.close()
@@ -308,16 +404,113 @@ class TraceDatabase:
         conn.execute("PRAGMA temp_store=MEMORY")
         conn.execute("PRAGMA cache_size=-32768")  # 32 MiB page cache
 
-    def create_read_index(self) -> None:
-        """Index ``call_rows`` for thread-major reads (once a trace is complete).
+    def seal(self) -> None:
+        """Complete the trace: every call row in a column block, one file.
 
-        Recording inserts never pay index maintenance; the event logger's
-        :meth:`~repro.perf.logger.EventLogger.finalize` and :meth:`salvage`
-        build the one index here, so no reader ever sorts or writes.
+        Encodes the rows still waiting behind open calls, re-encodes the
+        threads that got rows sorting before their last block, and
+        rebuilds every block if they still do not cover ``call_rows``
+        (those two read ``call_rows`` back).  Then switches a file-backed
+        trace's journal to ``DELETE``: the WAL is checkpointed into the
+        main file and removed.  The event logger's
+        :meth:`~repro.perf.logger.EventLogger.finalize` and
+        :meth:`~repro.perf.logger.EventLogger.abort`, and :meth:`salvage`,
+        call it; reads on a writable handle seal first.
         """
         self._check_owner()
         self.flush()
-        self._conn.execute(_READ_INDEX)
+        if self._held:
+            with self._transaction() as conn:
+                self._encode_blocks(conn, {}, {})
+        if self._stale:
+            self._rebuild_blocks(sorted(self._stale))
+        if not self._conn.execute(_BLOCKS_COVER_ROWS).fetchone()[0]:
+            self._rebuild_blocks(None)
+        if self.path != ":memory:":
+            self._conn.execute("PRAGMA journal_mode=DELETE")
+        self._sealed = True
+
+    def _encode_blocks(
+        self,
+        conn: sqlite3.Connection,
+        by_thread: dict[int, list[tuple]],
+        open_calls: dict[int, tuple[int, int]],
+    ) -> None:
+        """Write blocks for every row that no open call can precede.
+
+        ``by_thread`` maps a thread to its new ``call_rows`` tuples;
+        ``open_calls`` maps a thread to its oldest open call's ``(start_ns,
+        id)``.  A thread's rows that sort after that key wait in memory;
+        a thread without one has nothing open, so its waiting rows go too.
+        """
+        held = self._held
+        for tid in held:
+            if tid not in by_thread and tid not in open_calls:
+                by_thread[tid] = []
+        for tid, rows in by_thread.items():
+            if tid in self._stale:
+                continue  # the seal re-encodes it from call_rows
+            waiting = held.pop(tid, None)
+            if waiting:
+                rows = waiting + rows
+            # Block order by two stable sorts: a (start_ns, id) key would
+            # build one tuple per row.
+            rows.sort()  # ids are unique: sorts by id
+            rows.sort(key=_START)
+            key = open_calls.get(tid)
+            if key is not None:
+                cut = len(rows)
+                while cut and _START_ID(rows[cut - 1]) > key:
+                    cut -= 1
+                if cut < len(rows):
+                    held[tid] = rows[cut:]
+                    del rows[cut:]
+            if not rows:
+                continue
+            last = self._last_key.get(tid)
+            if last is not None and _START_ID(rows[0]) < last:
+                self._stale.add(tid)
+                held.pop(tid, None)
+                continue
+            self._write_blocks(conn, tid, rows)
+
+    def _write_blocks(self, conn: sqlite3.Connection, tid: int, rows: list[tuple]) -> None:
+        """Append one thread's rows (block order) as full-size blocks."""
+        seq = self._next_seq.get(tid, 0)
+        for begin in range(0, len(rows), DEFAULT_CHUNK_EVENTS):
+            part = rows[begin : begin + DEFAULT_CHUNK_EVENTS]
+            conn.execute(_INSERT_BLOCK, (tid, seq, len(part), _pack_block(part)))
+            seq += 1
+        self._next_seq[tid] = seq
+        self._last_key[tid] = _START_ID(rows[-1])
+
+    def _rebuild_blocks(self, thread_ids: Optional[list[int]]) -> None:
+        """Re-encode the blocks of ``thread_ids`` (all threads: ``None``)
+        from ``call_rows`` — the recovery path, the one that reads back."""
+        if thread_ids is None:
+            where, params = "", []
+            self._next_seq.clear()
+            self._last_key.clear()
+            self._stale.clear()
+        else:
+            where = f" WHERE thread_id IN ({','.join('?' for _ in thread_ids)})"
+            params = thread_ids
+            for tid in thread_ids:
+                self._next_seq.pop(tid, None)
+                self._last_key.pop(tid, None)
+                self._stale.discard(tid)
+        with self._transaction() as conn:
+            conn.execute("DELETE FROM call_blocks" + where, params)
+            run: list[tuple] = []
+            for row in conn.execute(
+                _SELECT_CALL_ROWS + where + " ORDER BY thread_id, start_ns, id", params
+            ):
+                if run and (row[4] != run[0][4] or len(run) == DEFAULT_CHUNK_EVENTS):
+                    self._write_blocks(conn, run[0][4], run)
+                    run = []
+                run.append(row)
+            if run:
+                self._write_blocks(conn, run[0][4], run)
 
     # -- writer side: flat rows (the fast path) -------------------------------
 
@@ -349,22 +542,24 @@ class TraceDatabase:
         if len(buf) >= self._flush_threshold:
             self.flush()
 
-    def add_fault_row(self, row: tuple) -> None:
-        """Buffer one fault/recovery row."""
-        buf = self._faults
-        buf.append(row)
-        if len(buf) >= self._flush_threshold:
-            self.flush()
-
-    def add_call_rows(self, rows: Iterable[tuple]) -> None:
+    def add_call_rows(
+        self,
+        rows: Iterable[tuple],
+        open_calls: Optional[dict[int, tuple[int, int]]] = None,
+    ) -> None:
         """Bulk-insert completed call rows (one transaction, no buffering).
 
         Rows arrive in the ``calls`` view's eleven-column order; each
         ``(kind, name)`` pair is interned into ``sites`` (ids in first-seen
-        order) and ``call_rows`` stores its integer site id instead.
+        order) and ``call_rows`` stores its integer site id instead.  The
+        same transaction writes the column blocks of every row that no
+        call still open can precede: ``open_calls`` maps a thread to its
+        oldest open call's ``(start_ns, id)``, and a thread it omits has
+        nothing open.
         """
         site_ids = self._site_ids
         fresh: list[tuple[str, str]] = []
+        by_thread: dict[int, list[tuple]] = {}
         with self._transaction() as conn:
             try:
                 packed = []
@@ -380,6 +575,13 @@ class TraceDatabase:
                 for key in fresh:  # rolled back with the batch
                     del site_ids[key]
                 raise
+            self._sealed = False
+            for row in packed:
+                thread = by_thread.get(row[4])
+                if thread is None:
+                    thread = by_thread[row[4]] = []
+                thread.append(row)
+            self._encode_blocks(conn, by_thread, open_calls or {})
 
     def add_aex_rows(self, rows: Iterable[tuple]) -> None:
         """Bulk-insert traced AEX rows."""
@@ -521,9 +723,11 @@ class TraceDatabase:
     # -- reader side ---------------------------------------------------------
 
     def _ensure_read(self) -> None:
-        """Flush pending rows so reads see them."""
+        """Flush pending rows, and seal a writable trace, so reads see them."""
         self._check_owner()
         self.flush()
+        if not self._sealed:
+            self.seal()
 
     def get_meta(self, key: str, default: Optional[str] = None) -> Optional[str]:
         """Fetch one metadata value."""
@@ -611,7 +815,7 @@ class TraceDatabase:
         """``(thread_id, call rows)`` pairs — the parallel analyser's shard key."""
         self._ensure_read()
         rows = self._conn.execute(
-            "SELECT thread_id, count(*) FROM call_rows GROUP BY thread_id ORDER BY thread_id"
+            "SELECT thread_id, sum(nrows) FROM call_blocks GROUP BY thread_id ORDER BY thread_id"
         ).fetchall()
         return [(int(t), int(c)) for t, c in rows]
 
@@ -619,31 +823,22 @@ class TraceDatabase:
         self,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
         thread_ids: Optional[Sequence[int]] = None,
-        order: str = "thread",
     ) -> Iterator[CallColumns]:
         """Stream the call rows as bounded-size column batches.
 
-        ``order="thread"`` yields rows ordered by ``(thread_id, start_ns,
-        id)`` — each thread is one contiguous run, which is what the
-        incremental analysers need to keep their per-thread parent windows
-        small (and what ``idx_calls_thread`` serves without a sort).
-        ``order="time"`` yields the reader convention ``(start_ns, id)``.
-        ``thread_ids`` restricts the stream to one shard's threads.
+        Rows come ordered by ``(thread_id, start_ns, id)`` — each thread is
+        one contiguous run, which is what the incremental analysers need
+        to keep their per-thread parent windows small.  ``thread_ids``
+        restricts the stream to one shard's threads.
 
-        Reads the integer ``call_rows`` table, not the ``calls`` view: each
-        batch carries per-row site ids and the trace's site table, so no
-        row's ``kind`` or ``name`` string is ever fetched.
+        Decodes the column blocks and re-slices them to ``chunk_events``
+        rows: each batch carries per-row site ids and the trace's site
+        table, so no row's ``kind`` or ``name`` string is ever fetched.
         """
         import numpy as np
 
-        from repro.perf.columns import NO_PARENT, CallColumns
+        from repro.perf.columns import CallColumns
 
-        if order == "thread":
-            order_by = " ORDER BY thread_id, start_ns, id"
-        elif order == "time":
-            order_by = " ORDER BY start_ns, id"
-        else:
-            raise ValueError(f"unknown chunk order {order!r}")
         where, params = "", []
         if thread_ids is not None:
             marks = ",".join("?" for _ in thread_ids)
@@ -654,30 +849,26 @@ class TraceDatabase:
             site: (kind, name)
             for site, kind, name in self._conn.execute("SELECT site_id, kind, name FROM sites")
         }
-        sql = (
-            "SELECT id, site_id, call_index, enclave_id, thread_id, start_ns, end_ns,"
-            f" aex_count, ifnull(parent_id, {NO_PARENT}), is_sync FROM call_rows"
-            + where
-            + order_by
-        )
-        for rows in self._rows_chunks(sql, chunk_events, params):
-            n = len(rows)
-            matrix = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n * 10)
-            yield CallColumns.from_matrix(matrix.reshape(n, 10), sites)
-
-    def call_durations_chunks(
-        self, chunk_events: int = DEFAULT_CHUNK_EVENTS
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Stream ``(event ids, durations)`` pairs, id-ordered, two ints per row."""
-        import numpy as np
-
-        for rows in self._rows_chunks(
-            "SELECT id, end_ns - start_ns FROM call_rows ORDER BY id", chunk_events
+        chunk = max(1, int(chunk_events))
+        pending: list[np.ndarray] = []  # decoded (10, n) blocks not yet yielded
+        have = 0
+        for nrows, data in self._conn.execute(
+            "SELECT nrows, data FROM call_blocks" + where + " ORDER BY thread_id, seq", params
         ):
-            n = len(rows)
-            ids = np.fromiter((r[0] for r in rows), dtype=np.int64, count=n)
-            durations = np.fromiter((r[1] for r in rows), dtype=np.int64, count=n)
-            yield ids, durations
+            block = np.frombuffer(zlib.decompress(data), dtype="<i8")
+            pending.append(block.reshape(_CALL_COLUMNS, nrows))
+            have += nrows
+            if have < chunk:
+                continue
+            rows = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)
+            full = have - have % chunk
+            for begin in range(0, full, chunk):
+                yield CallColumns.from_block(rows[:, begin : begin + chunk], sites)
+            pending = [rows[:, full:]] if full < have else []
+            have -= full
+        if have:
+            rows = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)
+            yield CallColumns.from_block(rows, sites)
 
     def ecall_intervals_chunks(
         self, chunk_events: int = DEFAULT_CHUNK_EVENTS
@@ -923,14 +1114,21 @@ class TraceDatabase:
             self.add_call_rows(rows)
             self.add_fault_rows(fault_rows)
         self.set_meta("trace_state", "salvaged")
-        self.create_read_index()
+        self.seal()
         return {"closed": len(rows), "horizon_ns": horizon}
 
     def execute(self, sql: str, params: Iterable = ()) -> list[tuple]:
         """Run raw SQL against the trace — the 'other tools' escape hatch.
 
-        Flushes buffered rows first.  Query ``calls`` (the view) for the
-        eleven-column rows; ``call_rows`` and ``sites`` are its storage.
+        Flushes buffered rows (and seals a writable trace) first.  Query
+        ``calls`` (the view) for the eleven-column rows; ``call_rows`` and
+        ``sites`` are its storage.  SQL that changes the trace leaves it
+        to be sealed again before the next read.
         """
         self._ensure_read()
-        return self._conn.execute(sql, tuple(params)).fetchall()
+        conn = self._conn
+        changes = conn.total_changes
+        rows = conn.execute(sql, tuple(params)).fetchall()
+        if conn.total_changes != changes:
+            self._sealed = False
+        return rows

@@ -209,7 +209,13 @@ class EventLogger:
         self._installed = False
 
     def flush(self) -> None:
-        """Drain the per-thread buffers into the database, in event-id order."""
+        """Drain the per-thread buffers into the database, in event-id order.
+
+        Every completed row reaches ``call_rows``.  The drain also names each
+        thread's oldest open call — the bottom frame of its stack — so the
+        store encodes into column blocks only the rows that call cannot
+        precede.
+        """
         if self._aborted:
             # abort() already closed the open frames as truncated rows;
             # anything recorded while the crashing run unwinds would
@@ -231,7 +237,12 @@ class EventLogger:
         if merged:
             if len(merged) > 1:
                 merged.sort()  # event ids are unique → sorts by id
-            db.add_call_rows(merged)
+            open_calls = {
+                tid: (stack[0][_F_START], stack[0][_F_ID])
+                for tid, stack in self._open_calls.items()
+                if stack
+            }
+            db.add_call_rows(merged, open_calls)
         if self._aex_rows:
             db.add_aex_rows(self._aex_rows)
             self._aex_rows.clear()
@@ -247,7 +258,7 @@ class EventLogger:
         self._pending = 0
 
     def finalize(self) -> TraceDatabase:
-        """Write static records and metadata, build the read index; returns the db."""
+        """Write static records and metadata, seal the trace; returns the db."""
         if self._aborted:
             return self.db  # abort() was this trace's (terminal) finalization
         self.flush()
@@ -267,7 +278,7 @@ class EventLogger:
         self.db.set_meta("transition_round_trip_ns", cpu.transition_round_trip_ns)
         self.db.set_meta("frequency_ghz", self.sim.clock.frequency_ghz)
         self.db.set_meta("aex_mode", self.aex_mode.value)
-        self.db.create_read_index()
+        self.db.seal()
         return self.db
 
     def abort(self) -> TraceDatabase:
@@ -276,7 +287,7 @@ class EventLogger:
         Models the logger's crash handler: drain every buffer, close each
         still-open call frame as a truncated row ending *now* (with a
         ``truncated`` fault row so analysis can tell lower-bound durations
-        from real ones), and mark the trace ``aborted``.  Unlike
+        from real ones), mark the trace ``aborted`` and seal it.  Unlike
         :meth:`finalize` this writes no static records — a dying process
         does the minimum that keeps the trace readable.
 
@@ -324,7 +335,7 @@ class EventLogger:
             self.db.add_call_rows(rows)
             self.db.add_fault_rows(fault_rows)
         self.db.set_meta("trace_state", "aborted")
-        self.db.flush()
+        self.db.seal()
         return self.db
 
     # -- fault recording (repro.faults) -------------------------------------
@@ -660,11 +671,6 @@ class EventLogger:
     def events_recorded(self) -> int:
         """Total number of event ids handed out so far."""
         return self._event_seq
-
-    @property
-    def events_buffered(self) -> int:
-        """Completed rows waiting in per-thread buffers for the next drain."""
-        return self._pending
 
     def live_counts(self) -> dict[str, int]:
         """Cheap counter snapshot for live sampling (``sgxperf top``).

@@ -3,8 +3,8 @@
 Each recorder is the moral equivalent of
 ``LD_PRELOAD=libsgxperf.so ./application`` — it builds the workload, preloads
 the logger into its process, runs a representative load and writes the
-trace database to the given path.  The ``sgxperf record`` CLI dispatches
-here.
+trace database to the given path, and closes it: the finished trace is
+one complete file.  The ``sgxperf record`` CLI dispatches here.
 
 Every recorder takes an optional ``attach`` hook called with the
 installed :class:`EventLogger` before the load runs — the seam live
@@ -49,6 +49,7 @@ def record_talos(
         if attach is not None:
             attach(logger)
         run_talos_nginx(requests=requests, process=process, device=device, app=app)
+    logger.db.close()
 
 
 def record_sqlite(
@@ -103,6 +104,7 @@ def record_sqlite(
             load()
         else:
             _run_observed(process, load)
+    logger.db.close()
 
 
 def record_glamdring(
@@ -124,6 +126,7 @@ def record_glamdring(
         else:
             attach(logger)
             _run_observed(process, load)
+    logger.db.close()
     signer.close()
 
 
@@ -158,6 +161,7 @@ def record_securekeeper(
         )
         if plan is not None:
             proxy.close()
+    logger.db.close()
 
 
 REGISTRY: dict[str, Callable[[str, int], None]] = {

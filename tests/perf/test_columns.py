@@ -93,16 +93,18 @@ class TestColumnarReaders:
         assert db.call_summary() == []
         assert db.call_columns().group_codes()[1] == []
 
-    def test_read_index_built_when_the_trace_completes(self):
+    def test_call_blocks_written_with_the_rows(self):
         db = _populated_db()
-        index_names = (
-            "SELECT name FROM sqlite_master WHERE type='index' AND name LIKE 'idx_%'"
-        )
-        db.calls()
-        list(db.call_columns_chunks())
-        assert db.execute(index_names) == []  # readers never build it
-        db.create_read_index()
-        assert db.execute(index_names) == [("idx_calls_thread",)]
+        db.flush()
+        # Nothing open: the flush encodes every row; call_rows has no index.
+        assert db.execute("SELECT thread_id, seq, nrows FROM call_blocks") == [(1, 0, 4)]
+        assert db.execute("SELECT name FROM sqlite_master WHERE tbl_name = 'call_rows'") == [
+            ("call_rows",)
+        ]
+        assert db.thread_row_counts() == [(1, 4)]
+        assert [row for c in db.call_columns_chunks() for row in _rows(c)] == [
+            e.to_row() for e in db.calls()
+        ]
 
     def test_reopen_closed_file_database(self, tmp_path):
         path = str(tmp_path / "trace.db")
@@ -180,6 +182,30 @@ INSERT INTO calls VALUES (1, 'ecall', 'ecall_a', 0, 1, 1, 100, 140, 0, NULL, 0);
 """
 
 
+# Traces recorded after call sites were interned, before column blocks.
+PRE_BLOCKS_DDL = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE sites (
+    site_id INTEGER PRIMARY KEY, kind TEXT NOT NULL, name TEXT NOT NULL,
+    UNIQUE (kind, name)
+);
+CREATE TABLE call_rows (
+    id INTEGER PRIMARY KEY, site_id INTEGER NOT NULL,
+    call_index INTEGER NOT NULL, enclave_id INTEGER NOT NULL,
+    thread_id INTEGER NOT NULL, start_ns INTEGER NOT NULL,
+    end_ns INTEGER NOT NULL, aex_count INTEGER NOT NULL DEFAULT 0,
+    parent_id INTEGER, is_sync INTEGER NOT NULL DEFAULT 0
+);
+CREATE VIEW calls AS
+    SELECT id, kind, name, call_index, enclave_id, thread_id,
+           start_ns, end_ns, aex_count, parent_id, is_sync
+    FROM call_rows JOIN sites USING (site_id);
+CREATE INDEX idx_calls_thread ON call_rows(thread_id, start_ns);
+INSERT INTO sites VALUES (1, 'ecall', 'ecall_a');
+INSERT INTO call_rows VALUES (1, 1, 0, 1, 1, 100, 140, 0, NULL, 0);
+"""
+
+
 def _schema(path) -> list[tuple]:
     with closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as conn:
         return conn.execute("SELECT type, name FROM sqlite_master ORDER BY name").fetchall()
@@ -201,8 +227,8 @@ class TestStoreSchema:
         ]
         assert written[0][9] is None  # a NULL parent_id survives the view
         assert db.execute("SELECT * FROM calls ORDER BY id") == written
-        # The integer stream carries the same rows, site ids for strings.
-        chunks = list(db.call_columns_chunks(chunk_events=3, order="time"))
+        # The column blocks carry the same rows, site ids for strings.
+        chunks = list(db.call_columns_chunks(chunk_events=3))
         assert [len(c) for c in chunks] == [3, 1]
         assert [row for c in chunks for row in _rows(c)] == written
 
@@ -237,26 +263,33 @@ class TestStoreSchema:
         db.add_call_rows([_event(9, ECALL, "ecall_new").to_row()])
         assert db.execute("SELECT id, name FROM calls WHERE id = 9") == [(9, "ecall_new")]
 
-    def test_finalized_trace_carries_the_index_and_readonly_opens_write_nothing(
+    def test_finalized_trace_is_sealed_and_reads_write_nothing(
         self, process, urts, simple_enclave, tmp_path
     ):
-        path = str(tmp_path / "trace.db")
-        logger = EventLogger(process, urts, database=path)
+        path = tmp_path / "trace.db"
+        logger = EventLogger(process, urts, database=str(path))
         logger.install()
         simple_enclave.ecall("ecall_with_ocall")
         logger.uninstall()
-        logger.finalize().close()
+        logger.finalize()
+        # Sealed: one complete file before the handle is even closed.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.db"]
+        logger.db.close()
         schema = _schema(path)
-        assert ("index", "idx_calls_thread") in schema
-        with TraceDatabase(path, readonly=True) as db:
+        assert ("table", "call_blocks") in schema
+        assert ("index", "idx_calls_thread") not in schema
+        before = path.read_bytes()
+        with TraceDatabase(str(path), readonly=True) as db:
+            assert db.execute("PRAGMA journal_mode") == [("delete",)]
             plan = db.execute(
-                "EXPLAIN QUERY PLAN SELECT id FROM call_rows ORDER BY thread_id, start_ns, id"
+                "EXPLAIN QUERY PLAN SELECT nrows, data FROM call_blocks ORDER BY thread_id, seq"
             )
-            assert "idx_calls_thread" in plan[0][3]
-            list(db.call_columns_chunks())
+            assert "sqlite_autoindex_call_blocks_1" in plan[0][3]  # no sort
+            assert [len(c) for c in db.call_columns_chunks()] == [2]
             db.calls()
             db.call_summary()
-        assert _schema(path) == schema
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.db"]
 
     @pytest.mark.parametrize("readonly", [False, True])
     def test_trace_before_interned_sites_is_refused_untouched(self, tmp_path, readonly):
@@ -268,6 +301,32 @@ class TestStoreSchema:
             TraceDatabase(path, readonly=readonly)
         assert (tmp_path / "old.db").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.db"]
+
+    @pytest.mark.parametrize("readonly", [False, True])
+    def test_trace_before_column_blocks_is_refused_untouched(self, tmp_path, readonly):
+        path = tmp_path / "pre-blocks.db"
+        with closing(sqlite3.connect(path)) as conn:
+            conn.executescript(PRE_BLOCKS_DDL)
+        before = path.read_bytes()
+        with pytest.raises(TraceError, match="predates column blocks; re-record it"):
+            TraceDatabase(str(path), readonly=readonly)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pre-blocks.db"]
+
+    def test_readonly_open_refuses_an_unsealed_trace(self, tmp_path):
+        path = tmp_path / "raw.db"
+        with TraceDatabase(str(path)) as db:
+            db.add_call(_event(1))
+            db.seal()
+            db.execute(  # a row the blocks do not cover, and no seal after it
+                "INSERT INTO call_rows SELECT id + 1, site_id, call_index, enclave_id,"
+                " thread_id, start_ns + 1, end_ns + 1, aex_count, parent_id, is_sync"
+                " FROM call_rows"
+            )
+        before = path.read_bytes()
+        with pytest.raises(TraceError, match="trace never finalized; run sgxperf salvage TRACE"):
+            TraceDatabase(str(path), readonly=True)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("content", [b"", b"not a database" * 100], ids=["empty", "garbage"])
     def test_readonly_open_refuses_a_file_without_a_trace(self, tmp_path, content):

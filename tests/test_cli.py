@@ -1,6 +1,6 @@
 """The ``sgxperf`` campaign, netcampaign and stressor subcommands, trace
-refusal on re-runs, analysis that leaves its input trace untouched, and
-bad input.
+refusal on re-runs, analysis that leaves its input trace untouched, traces
+it refuses to read, and bad input.
 
 The digests were printed at 7238102 by the standalone mains these
 subcommands replace (``python -m repro.faults.campaign``,
@@ -8,6 +8,7 @@ subcommands replace (``python -m repro.faults.campaign``,
 campaign main's ``--seeds`` sweep mode).
 """
 
+import gc
 import hashlib
 import sqlite3
 from contextlib import closing
@@ -18,7 +19,8 @@ from repro.digest import trace_digest
 from repro.perf.cli import main
 from repro.perf.database import TraceDatabase
 
-from tests.perf.test_columns import OLD_CALLS_DDL
+from tests.perf.test_call_blocks import record_crash_snapshot
+from tests.perf.test_columns import OLD_CALLS_DDL, PRE_BLOCKS_DDL
 
 CAMPAIGN_DIGESTS = {
     7: "437c6b98534379f4fe2d2e000db649cd2e38f7d172ed89ef499dfbddb34de310",
@@ -183,6 +185,31 @@ def test_analysis_commands_leave_the_trace_unchanged(tmp_path, capsys):
         assert _trace_hashes(path) == before, argv
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_recorded_trace_is_one_finished_file(tmp_path, capsys):
+    """The recording seals and closes its trace: a garbage-collected
+    connection has nothing left to checkpoint into it, and analysis
+    leaves no side files next to it."""
+    path = tmp_path / "trace.db"
+    assert main(["record", "sqlite", "-o", str(path)]) == 0
+    before = _sha256(path)
+    gc.collect()
+    assert _sha256(path) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.db"]
+    for argv in (
+        ["analyze", str(path)],
+        ["stats", str(path), "ocall", "ocall_lseek"],
+        ["dot", str(path)],
+        ["optimize", str(path)],
+    ):
+        assert main(argv) == 0, argv
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.db"], argv
+    assert _sha256(path) == before
+
+
 def test_trace_before_interned_sites_exits_2_untouched(tmp_path, capsys):
     path = tmp_path / "old.db"
     with closing(sqlite3.connect(path)) as conn:
@@ -200,3 +227,43 @@ def test_trace_before_interned_sites_exits_2_untouched(tmp_path, capsys):
             f"sgxperf {argv[0]}: {path}: trace predates interned call sites; re-record it\n"
         )
     assert path.read_bytes() == before
+
+
+def test_trace_before_column_blocks_exits_2_untouched(tmp_path, capsys):
+    path = tmp_path / "pre-blocks.db"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(PRE_BLOCKS_DDL)
+    before = path.read_bytes()
+    for argv in (
+        ["analyze", str(path)],
+        ["stats", str(path), "ecall", "ecall_a"],
+        ["dot", str(path)],
+        ["optimize", str(path)],
+        ["salvage", str(path)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"sgxperf {argv[0]}: {path}: trace predates column blocks; re-record it\n"
+        )
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pre-blocks.db"]
+
+
+def test_crashed_trace_exits_2_untouched_until_salvaged(process, urts, tmp_path, capsys):
+    path = tmp_path / "crash.db"
+    record_crash_snapshot(process, urts, path)
+    before = path.read_bytes()
+    for argv in (
+        ["analyze", str(path)],
+        ["stats", str(path), "ocall", "ocall_step"],
+        ["dot", str(path)],
+        ["optimize", str(path)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"sgxperf {argv[0]}: {path}: trace never finalized; run sgxperf salvage TRACE\n"
+        )
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["crash.db"]
+    assert main(["salvage", str(path)]) == 0
+    assert main(["analyze", str(path)]) == 0
