@@ -59,6 +59,21 @@ class TestAexSlicing:
         execution.compute(1_050_000)  # ~10.5 timer periods
         assert 9 <= execution.aex_count <= 12
 
+    @staticmethod
+    def _to_next_tick(process, device):
+        now = process.sim.now_ns
+        return next(device.timer.ticks_in(now, now + device.timer.period_ns)) - now
+
+    def test_slice_ending_on_a_tick_takes_no_aex(self, setup):
+        process, device, enclave, execution = setup
+        execution.compute(self._to_next_tick(process, device))
+        assert execution.aex_count == 0
+
+    def test_slice_one_ns_past_a_tick_takes_one_aex(self, setup):
+        process, device, enclave, execution = setup
+        execution.compute(self._to_next_tick(process, device) + 1)
+        assert execution.aex_count == 1
+
     def test_aex_cost_inflates_duration(self, setup):
         process, device, enclave, execution = setup
         start = process.sim.now_ns

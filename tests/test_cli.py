@@ -1,11 +1,13 @@
-"""The ``sgxperf`` campaign, netcampaign and stressor subcommands, trace
-refusal on re-runs, analysis that leaves its input trace untouched, traces
-it refuses to read, and bad input.
+"""The ``sgxperf`` record, campaign, netcampaign and stressor subcommands,
+trace refusal on re-runs, analysis that leaves its input trace untouched,
+traces it refuses to read, and bad input.
 
-The digests were printed at 7238102 by the standalone mains these
-subcommands replace (``python -m repro.faults.campaign``,
-``repro.faults.netcampaign``, ``repro.workloads.stressors`` and the
-campaign main's ``--seeds`` sweep mode).
+The campaign, netcampaign and stressor digests were printed at 7238102 by
+the standalone mains these subcommands replace (``python -m
+repro.faults.campaign``, ``repro.faults.netcampaign``,
+``repro.workloads.stressors`` and the campaign main's ``--seeds`` sweep
+mode); the record digests at e5fbb6d, before the ecall round trip was
+compiled per declaration.
 """
 
 import gc
@@ -29,10 +31,29 @@ CAMPAIGN_DIGESTS = {
 }
 STRESSOR_TRACE_DIGEST = "74434d09c46d4edffadef1e563c5bf3617118c6b349d6efc31830e8801384a72"
 
+# ``sgxperf record WORKLOAD --seed 3``: glamdring drives the short-ecall
+# path, talos and securekeeper the ocall and sync paths, sqlite nested
+# ecalls.  Every virtual-time charge of the SDK bridge and the sgx model
+# lands in these digests.
+RECORD_DIGESTS = {
+    "glamdring": "2d37140185adb78636944aadb5d127d7ab9996ece2dd359a8f92d833f6ab4a6d",
+    "talos": "cb4ff3babfcc5c27642fc7befa21743f4f93c03a3b44c54c65aa6a0f69163c65",
+    "sqlite": "23727f442415838fa616fce7b858c2e0846f5349ad09e6d2c3c184b4df9eafff",
+    "securekeeper": "d3bafe5e332effa9329e6d22f9ecd76e23ba51812133ec51edb46a880132d6cb",
+}
+
 
 def printed_lines(capsys, argv):
     assert main(argv) == 0
     return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("workload", sorted(RECORD_DIGESTS))
+def test_record_digests_unchanged(capsys, tmp_path, workload):
+    path = str(tmp_path / "trace.db")
+    assert main(["record", workload, "--seed", "3", "-o", path]) == 0
+    with TraceDatabase(path, readonly=True) as db:
+        assert trace_digest(db) == RECORD_DIGESTS[workload]
 
 
 @pytest.mark.parametrize("seed", sorted(CAMPAIGN_DIGESTS))
