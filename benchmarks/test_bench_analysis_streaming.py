@@ -94,7 +94,7 @@ def _traced_peak(fn) -> int:
 
 def test_bench_analysis_memory(big_trace, benchmark):
     """Traced peak at the default chunk ≤ 25% of the in-memory analyser's."""
-    with TraceDatabase(big_trace) as db:
+    with TraceDatabase(big_trace, readonly=True) as db:
         rows = db.calls_count()
         assert rows >= 200_000, f"10x trace unexpectedly small: {rows} calls"
         seconds, _ = run_once(benchmark, lambda: _timed(lambda: Analyzer(db).run()))
@@ -114,7 +114,7 @@ def test_bench_analysis_memory(big_trace, benchmark):
 
 def test_bench_parallel_equivalence_and_scaling(four_thread_trace, benchmark):
     """--jobs 4 is byte-identical everywhere; faster where cores exist."""
-    with TraceDatabase(four_thread_trace) as db:
+    with TraceDatabase(four_thread_trace, readonly=True) as db:
         counts = db.thread_row_counts()
         assert len(shard_threads(counts, THREADS)) == THREADS
         assert sum(rows for _, rows in counts) == db.calls_count()  # blocks cover every row

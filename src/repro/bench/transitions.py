@@ -158,7 +158,7 @@ def run_switchless_microbench(
 
             process.sim.spawn(load, name="bench")
             process.sim.run()
-        with TraceDatabase(path) as db:
+        with TraceDatabase(path, readonly=True) as db:
             ecalls = len(db.calls(kind="ecall"))
             ocalls = len(db.calls(kind="ocall"))
         rows.append(

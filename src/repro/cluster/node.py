@@ -107,6 +107,22 @@ def node_pressure_plan(spec: ClusterSpec, node: int):
     )
 
 
+def _shard_logger(process: SimProcess, urts, db_path: str):
+    """The installed event logger of a traced shard; ``None`` untraced.
+
+    An untraced shard never imports the trace stack (logger, store,
+    ``sqlite3``): every node of every run pays for what its spawn worker
+    imports.
+    """
+    if db_path == ":memory:":
+        return None
+    from repro.perf.logger import AexMode, EventLogger
+
+    logger = EventLogger(process, urts, database=db_path, aex_mode=AexMode.COUNT)
+    logger.install()
+    return logger
+
+
 def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict, dict]:
     """Simulate one node shard; returns ``(digest, metrics, faults)``.
 
@@ -117,7 +133,6 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
     of thousands of requests is opt-in, not the price of every sweep).
     """
     from repro.faults import FaultInjector, PressureInjector
-    from repro.perf.logger import AexMode, EventLogger
     from repro.workloads.serving import CircuitBreaker, RetryPolicy, ServingStats
 
     spec = ClusterSpec.from_params(params)
@@ -141,7 +156,6 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
     plan = node_chaos_plan(spec, node)
     listener = Listener(sim, f"cluster:node{node}")
 
-    logger = None
     serving = ServingStats(sim, f"{spec.variant}:node{node:02d}", logger=None)
     retry = RetryPolicy()
     mux_stats = MuxStats()
@@ -156,11 +170,7 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
         proxy = SecureKeeperProxy(
             process, device, tcs_count=max(8, 2 * spec.mux_connections)
         )
-        if db_path != ":memory:":
-            logger = EventLogger(
-                process, proxy.urts, database=db_path, aex_mode=AexMode.COUNT
-            )
-            logger.install()
+        logger = _shard_logger(process, proxy.urts, db_path)
         serving.logger = logger
         proxy.make_resilient(logger=logger)
         injector = FaultInjector(plan, sim, logger=logger)
@@ -183,11 +193,7 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
         from repro.workloads.talos.server import TalosNginx
 
         app = TalosApp(process, device)
-        if db_path != ":memory:":
-            logger = EventLogger(
-                process, app.urts, database=db_path, aex_mode=AexMode.COUNT
-            )
-            logger.install()
+        logger = _shard_logger(process, app.urts, db_path)
         serving.logger = logger
         app.make_resilient(logger=logger)
         injector = FaultInjector(plan, sim, logger=logger)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro.digest import trace_digest
 from repro.faults.plan import FaultPlan, NetworkChaosPlan
-from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
 
@@ -84,6 +83,8 @@ def run_netcampaign(
     ``plan=FaultPlan.disabled()`` runs the chaos-off baseline (still byte-
     deterministic, and byte-identical to a run without any chaos hooks).
     """
+    from repro.perf.logger import AexMode, EventLogger
+
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; pick from {WORKLOADS}")
     if plan is None:

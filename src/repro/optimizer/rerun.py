@@ -236,7 +236,7 @@ def _rerun_sqlite(
         spawn=True,
         latencies=baseline_latencies,
     )
-    with TraceDatabase(baseline_path) as db:
+    with TraceDatabase(baseline_path, readonly=True) as db:
         base_report = Analyzer(db).run()
         base_metrics = _metrics_from("baseline", db, requests, baseline_latencies)
 
@@ -257,7 +257,7 @@ def _rerun_sqlite(
         spawn=True,
         latencies=optimized_latencies,
     )
-    with TraceDatabase(optimized_path) as db:
+    with TraceDatabase(optimized_path, readonly=True) as db:
         opt_report = Analyzer(db).run()
         opt_metrics = _metrics_from("optimized", db, requests, optimized_latencies)
         applied = _applied_counts(db, plan)
@@ -312,7 +312,7 @@ def _rerun_securekeeper(
         return result
 
     base_result = run(baseline_path, None)
-    with TraceDatabase(baseline_path) as db:
+    with TraceDatabase(baseline_path, readonly=True) as db:
         base_report = Analyzer(db).run()
         base_latencies = [
             c.duration_ns for c in db.calls(kind="ecall", name=ECALL_FROM_CLIENT)
@@ -328,7 +328,7 @@ def _rerun_securekeeper(
     plan = build_plan(base_report.findings, knobs=knobs, source=baseline_path)
 
     opt_result = run(optimized_path, plan)
-    with TraceDatabase(optimized_path) as db:
+    with TraceDatabase(optimized_path, readonly=True) as db:
         opt_report = Analyzer(db).run()
         opt_latencies = [
             c.duration_ns for c in db.calls(kind="ecall", name=ECALL_FROM_CLIENT)

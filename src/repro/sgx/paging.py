@@ -139,17 +139,6 @@ class SgxDriver:
                 self.epc.remove(page)
         enclave.lost = True
 
-    def power_transition(self) -> int:
-        """A machine suspend/resume: every live enclave is lost.
-
-        Returns the number of enclaves invalidated.
-        """
-        victims = list(self.enclaves.values())
-        for enclave in victims:
-            if not enclave.lost:
-                self.invalidate_enclave(enclave)
-        return len(victims)
-
     # -- paging ---------------------------------------------------------------
 
     def _make_room(self, for_enclave: Enclave) -> None:

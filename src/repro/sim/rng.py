@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
+from typing import Callable
 
 
 class DeterministicRng:
@@ -46,12 +48,20 @@ class DeterministicRng:
         """
         if mean_ns <= 0:
             return 0
-        rng = self.stream(name)
-        factor = rng.gauss(1.0, rel_sigma)
-        floor = max(0.05, 1.0 - 3.0 * rel_sigma)
-        if factor < floor:
-            factor = floor
-        return max(1, int(mean_ns * factor))
+        return _jitter(self.stream(name).gauss, mean_ns, rel_sigma)
+
+    def bind_jitter(
+        self, name: str, mean_ns: float, rel_sigma: float = 0.08
+    ) -> Callable[[], int]:
+        """``jitter_ns(name, mean_ns, rel_sigma)`` as a zero-argument draw.
+
+        The stream is looked up once, here; each call draws the same
+        value the equivalent :meth:`jitter_ns` call would, from the same
+        shared stream.
+        """
+        if mean_ns <= 0:
+            return lambda: 0
+        return partial(_jitter, self.stream(name).gauss, mean_ns, rel_sigma)
 
     def heavy_tail_ns(
         self,
@@ -72,3 +82,11 @@ class DeterministicRng:
         if rng.random() < tail_probability:
             return int(base * (1.0 + rng.random() * tail_factor))
         return base
+
+
+def _jitter(gauss: Callable[[float, float], float], mean_ns: float, rel_sigma: float) -> int:
+    factor = gauss(1.0, rel_sigma)
+    floor = max(0.05, 1.0 - 3.0 * rel_sigma)
+    if factor < floor:
+        factor = floor
+    return max(1, int(mean_ns * factor))

@@ -81,11 +81,6 @@ class RsaKey:
         """The modulus as a BigNum."""
         return BigNum.from_int(self.n)
 
-    @property
-    def private_exponent(self) -> BigNum:
-        """The private exponent as a BigNum."""
-        return BigNum.from_int(self.d)
-
 
 # Two fixed 256-bit primes (deterministic; primality and the RSA identity
 # are validated in the test suite).

@@ -1,6 +1,8 @@
 """The analyze→optimize→rerun loop end to end (§5.2.2 automated)."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,25 @@ class TestSecurekeeperRerun:
         assert not report.plan.fused
         assert [b.call for b in report.plan.batched] == ["ocall_print"]
         assert report.optimized.ocalls < report.baseline.ocalls
+
+
+def test_rerun_leaves_its_recorded_traces_unchanged(tmp_path, monkeypatch):
+    """Analysing the baseline and the optimized run only reads their
+    traces: a writable open would re-seal a trace and change its bytes."""
+    import repro.workloads.recorders as recorders
+
+    real_record_sqlite = recorders.record_sqlite
+    recorded = {}
+
+    def record_and_hash(path, *args, **kwargs):
+        real_record_sqlite(path, *args, **kwargs)
+        recorded[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    monkeypatch.setattr(recorders, "record_sqlite", record_and_hash)
+    report = run_rerun("sqlite", seed=0, requests=20, workdir=str(tmp_path))
+    assert sorted(recorded) == sorted([report.baseline_trace, report.optimized_trace])
+    for path, digest in recorded.items():
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest, path
 
 
 class TestSweepIntegration:

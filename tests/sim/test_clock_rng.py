@@ -81,6 +81,33 @@ class TestDeterministicRng:
             rng.jitter_ns("k", 10_000) >= int(floor) - 1 for _ in range(1000)
         )
 
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["urts:ecall-dispatch", "trts:dispatch", "x"]),
+                st.sampled_from([0, 1, 475, 820.5, 10_000]),
+                st.sampled_from([0.08, 0.3, 0.5]),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_bound_jitter_draws_equal_jitter_ns(self, seed, draws):
+        """Interleaved bound draws reproduce the by-name draws exactly,
+        sharing each stream with by-name draws of the same name."""
+        by_name, bound = DeterministicRng(seed), DeterministicRng(seed)
+        draw = {}
+        for i, (name, mean_ns, rel_sigma) in enumerate(draws):
+            key = (name, mean_ns, rel_sigma)
+            if key not in draw:
+                draw[key] = bound.bind_jitter(name, mean_ns, rel_sigma)
+            # Every third draw goes through jitter_ns on the bound side too.
+            got = bound.jitter_ns(*key) if i % 3 == 2 else draw[key]()
+            assert got == by_name.jitter_ns(*key)
+
+    def test_bound_jitter_zero_mean_is_zero(self):
+        assert DeterministicRng(0).bind_jitter("j", 0)() == 0
+
     def test_heavy_tail_produces_outliers(self):
         rng = DeterministicRng(3)
         values = [
