@@ -1,4 +1,4 @@
-"""Analyser memory bar on a 10× trace, ``--jobs`` sharding on four threads.
+"""Analyser memory bar on a 10× trace.
 
 On a trace an order of magnitude larger than the workload defaults, the
 analyser's traced peak memory at the default chunk size must stay at or
@@ -12,17 +12,11 @@ analysis throughput is tracked by the repo benchmark's ``analyze-glamdring``
 workload (``throughput_per_s``), so this file only prints rows/s.
 
 Memory is measured with :mod:`tracemalloc`; throughput is timed in a
-separate, uninstrumented pass.  ``--jobs`` shards by thread, and the 10×
-trace has one, so the parallel benchmark runs on its own trace: the 10×
-trace's calls copied under four thread ids, four shards of equal rows.
-Its scaling assertion is CPU-gated like the sweep scaling benchmark;
-equivalence of ``--jobs 4`` is asserted everywhere.
+separate, uninstrumented pass.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
 import time
 import tracemalloc
 
@@ -30,7 +24,6 @@ import pytest
 
 from conftest import run_once
 
-from repro.perf.analysis.parallel import shard_threads
 from repro.perf.analysis.report import Analyzer
 from repro.perf.database import TraceDatabase
 
@@ -41,8 +34,6 @@ SIGNS_10X = 40
 # seed 0, signs 40, 251,666 calls — measured with Python 3.11 / NumPy 2.4.
 IN_MEMORY_PEAK_MB = 132.6
 MAX_MEMORY_FRACTION = 0.25
-# Threads (and worker processes) of the parallel benchmark's trace.
-THREADS = 4
 
 
 @pytest.fixture(scope="module")
@@ -51,29 +42,6 @@ def big_trace(tmp_path_factory) -> str:
 
     path = str(tmp_path_factory.mktemp("bench-streaming") / "big.db")
     record_glamdring(path, seed=0, signs=SIGNS_10X)
-    return path
-
-
-@pytest.fixture(scope="module")
-def four_thread_trace(big_trace, tmp_path_factory) -> str:
-    """The 10× trace with its calls copied under thread ids 0..3.
-
-    Each copy offsets event and parent ids past the previous one, so every
-    thread is a whole, self-consistent call tree of the same row count.
-    """
-    path = str(tmp_path_factory.mktemp("bench-parallel") / "four-threads.db")
-    shutil.copyfile(big_trace, path)
-    with TraceDatabase(path) as db:
-        (last_id,) = db.execute("SELECT max(id) FROM call_rows")[0]
-        for copy in range(1, THREADS):
-            offset = copy * last_id
-            db.execute(
-                "INSERT INTO call_rows SELECT id + ?, site_id, call_index, enclave_id, "
-                "thread_id + ?, start_ns, end_ns, aex_count, parent_id + ?, is_sync "
-                "FROM call_rows WHERE id <= ?",
-                (offset, copy, offset, last_id),
-            )
-        db.seal()  # raw-SQL rows: rebuild the column blocks that cover them
     return path
 
 
@@ -110,28 +78,3 @@ def test_bench_analysis_memory(big_trace, benchmark):
         f"analysis peak memory {peak_mb:.1f} MB is {fraction:.1%} of "
         f"{IN_MEMORY_PEAK_MB} MB (need <= {MAX_MEMORY_FRACTION:.0%})"
     )
-
-
-def test_bench_parallel_equivalence_and_scaling(four_thread_trace, benchmark):
-    """--jobs 4 is byte-identical everywhere; faster where cores exist."""
-    with TraceDatabase(four_thread_trace, readonly=True) as db:
-        counts = db.thread_row_counts()
-        assert len(shard_threads(counts, THREADS)) == THREADS
-        assert sum(rows for _, rows in counts) == db.calls_count()  # blocks cover every row
-        serial_s, ref = _timed(lambda: Analyzer(db).run())
-        parallel_s, got = run_once(
-            benchmark, lambda: _timed(lambda: Analyzer(db, jobs=4).run())
-        )
-    assert got.render_text() == ref.render_text()
-    assert got.findings == ref.findings
-    rows = sum(rows for _, rows in counts)
-    print(
-        f"\nparallel analysis ({rows} calls on {THREADS} threads): "
-        f"jobs=1 {serial_s:.2f}s, jobs=4 {parallel_s:.2f}s ({serial_s / parallel_s:.2f}x)"
-    )
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        pytest.skip(f"scaling assertion needs >= 4 CPUs (have {cores})")
-    # Sharded fold + sequential merge: expect a real win, not linearity
-    # (the coordinator's sync/paging/fault passes stay sequential).
-    assert parallel_s < serial_s

@@ -71,14 +71,15 @@ def run_figure5(requests: int = 250, seed: int = 0) -> Figure5Result:
     ecalls = [c for c in calls if c.kind == "ecall"]
     ocalls = [c for c in calls if c.kind == "ocall"]
     graph = Analyzer(db).call_graph()
-    edges = sorted(
-        (
-            (graph.nodes[src]["name"], graph.nodes[dst]["name"], data["count"])
-            for src, dst, key, data in graph.edges(keys=True, data=True)
-            if data["relation"] == cg.DIRECT
-        ),
-        key=lambda e: -e[2],
-    )
+    # Busiest first; ties by the parent's first appearance, then child name.
+    rank = {key: i for i, key in enumerate(graph.nodes)}
+    edges = [
+        (graph.nodes[src]["name"], graph.nodes[dst]["name"], count)
+        for src, dst, relation, count in sorted(
+            graph.edges, key=lambda e: (-e[3], rank[e[0]], e[1])
+        )
+        if relation == cg.DIRECT
+    ]
     return Figure5Result(
         requests=requests,
         interface_ecalls=TOTAL_ECALLS,

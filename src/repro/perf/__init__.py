@@ -9,8 +9,8 @@ Three cooperating tools (paper §4):
   SSC/paging), interface security hints, call graphs and reports.
 
 The re-exports below resolve on first use (PEP 562), so importing
-``repro.perf.logger`` or ``repro.perf.database`` loads no analysis code,
-NumPy or networkx: a cluster shard that only records pays for none of it.
+``repro.perf.logger`` or ``repro.perf.database`` loads no analysis code
+or NumPy: a cluster shard that only records pays for none of it.
 """
 
 from __future__ import annotations

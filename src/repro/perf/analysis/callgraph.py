@@ -5,13 +5,14 @@ edges connect direct parents to children, dashed edges connect indirect
 parents; edge labels carry call counts.
 
 The call fold (:meth:`~repro.perf.analysis.streaming.CallFold.call_graph`)
-aggregates per-event parent relations into the name-level graph; this
-module names the edge relations and renders the graph.
+aggregates per-event parent relations into a name-level
+:class:`CallGraph`; this module names the edge relations and renders the
+graph.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from dataclasses import dataclass, field
 
 from repro.perf.events import ECALL
 
@@ -19,7 +20,21 @@ DIRECT = "direct"
 INDIRECT = "indirect"
 
 
-def to_dot(graph: nx.MultiDiGraph) -> str:
+@dataclass
+class CallGraph:
+    """A name-level call graph as plain node and edge tables.
+
+    ``nodes`` maps ``kind:name`` to the call's attributes (``name``,
+    ``kind``, ``call_index``, ``count``) in first-appearance order;
+    ``edges`` holds ``(src, dst, relation, count)`` tuples, at most one
+    per ``(src, dst, relation)``.
+    """
+
+    nodes: dict[str, dict] = field(default_factory=dict)
+    edges: list[tuple[str, str, str, int]] = field(default_factory=list)
+
+
+def to_dot(graph: CallGraph) -> str:
     """Render the call graph as Graphviz DOT, in the paper's style.
 
     Square nodes are ecalls, round nodes are ocalls; solid arrows are
@@ -33,22 +48,18 @@ def to_dot(graph: nx.MultiDiGraph) -> str:
         shape = "box" if data["kind"] == ECALL else "ellipse"
         label = f"[{data['call_index']}] {data['name']}"
         lines.append(f'    n{ids[key]} [shape={shape}, label="{label}"];')
-    for src, dst, edge_key, data in sorted(graph.edges(keys=True, data=True)):
-        style = "solid" if data["relation"] == DIRECT else "dashed"
-        lines.append(
-            f'    n{ids[src]} -> n{ids[dst]} '
-            f'[style={style}, label="{data["count"]}"];'
-        )
+    for src, dst, relation, count in sorted(graph.edges):
+        style = "solid" if relation == DIRECT else "dashed"
+        lines.append(f'    n{ids[src]} -> n{ids[dst]} [style={style}, label="{count}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
-def edge_counts(graph: nx.MultiDiGraph, relation: str = DIRECT) -> dict[tuple[str, str], int]:
+def edge_counts(graph: CallGraph, relation: str = DIRECT) -> dict[tuple[str, str], int]:
     """(parent name, child name) → count for one relation kind."""
-    result: dict[tuple[str, str], int] = {}
-    for src, dst, edge_key, data in graph.edges(keys=True, data=True):
-        if data["relation"] == relation:
-            src_name = graph.nodes[src]["name"]
-            dst_name = graph.nodes[dst]["name"]
-            result[(src_name, dst_name)] = data["count"]
-    return result
+    nodes = graph.nodes
+    return {
+        (nodes[src]["name"], nodes[dst]["name"]): count
+        for src, dst, kind, count in graph.edges
+        if kind == relation
+    }

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from repro.perf.analysis import callgraph as callgraph_mod
 from repro.perf.analysis import detectors as det
 from repro.perf.analysis import stats as stats_mod
@@ -334,16 +332,14 @@ class Analyzer:
     1. a *sync* pass over the (small) sync table, producing the sleep
        multiplicities and wake matrix the SSC detector needs;
     2. the *call fold* — :class:`~repro.perf.analysis.streaming.CallFold`
-       over thread-major column chunks of ``chunk_events`` rows, sharded
-       by thread across worker processes when ``jobs > 1`` (see
-       :mod:`repro.perf.analysis.parallel`);
+       over thread-major column chunks of ``chunk_events`` rows;
     3. a *paging* pass merge-joining time-ordered paging records against
        time-ordered ecall intervals, skipped when the trace has no paging
        rows;
     4. a *fault* pass folding fault rows through :class:`FaultAccumulator`.
 
-    The report is byte-identical for any chunk size or job count; the
-    golden-digest tests and the CI digest gates hold it to that.
+    The report is byte-identical for any chunk size; the golden-digest
+    tests and the CI digest gates hold it to that.
     """
 
     def __init__(
@@ -352,13 +348,11 @@ class Analyzer:
         definition: Optional[EnclaveDefinition] = None,
         weights: Optional[det.AnalyzerWeights] = None,
         chunk_events: Optional[int] = None,
-        jobs: int = 1,
     ) -> None:
         self.db = database
         self.definition = definition
         self.weights = weights or det.AnalyzerWeights()
         self.chunk_events = int(chunk_events or DEFAULT_CHUNK_EVENTS)
-        self.jobs = int(jobs)
         self._fold: Optional[CallFold] = None
 
     def run(self) -> AnalysisReport:
@@ -451,23 +445,10 @@ class Analyzer:
         }
 
     def _fold_trace(self, transition_ns: int, sleep_counts: dict[int, int]) -> CallFold:
-        if self.jobs > 1 and self.db.path != ":memory:":
-            from repro.perf.analysis.parallel import parallel_fold
-
-            fold = parallel_fold(
-                self.db,
-                transition_ns,
-                self.weights,
-                sleep_counts,
-                jobs=self.jobs,
-                chunk_events=self.chunk_events,
-            )
-            if fold is not None:
-                return fold
         fold = CallFold(transition_ns, self.weights, sleep_counts)
         for cols in self.db.call_columns_chunks(self.chunk_events):
             fold.fold(cols)
-        return fold.seal()
+        return fold
 
     def _paging_pass(self) -> tuple[dict[str, int], int, int, int]:
         """Attribute paging events to enclosing ecalls via a merge-join.
@@ -512,7 +493,7 @@ class Analyzer:
         """(start, duration) scatter series for one call (Figure 8)."""
         return stats_mod.scatter_series(self.db.call_columns(kind=kind, name=name))
 
-    def call_graph(self) -> nx.MultiDiGraph:
+    def call_graph(self) -> callgraph_mod.CallGraph:
         """Name-level call graph with direct/indirect edges (Figure 5).
 
         Built from the last :meth:`run`'s fold (runs one if needed).

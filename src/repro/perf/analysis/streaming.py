@@ -33,18 +33,12 @@ the Figure 4 indirect-parent chains reset per thread and stay small.  The
 fold relies on the event logger's recording invariants — a call's direct
 parent is on the same thread and its interval encloses the child's start,
 and every call is an ecall or an ocall.
-
-A :class:`CallFold` is plain picklable state with a commutative
-:meth:`CallFold.merge`, which is what lets the parallel analyser shard a
-trace by thread across spawn-context workers and still match the
-sequential result exactly (see :mod:`repro.perf.analysis.parallel`).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.perf.analysis import callgraph as callgraph_mod
@@ -96,19 +90,6 @@ class _GroupState:
             self.first_start, self.first_id = start, event_id
             self.call_index = call_index
             self.is_sync_first = is_sync
-
-    def merge(self, other: "_GroupState") -> None:
-        self.count += other.count
-        self.starts += other.starts
-        self.ids += other.ids
-        self.durs += other.durs
-        self.n1 += other.n1
-        self.n5 += other.n5
-        self.n10 += other.n10
-        if other.first_start is not None:
-            self.update_first(
-                other.first_start, other.first_id, other.call_index, other.is_sync_first
-            )
 
     def sorted_durations(self) -> np.ndarray:
         """Durations re-sorted to the global ``(start, id)`` reader order."""
@@ -171,11 +152,7 @@ def _bump_thresholds(
 
 
 class CallFold:
-    """Folds thread-major call batches into every per-call-site accumulator.
-
-    Picklable; :meth:`merge` is commutative over disjoint thread sets, so
-    shard folds combine into exactly the sequential fold's state.
-    """
+    """Folds thread-major call batches into every per-call-site accumulator."""
 
     def __init__(
         self,
@@ -442,42 +419,6 @@ class CallFold:
         for key in dead:
             del state.chains[key]
 
-    # -- sharding ------------------------------------------------------------
-
-    def seal(self) -> "CallFold":
-        """Drop transient per-thread state (end of a shard's thread run)."""
-        self._thread = None
-        self._sleep_ids = None
-        return self
-
-    def merge(self, other: "CallFold") -> None:
-        """Fold another shard's sealed state into this one (commutative)."""
-        remap = [self._site(key) for key in other.sites]
-        for theirs, group in zip(remap, other.groups):
-            self.groups[theirs].merge(group)
-        self.ecall_rows += other.ecall_rows
-        self.ocall_rows += other.ocall_rows
-        self.ecall_short += other.ecall_short
-        self.ocall_short += other.ocall_short
-        self.aex_total += other.aex_total
-        self.ssc_matched += other.ssc_matched
-        self.ssc_short += other.ssc_short
-        for table, theirs in (
-            (self.reorder_counts, other.reorder_counts),
-            (self.merge_counts, other.merge_counts),
-        ):
-            for (a, b), counts in theirs.items():
-                mine = table.setdefault((remap[a], remap[b]), [0] * len(counts))
-                for i, c in enumerate(counts):
-                    mine[i] += c
-        for edges, theirs in (
-            (self.direct_edges, other.direct_edges),
-            (self.indirect_edges, other.indirect_edges),
-        ):
-            for (a, b), count in theirs.items():
-                key = (remap[a], remap[b])
-                edges[key] = edges.get(key, 0) + count
-
     # -- finalisation --------------------------------------------------------
 
     def _ordered_groups(self) -> list[_GroupState]:
@@ -580,28 +521,23 @@ class CallFold:
             findings += sec.user_check_findings_from_counts(definition, counts)
         return findings
 
-    def call_graph(self) -> nx.MultiDiGraph:
+    def call_graph(self) -> callgraph_mod.CallGraph:
         """Name-level call graph with direct/indirect edges (Figure 5)."""
-        graph = nx.MultiDiGraph()
+        graph = callgraph_mod.CallGraph()
         for g in self._ordered_groups():
-            graph.add_node(
-                f"{g.kind}:{g.name}",
-                name=g.name,
-                kind=g.kind,
-                call_index=g.call_index,
-                count=g.count,
-            )
+            graph.nodes[f"{g.kind}:{g.name}"] = {
+                "name": g.name,
+                "kind": g.kind,
+                "call_index": g.call_index,
+                "count": g.count,
+            }
         for edges, relation in (
             (self.direct_edges, callgraph_mod.DIRECT),
             (self.indirect_edges, callgraph_mod.INDIRECT),
         ):
             for src, dst, count in self._named(edges):
-                graph.add_edge(
-                    f"{src[0]}:{src[1]}",
-                    f"{dst[0]}:{dst[1]}",
-                    key=relation,
-                    relation=relation,
-                    count=count,
+                graph.edges.append(
+                    (f"{src[0]}:{src[1]}", f"{dst[0]}:{dst[1]}", relation, count)
                 )
         return graph
 

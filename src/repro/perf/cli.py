@@ -7,9 +7,8 @@ Subcommands:
   ``LD_PRELOAD=liblogger.so ./app``);
 * ``analyze`` — produce the full report for a trace (optionally with the
   enclave's EDL file for allow-list narrowing); the analyser streams the
-  trace in batches of ``--chunk-events M`` rows and shards it by thread
-  across ``--jobs N`` worker processes, with a byte-identical report for
-  any ``M`` and ``N``;
+  trace in batches of ``--chunk-events M`` rows, with a byte-identical
+  report for any ``M``;
 * ``top``     — run a workload with a live sampling display: transition
   rates, AEX counts and paging pressure every interval of virtual time;
 * ``stats``   — detailed statistics/histogram/scatter for one call;
@@ -37,7 +36,8 @@ trace in a schema before interned call sites or column blocks) exits 2
 with one line on stderr.  ``analyze``, ``stats``, ``dot`` and ``optimize
 TRACE`` open their input read-only: analysing a trace never changes its
 bytes, and a trace that was never finalized is refused until ``salvage``
-seals it.
+seals it.  The analysis stack (and with it NumPy) is imported inside the
+commands that analyse, so no other command pays for it at start-up.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ from typing import Any, Callable, Optional
 
 from repro.cluster.spec import POLICIES, VARIANTS, ClusterSpec, ClusterSpecError
 from repro.faults.netcampaign import WORKLOADS as NET_WORKLOADS
-from repro.perf.analysis import Analyzer
-from repro.perf.analysis import stats as stats_mod
 from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase, TraceError
 from repro.sdk.edl import EdlError, parse_edl
 from repro.sweep import SweepError
@@ -144,6 +142,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return _cmd_analyze_cluster(args)
     if _missing_trace(args.trace):
         return 2
+    from repro.perf.analysis import Analyzer
+
     definition = _read_input(args.edl, parse_edl, EdlError) if args.edl else None
     with TraceDatabase(args.trace, readonly=True) as db:
         counts = db.table_counts()
@@ -152,12 +152,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"analyzing {args.trace}: {counts['calls']} calls, "
             f"{counts['paging']} paging, {counts['sync']} sync, "
             f"{counts['faults']} fault rows ({total} events total), "
-            f"jobs={args.jobs}, chunk-events={args.chunk_events}",
+            f"chunk-events={args.chunk_events}",
             file=sys.stderr,
         )
-        report = Analyzer(
-            db, definition=definition, chunk_events=args.chunk_events, jobs=args.jobs
-        ).run()
+        report = Analyzer(db, definition=definition, chunk_events=args.chunk_events).run()
         if args.json:
             from repro.perf.analysis.export import report_to_json
 
@@ -209,6 +207,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if _missing_trace(args.trace):
         return 2
+    from repro.perf.analysis import stats as stats_mod
+
     with TraceDatabase(args.trace, readonly=True) as db:
         events = db.calls(kind=args.kind, name=args.call)
         if not events:
@@ -232,6 +232,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_dot(args: argparse.Namespace) -> int:
     if _missing_trace(args.trace):
         return 2
+    from repro.perf.analysis import Analyzer
+
     with TraceDatabase(args.trace, readonly=True) as db:
         print(Analyzer(db).call_graph_dot())
     return 0
@@ -455,6 +457,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     if _missing_trace(args.target):
         return 2
+    from repro.perf.analysis import Analyzer
+
     definition = _optimize_definition(args)
     with TraceDatabase(args.target, readonly=True) as db:
         report = Analyzer(db, definition=definition).run()
@@ -573,12 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append the resource-pressure section "
         "(brownout:*/inject:epc-*/recover:epc-wait rows)",
-    )
-    p_analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="shard the analysis by thread across N worker processes",
     )
     p_analyze.add_argument(
         "--chunk-events",

@@ -55,11 +55,11 @@ compatibility, a **columnar API** (:meth:`call_columns`,
 NumPy arrays straight from SQL, and raw SQL for everyone else.
 ``readonly=True`` opens an existing trace through SQLite's read-only mode:
 no write lock, and the file's bytes never change — the mode every analysis
-command and the parallel analyser's shard workers use.  Either mode
-refuses, with :class:`TraceError` and before writing anything, a trace
-whose ``calls`` is still a table or that has no ``call_blocks`` (the two
-schemas before this one); a read-only open also refuses a trace whose
-blocks do not cover ``call_rows`` (one that was never sealed).
+command uses.  Either mode refuses, with :class:`TraceError` and before
+writing anything, a trace whose ``calls`` is still a table or that has no
+``call_blocks`` (the two schemas before this one); a read-only open also
+refuses a trace whose blocks do not cover ``call_rows`` (one that was
+never sealed).
 
 For traces too large to materialise, the **streaming API** walks the
 trace in bounded-size batches: :meth:`call_columns_chunks` decodes the
@@ -812,7 +812,7 @@ class TraceDatabase:
         }
 
     def thread_row_counts(self) -> list[tuple[int, int]]:
-        """``(thread_id, call rows)`` pairs — the parallel analyser's shard key."""
+        """``(thread_id, call rows)`` pairs, summed over the column blocks."""
         self._ensure_read()
         rows = self._conn.execute(
             "SELECT thread_id, sum(nrows) FROM call_blocks GROUP BY thread_id ORDER BY thread_id"
@@ -820,16 +820,13 @@ class TraceDatabase:
         return [(int(t), int(c)) for t, c in rows]
 
     def call_columns_chunks(
-        self,
-        chunk_events: int = DEFAULT_CHUNK_EVENTS,
-        thread_ids: Optional[Sequence[int]] = None,
+        self, chunk_events: int = DEFAULT_CHUNK_EVENTS
     ) -> Iterator[CallColumns]:
         """Stream the call rows as bounded-size column batches.
 
         Rows come ordered by ``(thread_id, start_ns, id)`` — each thread is
-        one contiguous run, which is what the incremental analysers need
-        to keep their per-thread parent windows small.  ``thread_ids``
-        restricts the stream to one shard's threads.
+        one contiguous run, which is what the call fold needs to keep its
+        per-thread parent window small.
 
         Decodes the column blocks and re-slices them to ``chunk_events``
         rows: each batch carries per-row site ids and the trace's site
@@ -839,11 +836,6 @@ class TraceDatabase:
 
         from repro.perf.columns import CallColumns
 
-        where, params = "", []
-        if thread_ids is not None:
-            marks = ",".join("?" for _ in thread_ids)
-            where = f" WHERE thread_id IN ({marks})"
-            params = [int(t) for t in thread_ids]
         self._ensure_read()
         sites = {
             site: (kind, name)
@@ -853,7 +845,7 @@ class TraceDatabase:
         pending: list[np.ndarray] = []  # decoded (10, n) blocks not yet yielded
         have = 0
         for nrows, data in self._conn.execute(
-            "SELECT nrows, data FROM call_blocks" + where + " ORDER BY thread_id, seq", params
+            "SELECT nrows, data FROM call_blocks ORDER BY thread_id, seq"
         ):
             block = np.frombuffer(zlib.decompress(data), dtype="<i8")
             pending.append(block.reshape(_CALL_COLUMNS, nrows))

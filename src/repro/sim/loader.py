@@ -83,10 +83,16 @@ class Loader:
         return self._preloaded + self._loaded
 
     def resolve(self, symbol: str) -> Callable:
-        """Resolve ``symbol`` to its first provider's implementation."""
-        for library in self._search_order():
-            if library.provides(symbol):
-                return library.symbol(symbol)
+        """Resolve ``symbol`` to its first provider's implementation.
+
+        Every proxied ecall resolves ``sgx_ecall`` here, so the search
+        order is walked in place, one symbol-table lookup per library.
+        """
+        for libraries in (self._preloaded, self._loaded):
+            for library in libraries:
+                impl = library._symbols.get(symbol)
+                if impl is not None:
+                    return impl
         raise SymbolNotFound(f"unresolved symbol {symbol!r}")
 
     def resolve_next(self, symbol: str, after: Library) -> Callable:

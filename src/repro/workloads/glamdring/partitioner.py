@@ -15,15 +15,13 @@ reproduces over an annotated Python code model:
 The code model is deliberately simple — functions declare the variables
 they read/write and the functions they call — but the analysis is real:
 sensitivity propagates through writes until a fixed point, and the cut is
-derived from the (networkx) call graph.
+derived from the call graph's caller → callee edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
-
-import networkx as nx
+from typing import Iterable
 
 from repro.sdk.edl import Direction, EcallDecl, EnclaveDefinition, OcallDecl, Param
 
@@ -101,14 +99,21 @@ class Glamdring:
 
     # -- analyses -----------------------------------------------------------
 
-    def call_graph(self) -> nx.DiGraph:
-        """Caller → callee graph of the application model."""
-        graph = nx.DiGraph()
-        for spec in self.functions.values():
-            graph.add_node(spec.name, entry_point=spec.entry_point)
-            for callee in spec.calls:
-                graph.add_edge(spec.name, callee)
-        return graph
+    def call_graph(self) -> list[tuple[str, str]]:
+        """Caller → callee edges of the application model.
+
+        The order numbers the generated ecalls and ocalls: callers in
+        first-seen order (a callee named before its own spec counts as
+        seen there), each caller's callees in call order, repeats dropped.
+        """
+        seen = dict.fromkeys(
+            name for spec in self.functions.values() for name in (spec.name, *spec.calls)
+        )
+        return [
+            (caller, callee)
+            for caller in seen
+            for callee in dict.fromkeys(self.functions[caller].calls)
+        ]
 
     def propagate_sensitivity(self, sensitive: Iterable[str]) -> frozenset[str]:
         """Dataflow analysis: the closure of data that sensitive data taints.
@@ -156,10 +161,9 @@ class Glamdring:
         """
         trusted = set(self.backward_slice(sensitive)) | set(force_trusted)
         untrusted = set(self.functions) - trusted
-        graph = self.call_graph()
         ecalls: list[str] = []
         ocalls: list[str] = []
-        for caller, callee in graph.edges:
+        for caller, callee in self.call_graph():
             if caller in untrusted and callee in trusted and callee not in ecalls:
                 ecalls.append(callee)
             elif caller in trusted and callee in untrusted and callee not in ocalls:

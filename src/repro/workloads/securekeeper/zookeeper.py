@@ -12,8 +12,7 @@ ZooKeeper server reached over the 10 GbE link of the paper's testbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.sim.kernel import Simulation
 
@@ -116,8 +115,3 @@ class ZkServer:
                 raise ZkError("no node")
             return ZkResponse(ok=True)
         raise ZkError(f"unknown op {request.op!r}")
-
-    @property
-    def node_count(self) -> int:
-        """Number of stored nodes."""
-        return len(self._nodes)

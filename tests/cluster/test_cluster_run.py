@@ -144,3 +144,26 @@ class TestCli:
         bad.write_text('{"nodes": 0}')
         assert main(["cluster", "--spec", str(bad)]) == 2
         assert "cluster:" in capsys.readouterr().err
+
+    def test_analyze_cluster_merges_shard_traces(self, capsys, tmp_path):
+        from repro.perf.cli import main
+
+        trace_dir = str(tmp_path / "traces")
+        run_cluster(_spec(clients=16, seed=5), jobs=0, trace_dir=trace_dir)
+        capsys.readouterr()
+        assert main(["analyze", "--cluster", trace_dir]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"merging 2 shard trace(s) under {trace_dir}\n"
+        assert "-- cluster availability (from traces)" in captured.out
+        assert "\ncluster: " in captured.out
+        assert "-- session orderliness" in captured.out
+        assert "2 trace(s)" in captured.out
+        assert "no session-protocol violations" in captured.out
+
+    def test_analyze_cluster_without_traces_exits_2(self, capsys, tmp_path):
+        from repro.perf.cli import main
+
+        assert main(["analyze", "--cluster", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"no shard traces (*.db) under {tmp_path}\n"

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
+from repro.perf.analysis.callgraph import CallGraph
 from repro.perf.analysis.report import AnalysisReport, Analyzer
 from repro.perf.database import TraceDatabase
 from repro.perf.events import CallEvent, PagingRecord, SyncEvent
@@ -16,7 +15,7 @@ def analyze(
     sync: Iterable[SyncEvent] = (),
     paging: Iterable[PagingRecord] = (),
     **options,
-) -> tuple[AnalysisReport, nx.MultiDiGraph]:
+) -> tuple[AnalysisReport, CallGraph]:
     """Write the rows into a ``:memory:`` trace and analyse it.
 
     ``options`` go to :class:`Analyzer` (``definition``, ``weights``,

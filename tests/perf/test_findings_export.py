@@ -49,7 +49,7 @@ class TestExportDocument:
         with TraceDatabase(trace_path) as db:
             default = report_to_json(Analyzer(db).run())
         with TraceDatabase(trace_path) as db:
-            chunked = report_to_json(Analyzer(db, chunk_events=512, jobs=2).run())
+            chunked = report_to_json(Analyzer(db, chunk_events=512).run())
         assert chunked == default
 
     def test_export_is_valid_json_and_stable(self, trace_path):

@@ -123,7 +123,7 @@ class TestCliPressureSection:
         assert "-- pressure" in default
         assert "brownout:" in default
         assert "shed by class:" in default
-        # Small chunks and sharding render the identical section.
-        assert main(["analyze", path, "--pressure", "--chunk-events", "7", "--jobs", "2"]) == 0
+        # Small chunks render the identical section.
+        assert main(["analyze", path, "--pressure", "--chunk-events", "7"]) == 0
         chunked = capsys.readouterr().out
         assert chunked.split("-- pressure")[1] == default.split("-- pressure")[1]

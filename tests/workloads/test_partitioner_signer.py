@@ -89,9 +89,9 @@ class TestGlamdringAnalysis:
         }
 
     def test_call_graph_shape(self):
-        graph = self.make_model().call_graph()
-        assert graph.has_edge("handle", "seal")
-        assert graph.has_edge("seal", "log")
+        edges = self.make_model().call_graph()
+        assert ("handle", "seal") in edges
+        assert ("seal", "log") in edges
 
 
 class TestPaperPartition:
