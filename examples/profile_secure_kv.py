@@ -9,8 +9,6 @@ connect-phase contention.
 Run:  python examples/profile_secure_kv.py
 """
 
-import numpy as np
-
 from repro.bench import run_figures_7_8
 from repro.perf.workingset import WorkingSetEstimator
 from repro.sgx import SgxDevice

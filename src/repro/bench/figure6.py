@@ -10,7 +10,7 @@ The paper's bars (normalised to the native build):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sgx.constants import PatchLevel
 from repro.sgx.device import SgxDevice

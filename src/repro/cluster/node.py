@@ -111,8 +111,8 @@ def _shard_logger(process: SimProcess, urts, db_path: str):
     """The installed event logger of a traced shard; ``None`` untraced.
 
     An untraced shard never imports the trace stack (logger, store,
-    ``sqlite3``): every node of every run pays for what its spawn worker
-    imports.
+    ``sqlite3``): every node of every run pays for what its worker
+    imports, unless it was forked from a caller that had it loaded.
     """
     if db_path == ":memory:":
         return None

@@ -7,78 +7,58 @@ the simulated serving path — plus the recovery machinery they exercise
 circuit breaking in :mod:`repro.workloads.serving`, trace salvage in
 :mod:`repro.perf`) and the virtual-time hang watchdog
 (:class:`repro.faults.watchdog.HangWatchdog`).
+
+The re-exports below resolve on first use (PEP 562), so importing one
+module of the package (``repro.faults.plan``, ``repro.faults.netcampaign``)
+loads neither the injectors nor the watchdog.
 """
 
-from repro.faults.injector import (
-    INJECT_EPC,
-    INJECT_LOSS,
-    INJECT_NET_DELAY,
-    INJECT_NET_PARTITION,
-    INJECT_NET_RESET,
-    INJECT_NET_SHORT_WRITE,
-    INJECT_OCALL_DELAY,
-    INJECT_OCALL_ERROR,
-    INJECT_TCS,
-    FaultInjector,
-    InjectedFault,
-)
-from repro.faults.plan import (
-    EnclaveLossPlan,
-    FaultPlan,
-    NetworkChaosPlan,
-    OcallFaultPlan,
-    TcsExhaustionPlan,
-    TransientEpcPlan,
-)
-from repro.faults.pressure import (
-    INJECT_EPC_RELEASE,
-    INJECT_EPC_SQUEEZE,
-    INJECT_STRESSOR_START,
-    INJECT_STRESSOR_STOP,
-    EpcSqueezeWindow,
-    PressureInjector,
-    PressurePlan,
-    StressorTenantPlan,
-)
-from repro.faults.watchdog import (
-    WATCHDOG_DEADLOCK,
-    WATCHDOG_ECALL_TIMEOUT,
-    WATCHDOG_LOST_WAKEUP,
-    HangDetection,
-    HangWatchdog,
-    WatchdogHangError,
-)
+from __future__ import annotations
 
-__all__ = [
-    "EnclaveLossPlan",
-    "FaultInjector",
-    "FaultPlan",
-    "EpcSqueezeWindow",
-    "HangDetection",
-    "HangWatchdog",
-    "InjectedFault",
-    "INJECT_EPC",
-    "INJECT_EPC_RELEASE",
-    "INJECT_EPC_SQUEEZE",
-    "INJECT_STRESSOR_START",
-    "INJECT_STRESSOR_STOP",
-    "INJECT_LOSS",
-    "INJECT_NET_DELAY",
-    "INJECT_NET_PARTITION",
-    "INJECT_NET_RESET",
-    "INJECT_NET_SHORT_WRITE",
-    "INJECT_OCALL_DELAY",
-    "INJECT_OCALL_ERROR",
-    "INJECT_TCS",
-    "NetworkChaosPlan",
-    "OcallFaultPlan",
-    "PressureInjector",
-    "PressurePlan",
-    "StressorTenantPlan",
-    "TcsExhaustionPlan",
-    "TransientEpcPlan",
-    "WATCHDOG_DEADLOCK",
-    "WATCHDOG_ECALL_TIMEOUT",
-    "WATCHDOG_LOST_WAKEUP",
-    "WatchdogHangError",
-]
+import importlib
+
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "EnclaveLossPlan": "repro.faults.plan",
+    "EpcSqueezeWindow": "repro.faults.pressure",
+    "FaultInjector": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "HangDetection": "repro.faults.watchdog",
+    "HangWatchdog": "repro.faults.watchdog",
+    "INJECT_EPC": "repro.faults.injector",
+    "INJECT_EPC_RELEASE": "repro.faults.pressure",
+    "INJECT_EPC_SQUEEZE": "repro.faults.pressure",
+    "INJECT_LOSS": "repro.faults.injector",
+    "INJECT_NET_DELAY": "repro.faults.injector",
+    "INJECT_NET_PARTITION": "repro.faults.injector",
+    "INJECT_NET_RESET": "repro.faults.injector",
+    "INJECT_NET_SHORT_WRITE": "repro.faults.injector",
+    "INJECT_OCALL_DELAY": "repro.faults.injector",
+    "INJECT_OCALL_ERROR": "repro.faults.injector",
+    "INJECT_STRESSOR_START": "repro.faults.pressure",
+    "INJECT_STRESSOR_STOP": "repro.faults.pressure",
+    "INJECT_TCS": "repro.faults.injector",
+    "InjectedFault": "repro.faults.injector",
+    "NetworkChaosPlan": "repro.faults.plan",
+    "OcallFaultPlan": "repro.faults.plan",
+    "PressureInjector": "repro.faults.pressure",
+    "PressurePlan": "repro.faults.pressure",
+    "StressorTenantPlan": "repro.faults.pressure",
+    "TcsExhaustionPlan": "repro.faults.plan",
+    "TransientEpcPlan": "repro.faults.plan",
+    "WATCHDOG_DEADLOCK": "repro.faults.watchdog",
+    "WATCHDOG_ECALL_TIMEOUT": "repro.faults.watchdog",
+    "WATCHDOG_LOST_WAKEUP": "repro.faults.watchdog",
+    "WatchdogHangError": "repro.faults.watchdog",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

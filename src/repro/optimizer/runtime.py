@@ -25,7 +25,7 @@ ecall).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.optimizer.plan import ECHO, OptimizationPlan
 from repro.sdk import constants as sdkc

@@ -23,7 +23,7 @@ optimizer never silently drops a finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.optimizer.plan import (
     CONST,

@@ -16,7 +16,6 @@ is detected on load.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 from repro.crypto.hmac import hmac_sha256
 from repro.crypto.stream import stream_cost_ns, stream_xor

@@ -12,7 +12,7 @@ the storage hardware they model (the paper used a SATA-III SSD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.kernel import Simulation

@@ -2,12 +2,23 @@
 
 Execution model:
 
-* every task runs in a **spawn-context** worker process — no inherited
-  simulation state, no inherited SQLite connections (see the
-  ``TraceDatabase`` pid guard), nothing shared but the task tuple;
+* every task runs in a worker process and builds its own simulation
+  (device, logger, trace store); nothing passes between the caller and a
+  worker but the task tuple and its result;
+* a caller on Linux that runs exactly one OS thread **forks** the
+  workers: they inherit its imported modules and warm caches
+  copy-on-write, so a worker starts its task within milliseconds.  Any
+  other caller **spawns** them, each a fresh interpreter that imports
+  what its task needs: a fork from a process with a second thread (such
+  as the thread pool NumPy's OpenBLAS starts on import) can deadlock the
+  child on a lock that thread held, and Python 3.12+ warns about it.  A
+  forked worker never uses an inherited SQLite connection (see the
+  ``TraceDatabase`` pid guard) and never finalises the caller's garbage
+  (the fork runs under ``gc.freeze``);
 * the parent merges results in **task-index order**, never completion
   order, so the merged manifest — and its digest — is byte-identical for
-  ``jobs=1`` and ``jobs=8`` (the CI gate compares exactly this);
+  ``jobs=1`` and ``jobs=8``, forked or spawned (the CI gate compares
+  exactly this);
 * a lost worker (crash, OOM-kill) breaks the pool for every in-flight
   future; the engine finishes what completed, then retries each lost task
   **in its own single-worker pool** so a reliably-crashing task cannot
@@ -16,12 +27,15 @@ Execution model:
   instead of aborting the sweep.
 
 Execution facts that legitimately vary between runs (attempt counts,
-wall-clock) live on the report object and never enter the manifest.
+wall-clock) live on the report object; neither they nor the start
+method enter the manifest.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -37,6 +51,13 @@ WORKER_LOST = "sweep:worker-lost"
 
 MANIFEST_HEADER = "# sgxperf-sweep-manifest v1"
 
+# How long a pool start waits for finished threads to leave the kernel
+# (measured: under 1 ms after an inline simulation or a pool round on
+# 2 vCPUs), and how often it looks.  A caller with a live second thread
+# pays the whole wait once per pool round, then spawns.
+_THREAD_EXIT_WAIT_S = 0.01
+_THREAD_EXIT_POLL_S = 0.0005
+
 
 class SweepError(RuntimeError):
     """The sweep engine could not run the grid at all."""
@@ -46,7 +67,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit value, else ``SGXPERF_JOBS``, else cpu_count.
 
     ``0`` selects inline execution (tasks run serially in this process —
-    no isolation, but no spawn cost; crash drills must not use it).
+    no isolation, but no worker start-up; crash drills must not use it).
     """
     if jobs is None:
         env = os.environ.get("SGXPERF_JOBS", "").strip()
@@ -134,19 +155,58 @@ class SweepReport:
         return "\n".join(lines)
 
 
+def _start_method() -> str:
+    """``fork`` if this process runs exactly one OS thread on Linux, else ``spawn``.
+
+    The threads are counted in ``/proc/self/task`` (spawn if it cannot be
+    read).  A Python thread that has just finished — an inline
+    simulation's, or the previous pool's manager thread — stays in that
+    count until it has left the kernel a moment later, so a higher count
+    is read again for up to ``_THREAD_EXIT_WAIT_S`` before the caller
+    counts as threaded.
+    """
+    if not sys.platform.startswith("linux"):
+        return "spawn"
+    deadline = time.monotonic() + _THREAD_EXIT_WAIT_S
+    while True:
+        try:
+            threads = len(os.listdir("/proc/self/task"))
+        except OSError:
+            return "spawn"
+        if threads == 1:
+            return "fork"
+        if time.monotonic() >= deadline:
+            return "spawn"
+        time.sleep(_THREAD_EXIT_POLL_S)
+
+
 def _pool_round(
     tasks: list[SweepTask], jobs: int
 ) -> tuple[dict[int, TaskResult], list[SweepTask]]:
     """Run one pool round; returns (completed results, tasks lost to crashes)."""
     completed: dict[int, TaskResult] = {}
     lost: list[SweepTask] = []
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+    method = _start_method()
+    # A forking pool starts all its workers at the first submit.
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)), mp_context=get_context(method)
+    ) as pool:
         futures = []
-        for task in tasks:
-            try:
-                futures.append((task, pool.submit(run_task, task)))
-            except BrokenProcessPool:
-                lost.append(task)
+        if method == "fork":
+            # Out of the workers' collector's reach: no worker finalises an
+            # object the caller left for its own collector (an unreferenced
+            # sqlite3 connection would close there, and could checkpoint
+            # into the caller's trace).
+            gc.freeze()
+        try:
+            for task in tasks:
+                try:
+                    futures.append((task, pool.submit(run_task, task)))
+                except BrokenProcessPool:
+                    lost.append(task)
+        finally:
+            if method == "fork":
+                gc.unfreeze()
         for task, future in futures:
             try:
                 completed[task.index] = future.result()
@@ -179,7 +239,7 @@ def run_sweep(
     begin = time.perf_counter()
     ordered = sorted(tasks, key=lambda t: t.index)
 
-    if jobs == 0:
+    if jobs == 0 or not ordered:
         results = {task.index: run_task(task) for task in ordered}
         return SweepReport(
             tasks=ordered,

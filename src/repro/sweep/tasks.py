@@ -1,11 +1,12 @@
 """Sweep task model and the worker-side runners.
 
-A :class:`SweepTask` is plain picklable data — the spawn-context pool
-ships it to a worker, which builds a fully isolated simulation (its own
-``SgxDevice``, ``EventLogger`` and trace store), runs it, and returns a
-compact :class:`TaskResult`.  Nothing is shared between workers, and the
-parent never sees a live simulation object: shared-nothing by
-construction.
+A :class:`SweepTask` is plain picklable data — the pool ships it to a
+worker (forked or spawned, see :mod:`repro.sweep.engine`), which builds a
+fully isolated simulation (its own ``SgxDevice``, ``EventLogger`` and
+trace store), runs it, and returns a compact :class:`TaskResult`.  A
+forked worker inherits the caller's modules but no simulation: nothing
+is shared between workers, and the parent never sees a live simulation
+object: shared-nothing by construction.
 
 Task kinds:
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from repro.sdk.edger8r import EnclaveHandle, build_enclave
+from repro.sdk.edger8r import build_enclave
 from repro.sdk.trts import TrustedContext
 from repro.sdk.urts import Urts
 from repro.sgx.device import SgxDevice

@@ -23,14 +23,12 @@ from repro.workloads.minisql.sql import (
     ColumnDef,
     ColumnType,
     Commit,
-    Condition,
     CreateTable,
     Delete,
     Insert,
     Literal,
     Rollback,
     Select,
-    SqlError,
     Statement,
     Update,
     parse_sql,

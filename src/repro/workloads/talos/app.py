@@ -9,7 +9,7 @@ odds and ends.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.sdk.edger8r import EnclaveHandle, build_enclave
 from repro.sdk.urts import Urts

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.crypto.hmac import hkdf_like, hmac_sha256
 from repro.crypto.stream import stream_cost_ns, stream_xor

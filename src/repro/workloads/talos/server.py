@@ -14,14 +14,14 @@ Every few requests the maintenance calls (session cache, cipher queries,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sdk.errors import EnclaveLostError, SgxError
 from repro.sim.net import Listener, SocketTimeout
 from repro.workloads.talos.api import PERIODIC_ECALLS
 from repro.workloads.talos.app import TalosApp
-from repro.workloads.talos.minissl import SSL_ERROR_WANT_READ, SSL_ERROR_ZERO_RETURN
+from repro.workloads.talos.minissl import SSL_ERROR_WANT_READ
 
 POLL_SLEEP_NS = 26_000  # epoll_wait round-trip while waiting for data
 HTTP_PARSE_NS = 3_800

@@ -1,14 +1,21 @@
 """The shared-nothing parallel sweep engine.
 
 The contract under test: for the same grid spec, the merged manifest (and
-its digest) is byte-identical whatever the worker count — including when a
-worker crashes and the engine's bounded retry path runs.
+its digest) is byte-identical whatever the worker count, and whether the
+workers were forked or spawned — including when a worker crashes and the
+engine's bounded retry path runs.
 """
 
+import json
 import os
+import subprocess
+import sys
+from concurrent.futures import Future
 
 import pytest
 
+import repro
+import repro.sweep.engine as engine
 from repro.sweep import (
     WORKER_LOST,
     SweepError,
@@ -201,3 +208,145 @@ class TestTaskArtifacts:
         inline = run_task(task)
         pooled = run_sweep(tasks=[task], jobs=1).results[0]
         assert inline.digest == pooled.digest
+
+
+# Runs in a fresh interpreter, which has not imported NumPy: the selftest
+# grid and a 16-client 2-node SecureKeeper cluster at jobs 1 and 2, then
+# inline, then the two crash drills.  It records the start method of
+# every pool round and whether any child process outlived the sweeps.
+# With "threaded" as its argument a second thread stays alive throughout.
+START_PATHS = """
+import json, os, sys, tempfile, threading
+
+import repro.sweep.engine as engine
+from repro.cluster import ClusterSpec, run_cluster
+from repro.sweep import SweepTask, expand_grid, run_sweep
+
+methods = []
+get_context = engine.get_context
+engine.get_context = lambda method: methods.append(method) or get_context(method)
+
+stop = threading.Event()
+if sys.argv[1] == "threaded":
+    threading.Thread(target=stop.wait, daemon=True).start()
+
+grid = {"kind": "selftest", "seeds": "0-5", "grid": {"threads": [2, 4]}}
+spec = ClusterSpec(variant="securekeeper", nodes=2, clients=16)
+digests = {}
+for jobs in (1, 2, 0):
+    digests[f"selftest jobs={jobs}"] = run_sweep(spec=grid, jobs=jobs).digest
+    digests[f"cluster jobs={jobs}"] = run_cluster(spec, jobs=jobs).digest
+
+tasks = expand_grid(grid)
+sick = tasks[5]
+with tempfile.TemporaryDirectory() as crash_dir:
+    tasks[5] = SweepTask(
+        index=sick.index,
+        kind=sick.kind,
+        params=tuple(sorted(sick.params + (("crash", "once"), ("crash_dir", crash_dir)))),
+    )
+    digests["crash once"] = run_sweep(tasks=tasks, jobs=2).digest
+always = {"kind": "selftest", "seeds": "0-2", "params": {"crash": "always"}}
+digests["crash always"] = run_sweep(spec=always, jobs=2, retries=1).digest
+stop.set()
+
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
+print(json.dumps({
+    "methods": sorted(set(methods)),
+    "digests": digests,
+    "children_left": children_left,
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+# The crash-always drill's three sweep:worker-lost rows, as spawned
+# workers have always produced them.
+CRASH_ALWAYS_DIGEST = "e0109133fee0eacd7d8704e490d7583327a788382414d46c903e9d9b72ed1893"
+
+
+def _start_paths(mode):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::DeprecationWarning", "-c", START_PATHS, mode],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # Python 3.12+ warns when a process with a second thread forks.
+    assert "use of fork()" not in proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestStartMethod:
+    def test_pool_never_larger_than_the_task_list(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Runs each task as it is submitted; records the size asked for."""
+
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        report = run_sweep(spec={"kind": "selftest", "seeds": "0-2"}, jobs=8)
+        assert sizes == [3]
+        assert report.ok == 3
+        # An empty task list opens no pool at all.
+        assert run_sweep(tasks=[], jobs=8).results == []
+        assert sizes == [3]
+
+    def test_other_platforms_and_unreadable_proc_spawn(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert engine._start_method() == "spawn"
+        monkeypatch.setattr(sys, "platform", "linux")
+
+        def unreadable(path):
+            raise PermissionError(path)
+
+        monkeypatch.setattr(os, "listdir", unreadable)
+        assert engine._start_method() == "spawn"
+
+    @pytest.fixture(scope="class")
+    def forked(self):
+        return _start_paths("single")
+
+    def test_single_threaded_caller_forks(self, forked):
+        if not sys.platform.startswith("linux"):
+            pytest.skip("workers fork only on Linux")
+        assert not forked["numpy"]
+        assert forked["methods"] == ["fork"]
+
+    def test_forked_manifests_equal_inline_and_drills(self, forked):
+        digests = forked["digests"]
+        for kind in ("selftest", "cluster"):
+            assert digests[f"{kind} jobs=1"] == digests[f"{kind} jobs=0"]
+            assert digests[f"{kind} jobs=2"] == digests[f"{kind} jobs=0"]
+        assert digests["crash once"] == digests["selftest jobs=0"]
+        assert digests["crash always"] == CRASH_ALWAYS_DIGEST
+
+    def test_no_worker_or_resource_tracker_outlives_a_forked_sweep(self, forked):
+        if not sys.platform.startswith("linux"):
+            pytest.skip("workers fork only on Linux")
+        assert not forked["children_left"]
+
+    def test_second_thread_spawns_with_identical_digests(self, forked):
+        threaded = _start_paths("threaded")
+        assert threaded["methods"] == ["spawn"]
+        assert threaded["digests"] == forked["digests"]

@@ -1,7 +1,10 @@
 """Import weight of the recording path and the command line.
 
-Every ``run_cluster`` call runs each node shard in a fresh spawn worker,
-so whatever a shard imports is paid again per node per run.  An untraced
+A node shard imports what it needs in its worker: a spawned worker (a
+caller with a second thread, such as any process that loaded NumPy)
+starts from a fresh interpreter, and a forked one inherits only what its
+caller had loaded, which for ``sgxperf cluster`` is not the shard stack.
+Either way that import is paid again per node per run.  An untraced
 shard records nothing it analyses: it must not load the analysis package
 or NumPy, nor the trace stack (logger, store, ``sqlite3``).
 ``repro.perf`` re-exports resolve on first use, which keeps ``import
@@ -10,7 +13,10 @@ pulls either stack back onto that path.
 
 ``sgxperf`` imports the analysis package only inside the commands that
 analyse, and nothing in the package loads networkx (NumPy is the one
-runtime dependency): the last two tests hold the CLI to both.
+runtime dependency).  ``repro.cluster`` and ``repro.faults`` resolve
+their re-exports on first use too, so the constants the command line
+reads for its argument choices load neither serving stack.  The last
+three tests hold the CLI to all of this.
 """
 
 import json
@@ -24,9 +30,23 @@ import repro
 
 HEAVY = ("numpy", "networkx", "repro.perf.analysis")
 
+# The cluster runner and the fault injectors, none of which the command
+# line needs before a subcommand runs.
+SERVING_STACK = (
+    "repro.cluster.runner",
+    "repro.cluster.router",
+    "repro.cluster.brownout",
+    "repro.cluster.detector",
+    "repro.cluster.slo",
+    "repro.cluster.loadgen",
+    "repro.faults.injector",
+    "repro.faults.pressure",
+    "repro.faults.watchdog",
+)
+
 # Runs in a fresh interpreter, with the HEAVY module names as arguments:
-# one securekeeper node shard, as a spawn worker runs it, then the logger
-# import a traced shard adds.
+# one securekeeper node shard, as a spawned worker runs it, then the
+# logger import a traced shard adds.
 PROBE = """
 import json, sys
 
@@ -134,6 +154,10 @@ def test_untraced_cluster_shard_loads_no_analysis_stack():
 
 def test_cli_import_loads_no_analysis_stack():
     assert _probe(CLI_IMPORT, *HEAVY) == []
+
+
+def test_cli_import_loads_no_cluster_or_fault_stack():
+    assert _probe(CLI_IMPORT, *SERVING_STACK) == []
 
 
 def test_record_analyze_dot_never_load_networkx(tmp_path):
