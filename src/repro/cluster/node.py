@@ -156,7 +156,7 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
     plan = node_chaos_plan(spec, node)
     listener = Listener(sim, f"cluster:node{node}")
 
-    serving = ServingStats(sim, f"{spec.variant}:node{node:02d}", logger=None)
+    serving = ServingStats(f"{spec.variant}:node{node:02d}")
     retry = RetryPolicy()
     mux_stats = MuxStats()
 

@@ -28,6 +28,7 @@ from repro.cluster.slo import SloSummary, render_slo_table, rollup
 from repro.cluster.spec import ClusterSpec
 from repro.digest import canonical_json, sha256_hex
 from repro.sweep import SweepReport, run_sweep
+from repro.workloads.serving import success_rate
 
 # Shard-metric keys aggregated into the cluster replication health line.
 _REPLICATION_KEYS = (
@@ -53,12 +54,6 @@ _BROWNOUT_SUM_KEYS = (
     "page_out",
     "tenant_ops",
 )
-
-
-def _availability(ok: int, failed: int) -> float:
-    """Per-class availability under the repo-wide convention (no samples = 1)."""
-    attempted = ok + failed
-    return ok / attempted if attempted else 1.0
 
 
 @dataclass
@@ -87,14 +82,12 @@ class ClusterReport:
     @property
     def write_availability(self) -> float:
         """High-priority (client write) availability across the cluster."""
-        return _availability(
-            self.brownout["write_ok"], self.brownout["write_failed"]
-        )
+        return self.brownout["write_availability"]
 
     @property
     def read_availability(self) -> float:
         """Client read availability across the cluster."""
-        return _availability(self.brownout["read_ok"], self.brownout["read_failed"])
+        return self.brownout["read_availability"]
 
     @property
     def degraded(self) -> bool:
@@ -219,12 +212,9 @@ def run_cluster(
             )
         else:
             node_slos.append(SloSummary(scope=scope))
-    brownout["write_availability"] = _availability(
-        brownout["write_ok"], brownout["write_failed"]
-    )
-    brownout["read_availability"] = _availability(
-        brownout["read_ok"], brownout["read_failed"]
-    )
+    write_ok, read_ok = brownout["write_ok"], brownout["read_ok"]
+    brownout["write_availability"] = success_rate(write_ok, write_ok + brownout["write_failed"])
+    brownout["read_availability"] = success_rate(read_ok, read_ok + brownout["read_failed"])
     return ClusterReport(
         spec=spec,
         sweep=sweep,

@@ -10,9 +10,11 @@ nearest-rank convention as :func:`repro.workloads.serving.percentile_ns`,
 so one SLO schema covers the single-node campaigns and the cluster.
 
 The module also extends the analyser to cluster scale:
-:func:`cluster_slo_from_traces` merges the ``serve:*`` rows of per-shard
-trace databases into the same per-node + cluster-wide report, so a traced
-cluster run can be re-analysed offline, long after the run.
+:func:`cluster_slo_from_traces` replays the ``serve:*`` rows of per-shard
+trace databases into per-node + cluster-wide entries of the same schema,
+so a traced cluster run can be re-analysed offline, long after the run.
+Its counts match the live report; its percentiles come from the exact
+latencies, not the live run's histogram buckets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.workloads.serving import NO_SAMPLES_NS, percentile_ns
+from repro.workloads.serving import (
+    NO_SAMPLES_NS,
+    ServingStats,
+    success_rate,
+    summary_lines,
+)
 
 # Geometric bucket growth: bucket i covers [GROWTH**i, GROWTH**(i+1)).
 # 1.04 keeps the representative-value error under ~2% — far below the
@@ -142,9 +149,7 @@ class SloSummary:
     @property
     def success_rate(self) -> float:
         """Fraction of attempted requests that eventually succeeded."""
-        if self.attempted == 0:
-            return 1.0
-        return self.succeeded / self.attempted
+        return success_rate(self.succeeded, self.attempted)
 
     def merge(self, other: "SloSummary") -> "SloSummary":
         """Fold another scope's numbers in (for cluster-wide rollup)."""
@@ -218,63 +223,30 @@ def render_slo_table(summaries: list[SloSummary]) -> str:
 def cluster_slo_from_traces(trace_paths: Iterable[str]) -> list[dict]:
     """Merge per-shard trace databases into the cluster SLO report.
 
-    Reads each trace's ``serve:*`` fault rows through the analyser's
-    :class:`~repro.perf.analysis.report.FaultAccumulator` (so numbers match
-    `sgxperf analyze --availability` on the individual trace exactly) and
-    appends a synthesised cluster-wide entry with the merged latency set.
-    Returns the per-workload dicts followed by the ``cluster`` dict.
+    Folds each trace's fault rows through the analyser's
+    :class:`~repro.perf.analysis.report.FaultAccumulator`, whose
+    per-workload :class:`~repro.workloads.serving.ServingStats` ledgers
+    give the numbers `sgxperf analyze --availability` prints for each
+    trace, and appends a ``cluster`` entry: the merge of those ledgers.
+    Returns the per-workload summary dicts followed by the ``cluster`` one.
     """
     from repro.perf.analysis.report import FaultAccumulator
     from repro.perf.database import TraceDatabase
 
-    per_node = FaultAccumulator()
-    latencies: list[int] = []
-    totals = {"attempted": 0, "succeeded": 0, "retries": 0, "shed": 0, "failed": 0}
+    acc = FaultAccumulator()
     for path in sorted(trace_paths):
         with TraceDatabase(path, readonly=True) as db:
             for fault in db.fault_events():
-                per_node.add(fault)
-                if not fault.kind.startswith("serve:"):
-                    continue
-                if fault.kind == "serve:request":
-                    totals["attempted"] += 1
-                    totals["succeeded"] += 1
-                    detail = fault.detail
-                    if detail.startswith("ok +") and detail.endswith(" ns"):
-                        latencies.append(int(detail[4:-3]))
-                elif fault.kind == "serve:retry":
-                    totals["retries"] += 1
-                elif fault.kind == "serve:shed":
-                    totals["shed"] += 1
-                elif fault.kind == "serve:failed":
-                    totals["attempted"] += 1
-                    totals["failed"] += 1
-    entries = per_node.availability()
-    latencies.sort()
-    cluster = dict(totals)
-    cluster["workload"] = "cluster"
-    cluster["success_rate"] = (
-        cluster["succeeded"] / cluster["attempted"] if cluster["attempted"] else 1.0
-    )
-    cluster["p50_ns"] = percentile_ns(latencies, 50)
-    cluster["p99_ns"] = percentile_ns(latencies, 99)
-    cluster["p999_ns"] = percentile_ns(latencies, 99.9)
-    entries.append(cluster)
-    return entries
+                acc.add(fault)
+    cluster = ServingStats("cluster")
+    for ledger in acc.serving.values():
+        cluster.merge(ledger)
+    return acc.availability() + [cluster.summary()]
 
 
 def render_trace_slo(entries: list[dict]) -> str:
     """Render :func:`cluster_slo_from_traces` output for a terminal."""
     lines = ["-- cluster availability (from traces) " + "-" * 40]
     for entry in entries:
-        lines.append(
-            f"{entry['workload']}: {entry['succeeded']}/{entry['attempted']} "
-            f"requests ok ({entry['success_rate']:.2%}), "
-            f"{entry['retries']} retries, {entry['shed']} shed, "
-            f"{entry['failed']} failed"
-        )
-        lines.append(
-            f"  latency p50 {entry['p50_ns']} ns, p99 {entry['p99_ns']} ns, "
-            f"p999 {entry['p999_ns']} ns"
-        )
+        lines.extend(summary_lines(entry))
     return "\n".join(lines)

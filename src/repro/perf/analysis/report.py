@@ -18,7 +18,7 @@ from repro.perf.analysis.streaming import CallFold
 from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase
 from repro.perf.events import SyncKind
 from repro.sdk.edl import EnclaveDefinition
-from repro.workloads.serving import percentile_ns
+from repro.workloads.serving import SERVE_KINDS, ServingStats, summary_lines
 
 DEFAULT_TRANSITION_NS = 2_130  # §2.3.1 baseline if the trace lacks metadata
 
@@ -26,38 +26,22 @@ DEFAULT_TRANSITION_NS = 2_130  # §2.3.1 baseline if the trace lacks metadata
 class FaultAccumulator:
     """Folds fault rows into kind counts and availability summaries.
 
-    Mirrors :meth:`repro.workloads.serving.ServingStats.summary` so the
-    offline analyser reproduces the numbers a live campaign reported:
-    request counts, retries, shed/failed totals and nearest-rank latency
-    percentiles parsed back out of ``serve:request`` details (``ok +N ns``).
-    The analyser and the cluster trace merge both fold through this class.
-    Per-request latencies are retained until :meth:`availability` (the
-    percentiles need the full ordered set); everything else is O(distinct
-    kinds).
+    Each workload's ``serve:*`` rows replay into one
+    :class:`~repro.workloads.serving.ServingStats` ledger (``serving``,
+    keyed by the rows' ``call``), so the offline analyser reports the
+    summary a live campaign did and the cluster trace merge can merge the
+    ledgers.  The ledgers retain per-request latencies (the percentiles
+    need the full ordered set); everything else is O(distinct kinds).
     """
 
     def __init__(self) -> None:
         self.total = 0
         self.counts: dict[str, int] = {}
-        self._per_workload: dict[str, dict] = {}
+        self.serving: dict[str, ServingStats] = {}
         # Resource-pressure accounting, parsed out of brownout:* rows.
         self.shed_by_class: dict[str, int] = {}
         self.brownout_transitions = 0
         self.brownout_deep_transitions = 0
-
-    def _bucket(self, workload: str) -> dict:
-        return self._per_workload.setdefault(
-            workload,
-            {
-                "workload": workload,
-                "attempted": 0,
-                "succeeded": 0,
-                "retries": 0,
-                "shed": 0,
-                "failed": 0,
-                "latencies": [],
-            },
-        )
 
     def add(self, fault) -> None:
         self.total += 1
@@ -81,45 +65,16 @@ class FaultAccumulator:
                     self.shed_by_class[cls] = self.shed_by_class.get(cls, 0) + 1
                     break
             return
-        if not fault.kind.startswith("serve:"):
-            return
-        entry = self._bucket(fault.call or "?")
-        if fault.kind == "serve:request":
-            entry["attempted"] += 1
-            entry["succeeded"] += 1
-            detail = fault.detail
-            if detail.startswith("ok +") and detail.endswith(" ns"):
-                entry["latencies"].append(int(detail[4:-3]))
-        elif fault.kind == "serve:retry":
-            entry["retries"] += 1
-        elif fault.kind == "serve:shed":
-            entry["shed"] += 1
-        elif fault.kind == "serve:failed":
-            entry["attempted"] += 1
-            entry["failed"] += 1
+        if fault.kind in SERVE_KINDS:
+            workload = fault.call or "?"
+            ledger = self.serving.get(workload)
+            if ledger is None:
+                ledger = self.serving[workload] = ServingStats(workload)
+            ledger.fold_row(fault.kind, fault.detail)
 
     def availability(self) -> list[dict]:
-        """Finalise the per-workload summaries (consumes the latencies)."""
-        summaries = []
-        for workload in sorted(self._per_workload):
-            entry = self._per_workload[workload]
-            ordered = sorted(entry.pop("latencies"))
-            entry["success_rate"] = (
-                entry["succeeded"] / entry["attempted"] if entry["attempted"] else 1.0
-            )
-            entry["p50_ns"] = percentile_ns(ordered, 50)
-            entry["p99_ns"] = percentile_ns(ordered, 99)
-            entry["p999_ns"] = percentile_ns(ordered, 99.9)
-            summaries.append(entry)
-        return summaries
-
-
-def availability_from_faults(faults) -> list[dict]:
-    """Per-workload availability summaries from a trace's ``serve:*`` rows."""
-    acc = FaultAccumulator()
-    for fault in faults:
-        acc.add(fault)
-    return acc.availability()
+        """The per-workload summaries, in workload order."""
+        return [self.serving[workload].summary() for workload in sorted(self.serving)]
 
 
 def apply_fault_annotations(
@@ -199,16 +154,7 @@ class AnalysisReport:
         if not self.availability:
             lines.append("no serving-path events recorded (trace has no serve:* rows)")
         for entry in self.availability:
-            lines.append(
-                f"{entry['workload']}: {entry['succeeded']}/{entry['attempted']} "
-                f"requests ok ({entry['success_rate']:.2%}), "
-                f"{entry['retries']} retries, {entry['shed']} shed, "
-                f"{entry['failed']} failed"
-            )
-            lines.append(
-                f"  latency p50 {entry['p50_ns']} ns, p99 {entry['p99_ns']} ns, "
-                f"p999 {entry['p999_ns']} ns"
-            )
+            lines.extend(summary_lines(entry))
         if self.watchdog_counts:
             for kind, count in self.watchdog_counts:
                 lines.append(f"{kind:30} {count:>8}")

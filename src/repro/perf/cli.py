@@ -407,7 +407,7 @@ def _print_fanned(args: argparse.Namespace, report, render: Callable[[], str], s
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import run_sweep
 
-    report = run_sweep(spec=_sweep_spec(args), jobs=args.jobs, retries=args.retries)
+    report = run_sweep(spec=_sweep_spec(args), jobs=args.jobs)
     _print_fanned(args, report, report.render_report, report)
     return 0 if report.failed == 0 and report.lost == 0 else 1
 
@@ -708,9 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME=V1,V2,...",
         help="grid axis swept over the given values (repeatable)",
-    )
-    p_sweep.add_argument(
-        "--retries", type=int, default=1, help="bounded retries for crashed workers"
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

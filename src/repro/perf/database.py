@@ -358,7 +358,6 @@ class TraceDatabase:
         self._aex: list[tuple] = []
         self._paging: list[tuple] = []
         self._sync: list[tuple] = []
-        self._faults: list[tuple] = []
         self._closed = False
         # Owning process: a connection inherited across fork()/spawn() must
         # never touch the database file (shared-nothing guard).
@@ -702,9 +701,6 @@ class TraceDatabase:
         if self._sync:
             self.add_sync_rows(self._sync)
             self._sync.clear()
-        if self._faults:
-            self.add_fault_rows(self._faults)
-            self._faults.clear()
 
     def close(self) -> None:
         """Flush and close the underlying connection."""

@@ -54,11 +54,6 @@ class Param:
     count: Optional[Union[int, str]] = None
     is_string: bool = False
 
-    @property
-    def is_pointer(self) -> bool:
-        """Whether the parameter crosses the boundary as a pointer."""
-        return self.direction is not Direction.VALUE
-
     def resolve_size(self, args_by_name: dict[str, object], value: object) -> int:
         """Best-effort byte size of this parameter at call time.
 

@@ -21,10 +21,10 @@ Execution model:
   exactly this);
 * a lost worker (crash, OOM-kill) breaks the pool for every in-flight
   future; the engine finishes what completed, then retries each lost task
-  **in its own single-worker pool** so a reliably-crashing task cannot
-  take innocent neighbours down with it.  After ``retries`` bounded
-  retries a task is recorded as a ``sweep:worker-lost`` failure row
-  instead of aborting the sweep.
+  once **in its own single-worker pool** so a reliably-crashing task
+  cannot take innocent neighbours down with it.  A task lost again is
+  recorded as a ``sweep:worker-lost`` failure row instead of aborting the
+  sweep.
 
 Execution facts that legitimately vary between runs (attempt counts,
 wall-clock) live on the report object; neither they nor the start
@@ -105,7 +105,7 @@ class SweepReport:
 
     @property
     def lost(self) -> int:
-        """Tasks recorded as ``sweep:worker-lost`` after bounded retries."""
+        """Tasks recorded as ``sweep:worker-lost`` after their retry."""
         return sum(1 for r in self.results if r.status == WORKER_LOST)
 
     @property
@@ -220,14 +220,13 @@ def run_sweep(
     spec: Optional[Union[dict, list]] = None,
     tasks: Optional[list[SweepTask]] = None,
     jobs: Optional[int] = None,
-    retries: int = 1,
 ) -> SweepReport:
     """Fan a grid across the worker pool and merge in task order.
 
     Pass either a declarative ``spec`` mapping (see
     :func:`repro.sweep.grid.expand_grid`) or a pre-expanded ``tasks`` list.
-    ``retries`` bounds how many isolated re-runs a crashed-worker task gets
-    before it is recorded as a ``sweep:worker-lost`` row.
+    A crashed-worker task is re-run once, isolated, before it is recorded
+    as a ``sweep:worker-lost`` row.
     """
     if (spec is None) == (tasks is None):
         raise SweepError("pass exactly one of spec= or tasks=")
@@ -249,26 +248,21 @@ def run_sweep(
         )
 
     results, lost = _pool_round(ordered, jobs)
-    # Bounded, isolated retries: one fresh single-worker pool per attempt,
-    # so a reliably-crashing task cannot break innocent neighbours again.
+    # One isolated retry in a fresh single-worker pool, so a
+    # reliably-crashing task cannot break innocent neighbours again.
     for task in lost:
-        attempts = 1
-        while attempts <= retries:
-            attempts += 1
-            retried, lost_again = _pool_round([task], 1)
-            if not lost_again:
-                result = retried[task.index]
-                result.attempts = attempts
-                results[task.index] = result
-                break
-        else:
+        retried, lost_again = _pool_round([task], 1)
+        if lost_again:
             results[task.index] = TaskResult(
                 index=task.index,
                 key=task.key,
                 status=WORKER_LOST,
-                error=f"worker process lost {attempts} time(s)",
-                attempts=attempts,
+                error="worker process lost 2 time(s)",
+                attempts=2,
             )
+        else:
+            results[task.index] = retried[task.index]
+            results[task.index].attempts = 2
     return SweepReport(
         tasks=ordered,
         results=[results[i] for i in range(len(ordered))],

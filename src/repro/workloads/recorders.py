@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-AttachHook = Optional[Callable[["EventLogger"], None]]
-
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
+
+AttachHook = Optional[Callable[[EventLogger], None]]
 
 
 def _run_observed(process: SimProcess, load: Callable[[], None]) -> None:

@@ -282,7 +282,7 @@ def run_securekeeper_netload(
     listener = Listener(sim, "sk:2181")
     injector.attach_network(listener)
     zk = ZkServer(sim)
-    serving = ServingStats(sim, "securekeeper", logger=logger)
+    serving = ServingStats("securekeeper", logger=logger)
     server = SecureKeeperNetServer(
         proxy, listener, zk, breaker=CircuitBreaker(sim), serving=serving
     )

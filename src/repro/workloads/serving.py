@@ -10,10 +10,13 @@ This module gives both workloads one vocabulary for surviving that:
 * :class:`CircuitBreaker` — a closed/open/half-open breaker around a
   server's request handler; while open, requests are *shed* instead of
   queued behind a failing dependency;
-* :class:`ServingStats` — per-workload availability accounting
-  (successes, retries, shed and failed requests, latency percentiles),
-  optionally mirrored into the trace's ``faults`` table so the analyser
-  can report availability after the fact.
+* :class:`ServingStats` — the one ledger of a workload's request
+  outcomes (successes, retries, shed and failed requests, latency
+  percentiles).  With a logger wired in it writes each outcome as a
+  ``serve:*`` row of the trace's ``faults`` table, and
+  :meth:`ServingStats.fold_row` replays such rows, so the analyser and
+  the cluster trace merge report availability after the fact without
+  parsing rows themselves.
 
 Everything runs on the simulator's virtual clock and draws no randomness,
 so a seeded chaos campaign produces identical retry/shed sequences — and
@@ -34,6 +37,7 @@ SERVE_REQUEST = "serve:request"
 SERVE_RETRY = "serve:retry"
 SERVE_SHED = "serve:shed"
 SERVE_FAILED = "serve:failed"
+SERVE_KINDS = frozenset((SERVE_REQUEST, SERVE_RETRY, SERVE_SHED, SERVE_FAILED))
 
 # Sentinel returned by :func:`percentile_ns` when there are no samples: a
 # latency can never be negative, so ``-1`` is unambiguous, and reports that
@@ -52,9 +56,10 @@ def percentile_ns(ordered: list, pct: float) -> int:
     * ``pct <= 0``     → the minimum;
     * ``pct >= 100``   → the maximum (never an out-of-range index).
 
-    Shared by :class:`ServingStats`, the analyser's availability section
-    and the cluster SLO reports, so every layer reports the same numbers
-    for the same samples.
+    Used by :meth:`ServingStats.summary`, which the analyser and the
+    cluster trace merge also report through, and mirrored by the cluster's
+    bucketed histograms, so every layer reports the same numbers for the
+    same samples.
     """
     count = len(ordered)
     if count == 0:
@@ -65,6 +70,23 @@ def percentile_ns(ordered: list, pct: float) -> int:
         return ordered[-1]
     rank = math.ceil(pct / 100.0 * count)
     return ordered[min(count, max(1, rank)) - 1]
+
+
+def success_rate(succeeded: int, attempted: int) -> float:
+    """Fraction of attempted requests that succeeded (1.0 with no attempts)."""
+    return succeeded / attempted if attempted else 1.0
+
+
+def summary_lines(entry: dict) -> list[str]:
+    """The two report lines of one :meth:`ServingStats.summary` dict."""
+    return [
+        f"{entry['workload']}: {entry['succeeded']}/{entry['attempted']} "
+        f"requests ok ({entry['success_rate']:.2%}), "
+        f"{entry['retries']} retries, {entry['shed']} shed, "
+        f"{entry['failed']} failed",
+        f"  latency p50 {entry['p50_ns']} ns, p99 {entry['p99_ns']} ns, "
+        f"p999 {entry['p999_ns']} ns",
+    ]
 
 
 @dataclass(frozen=True)
@@ -143,15 +165,17 @@ class CircuitBreaker:
 
 
 class ServingStats:
-    """Availability accounting for one workload under (possible) chaos."""
+    """The ledger of one workload's request outcomes under (possible) chaos.
 
-    def __init__(
-        self,
-        sim: Simulation,
-        workload: str,
-        logger: Optional[Any] = None,
-    ) -> None:
-        self.sim = sim
+    Each ``record_*`` call counts one outcome and, with a logger wired in,
+    writes it as one ``serve:*`` row.  :meth:`fold_row` is the inverse: it
+    counts a row read back from a trace, so a fresh ledger fed a trace's
+    rows reports the :meth:`summary` the live ledger did, and
+    :meth:`merge` adds another ledger's outcomes (the cluster-wide entry
+    of a traced cluster run is the merge of its per-node ledgers).
+    """
+
+    def __init__(self, workload: str, logger: Optional[Any] = None) -> None:
         self.workload = workload
         self.logger = logger
         self.attempted = 0
@@ -197,20 +221,39 @@ class ServingStats:
         """
         self._row(kind, detail)
 
+    def fold_row(self, kind: str, detail: str) -> None:
+        """Count one row as the ``record_*`` call that wrote it did.
+
+        Writes no row.  A ``serve:request`` whose detail is not
+        ``ok +N ns`` counts a success without a latency sample; a row of
+        any kind outside :data:`SERVE_KINDS` counts nothing.
+        """
+        if kind == SERVE_REQUEST:
+            self.attempted += 1
+            self.succeeded += 1
+            if detail.startswith("ok +") and detail.endswith(" ns"):
+                self.latencies_ns.append(int(detail[4:-3]))
+        elif kind == SERVE_RETRY:
+            self.retries += 1
+        elif kind == SERVE_SHED:
+            self.shed += 1
+        elif kind == SERVE_FAILED:
+            self.attempted += 1
+            self.failed += 1
+
+    def merge(self, other: ServingStats) -> None:
+        """Add ``other``'s outcomes to this ledger's."""
+        self.attempted += other.attempted
+        self.succeeded += other.succeeded
+        self.retries += other.retries
+        self.shed += other.shed
+        self.failed += other.failed
+        self.latencies_ns.extend(other.latencies_ns)
+
     @property
     def success_rate(self) -> float:
         """Fraction of attempted requests that eventually succeeded."""
-        if self.attempted == 0:
-            return 1.0
-        return self.succeeded / self.attempted
-
-    def percentile_ns(self, pct: float) -> int:
-        """Latency percentile (nearest-rank) over successful requests.
-
-        Returns :data:`NO_SAMPLES_NS` (``-1``) when nothing succeeded yet —
-        see :func:`percentile_ns` for the exact edge-case contract.
-        """
-        return percentile_ns(sorted(self.latencies_ns), pct)
+        return success_rate(self.succeeded, self.attempted)
 
     def summary(self) -> dict:
         """Availability summary for reports and campaign output.

@@ -105,7 +105,7 @@ def run_talos_chaos(
     injector.attach(app.urts)
     listener = Listener(sim, "nginx:443")
     injector.attach_network(listener)
-    serving = ServingStats(sim, "talos", logger=logger)
+    serving = ServingStats("talos", logger=logger)
     server = TalosNginx(app, listener, breaker=CircuitBreaker(sim), serving=serving)
     client = TalosCurlClient(
         sim,

@@ -186,10 +186,9 @@ class TestSloSummary:
         assert rebuilt.as_dict() == original.as_dict()
 
     def test_schema_matches_serving_stats_summary(self):
-        from repro.sim.kernel import Simulation
         from repro.workloads.serving import ServingStats
 
-        stats = ServingStats(Simulation(), "w")
+        stats = ServingStats("w")
         stats.record_success(1_000)
         assert set(SloSummary(scope="w").as_dict()) == set(stats.summary())
 

@@ -117,13 +117,13 @@ class TestCampaignAvailability:
         assert plan.enclave_loss is None
 
     def test_analyser_reproduces_campaign_availability(self, tmp_path):
-        from repro.perf.analysis.report import availability_from_faults
+        from repro.perf.analysis import Analyzer
         from repro.perf.database import TraceDatabase
 
         path = str(tmp_path / "netcampaign.db")
         result = run_netcampaign("talos", seed=7, requests=60, db_path=path)
-        with TraceDatabase(path) as db:
-            rows = availability_from_faults(db.fault_events())
+        with TraceDatabase(path, readonly=True) as db:
+            rows = Analyzer(db).run().availability
         assert len(rows) == 1
         offline = rows[0]
         live = result.availability

@@ -15,7 +15,7 @@ from repro.sdk.urts import Urts
 from repro.sgx.device import SgxDevice
 from repro.sgx.enclave import EnclaveConfig
 from repro.sgx.epc import Epc
-from repro.sim.process import SimProcess
+from repro.sim.process import SIGUSR1, SimProcess
 
 from tests.conftest import SIMPLE_EDL, make_simple_impls
 
@@ -253,6 +253,38 @@ class TestSyncAndPaging:
         with pytest.raises(RuntimeError):
             logger.install()
         logger.uninstall()
+
+
+class TestSignalShadowing:
+    """Paper §4.1: the preloaded logger sits in front of every handler."""
+
+    @pytest.mark.parametrize("symbol", ["sigaction", "signal"])
+    def test_handler_runs_behind_the_logger_until_uninstall(self, process, urts, symbol):
+        def register(handler):
+            if symbol == "sigaction":
+                return process.register_signal_handler(SIGUSR1, handler)
+            return process.loader.call("signal", SIGUSR1, handler)
+
+        seen = []
+
+        def handler(signum, info):
+            seen.append((signum, info))
+            return True
+
+        logger = make_logger(process, urts)
+        logger.install()
+        assert register(handler) is None
+        assert process.deliver_signal(SIGUSR1, "info") is True
+        assert seen == [(SIGUSR1, "info")]
+        # Registering None removes the handler and returns the one the
+        # logger installed: a wrapper around the application's handler.
+        installed = register(None)
+        assert installed is not handler
+        assert installed.__wrapped__ is handler
+        assert not process.has_signal_handler(SIGUSR1)
+        logger.uninstall()
+        assert register(handler) is None
+        assert register(None) is handler
 
 
 def test_existing_trace_refused_before_anything_is_written(process, urts, tmp_path):

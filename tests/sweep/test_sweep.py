@@ -165,7 +165,7 @@ class TestCrashRecovery:
             "seeds": "0-2",
             "params": {"crash": "always"},
         }
-        report = run_sweep(spec=spec, jobs=2, retries=1)
+        report = run_sweep(spec=spec, jobs=2)
         assert report.lost == 3 and report.ok == 0
         for result in report.results:
             assert result.status == WORKER_LOST
@@ -183,7 +183,7 @@ class TestCrashRecovery:
             kind="selftest",
             params=(("crash", "always"), ("seed", 99)),
         )
-        report = run_sweep(tasks=tasks + [sick], jobs=4, retries=1)
+        report = run_sweep(tasks=tasks + [sick], jobs=4)
         assert report.ok == 12 and report.lost == 1
         clean = run_sweep(spec=SELFTEST_SPEC, jobs=1)
         assert report.manifest.splitlines()[2:-1] == clean.manifest.splitlines()[2:]
@@ -247,7 +247,7 @@ with tempfile.TemporaryDirectory() as crash_dir:
     )
     digests["crash once"] = run_sweep(tasks=tasks, jobs=2).digest
 always = {"kind": "selftest", "seeds": "0-2", "params": {"crash": "always"}}
-digests["crash always"] = run_sweep(spec=always, jobs=2, retries=1).digest
+digests["crash always"] = run_sweep(spec=always, jobs=2).digest
 stop.set()
 
 try:

@@ -1,5 +1,9 @@
 """Serving-path resilience primitives: retry policy, breaker, stats."""
 
+import random
+
+import pytest
+
 from repro.sim.kernel import Simulation
 from repro.workloads.serving import (
     NO_SAMPLES_NS,
@@ -113,7 +117,7 @@ class _FaultLog:
 
 class TestServingStats:
     def test_counts_and_success_rate(self):
-        stats = ServingStats(Simulation(), "w")
+        stats = ServingStats("w")
         stats.record_success(100)
         stats.record_success(200)
         stats.record_retry("reset")
@@ -124,20 +128,20 @@ class TestServingStats:
         assert abs(stats.success_rate - 2 / 3) < 1e-9
 
     def test_empty_stats_report_perfect_rate(self):
-        stats = ServingStats(Simulation(), "w")
+        stats = ServingStats("w")
         assert stats.success_rate == 1.0
         # No samples is reported as the sentinel, never a fake 0 ns.
-        assert stats.percentile_ns(99) == NO_SAMPLES_NS
+        assert stats.summary()["p99_ns"] == NO_SAMPLES_NS
 
     def test_percentiles_nearest_rank(self):
-        stats = ServingStats(Simulation(), "w")
+        stats = ServingStats("w")
         for latency in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]:
             stats.record_success(latency)
-        assert stats.percentile_ns(50) == 50
-        assert stats.percentile_ns(99) == 100
+        assert stats.summary()["p50_ns"] == 50
+        assert stats.summary()["p99_ns"] == 100
 
     def test_summary_shape(self):
-        stats = ServingStats(Simulation(), "talos")
+        stats = ServingStats("talos")
         stats.record_success(1_000)
         stats.record_shed("breaker open")
         summary = stats.summary()
@@ -150,7 +154,7 @@ class TestServingStats:
 
     def test_rows_mirrored_into_fault_log(self):
         log = _FaultLog()
-        stats = ServingStats(Simulation(), "w", logger=log)
+        stats = ServingStats("w", logger=log)
         stats.record_success(42)
         stats.record_retry("timeout")
         stats.record_shed("open")
@@ -160,19 +164,90 @@ class TestServingStats:
         assert log.rows[0][2] == "ok +42 ns"
 
     def test_no_logger_writes_nothing(self):
-        stats = ServingStats(Simulation(), "w")
+        stats = ServingStats("w")
         stats.record_success(1)  # must not raise without a logger
 
     def test_record_event_writes_row_without_counting(self):
         log = _FaultLog()
-        stats = ServingStats(Simulation(), "w", logger=log)
+        stats = ServingStats("w", logger=log)
         stats.record_event("session:connect", "gateway 900000: registered")
         assert log.rows == [("session:connect", "w", "gateway 900000: registered")]
         # Lifecycle rows are bookkeeping, not requests.
         assert stats.attempted == 0
         assert stats.succeeded == 0
         # And safe without a logger.
-        ServingStats(Simulation(), "w").record_event("session:close", "x")
+        ServingStats("w").record_event("session:close", "x")
+
+
+# One ledger call per outcome, as the serving loops make them.
+_OUTCOMES = {
+    "ok": lambda stats, rng: stats.record_success(rng.randrange(1_000, 10_000_000)),
+    "retry": lambda stats, rng: stats.record_retry("reset"),
+    "shed": lambda stats, rng: stats.record_shed("breaker open"),
+    "failed": lambda stats, rng: stats.record_failure("gave up"),
+    "event": lambda stats, rng: stats.record_event("session:connect", "registered"),
+}
+_ALL = tuple(_OUTCOMES)
+_NO_SUCCESS = ("retry", "shed", "failed", "event")
+
+
+def _recorded_ledgers(seed, outcomes, bare_success):
+    """Three ledgers fed one seeded outcome sequence, and the rows they wrote.
+
+    With ``bare_success`` node01 also folds a ``serve:request`` row whose
+    detail carries no latency; ``fold_row`` writes no row, so the row is
+    appended to the log by hand.
+    """
+    rng = random.Random(seed)
+    log = _FaultLog()
+    ledgers = {w: ServingStats(w, logger=log) for w in ("node00", "node01", "node02")}
+    for _ in range(200):
+        _OUTCOMES[rng.choice(outcomes)](ledgers[rng.choice(sorted(ledgers))], rng)
+    if bare_success:
+        written = len(log.rows)
+        ledgers["node01"].fold_row(SERVE_REQUEST, "ok")
+        assert len(log.rows) == written
+        log.rows.append((SERVE_REQUEST, "node01", "ok"))
+    return ledgers, log.rows
+
+
+@pytest.mark.parametrize(
+    "seed, outcomes, bare_success",
+    [pytest.param(seed, _ALL, False, id=f"seed{seed}") for seed in range(4)]
+    + [
+        pytest.param(4, _ALL, True, id="bare-success"),
+        pytest.param(5, _NO_SUCCESS, False, id="no-success"),
+        pytest.param(6, _NO_SUCCESS, True, id="only-bare-success"),
+    ],
+)
+class TestLedgerReplay:
+    """``fold_row`` inverts the rows a ledger writes; ``merge`` adds ledgers."""
+
+    def test_fresh_ledger_fed_the_rows_reproduces_the_summary(
+        self, seed, outcomes, bare_success
+    ):
+        ledgers, rows = _recorded_ledgers(seed, outcomes, bare_success)
+        for workload, ledger in ledgers.items():
+            replay = ServingStats(workload)
+            for kind, call, detail in rows:
+                if call == workload:
+                    replay.fold_row(kind, detail)
+            assert replay.summary() == ledger.summary()
+            if "ok" not in outcomes:
+                assert ledger.summary()["p50_ns"] == NO_SAMPLES_NS
+
+    def test_merged_ledgers_equal_one_ledger_fed_every_row(
+        self, seed, outcomes, bare_success
+    ):
+        ledgers, rows = _recorded_ledgers(seed, outcomes, bare_success)
+        merged = ServingStats("cluster")
+        for ledger in ledgers.values():
+            merged.merge(ledger)
+        whole = ServingStats("cluster")
+        for kind, _call, detail in rows:
+            whole.fold_row(kind, detail)
+        assert merged.summary() == whole.summary()
+        assert whole.succeeded == sum(ledger.succeeded for ledger in ledgers.values())
 
 
 class TestPercentileNs:
