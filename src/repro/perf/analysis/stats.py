@@ -101,17 +101,20 @@ def compute_statistics(kind: str, name: str, events: Calls) -> CallStatistics:
 def _statistics_from_values(kind: str, name: str, values: np.ndarray) -> CallStatistics:
     if len(values) == 0:
         return CallStatistics(kind, name, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+    # One partition for all four order statistics; the 50th percentile is
+    # the median (the mean of the middle pair for an even count).
+    median, p90, p95, p99 = np.percentile(values, (50, 90, 95, 99)).tolist()
     return CallStatistics(
         kind=kind,
         name=name,
         count=int(len(values)),
         total_ns=int(values.sum()),
         mean_ns=float(values.mean()),
-        median_ns=float(np.median(values)),
+        median_ns=median,
         std_ns=float(values.std()),
-        p90_ns=float(np.percentile(values, 90)),
-        p95_ns=float(np.percentile(values, 95)),
-        p99_ns=float(np.percentile(values, 99)),
+        p90_ns=p90,
+        p95_ns=p95,
+        p99_ns=p99,
         min_ns=int(values.min()),
         max_ns=int(values.max()),
     )

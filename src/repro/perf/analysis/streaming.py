@@ -92,12 +92,20 @@ class _GroupState:
             self.is_sync_first = is_sync
 
     def sorted_durations(self) -> np.ndarray:
-        """Durations re-sorted to the global ``(start, id)`` reader order."""
+        """Durations re-sorted to the global ``(start, id)`` reader order.
+
+        Rows that already arrived in that order (every one-thread trace's)
+        skip the sort: the stable ``lexsort`` would return them unchanged.
+        """
         if not self.durs:
             return np.empty(0, dtype=np.int64)
         starts = np.concatenate(self.starts)
         ids = np.concatenate(self.ids)
         durs = np.concatenate(self.durs)
+        later = starts[1:] > starts[:-1]
+        tied = starts[1:] == starts[:-1]
+        if (later | (tied & (ids[1:] >= ids[:-1]))).all():
+            return durs
         return durs[np.lexsort((ids, starts))]
 
 

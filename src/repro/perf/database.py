@@ -16,13 +16,23 @@ as a plain table.  The side tables (``aex``, ``paging``, ``sync``,
 **Column blocks.**  ``call_blocks(thread_id, seq, nrows, data)`` holds the
 same call rows a second time, for the analyser: each thread's rows in
 ``(start_ns, id)`` order, at most :data:`DEFAULT_CHUNK_EVENTS` rows per
-block.  ``data`` is the ten ``call_rows`` columns, column-major, as
-little-endian int64 (a SQL ``NULL`` parent as :data:`NO_PARENT`),
-compressed with zlib level 1.  The recording encodes blocks as it writes
-its rows, with the stdlib's ``array`` and ``zlib``: the logger's drains
-name each thread's oldest open call, and rows that sort after it wait in
-memory (at most one open call tree per thread) until a later drain or the
-seal.  The writer never imports NumPy and never reads its trace back.
+block.  ``data`` is uncompressed: a 10-byte header of one ``array``
+typecode per ``call_rows`` column (``b``, ``h``, ``i`` or ``q``: the
+narrowest of 1, 2, 4 or 8 bytes that holds the column's values in this
+block), then the ten columns, column-major, as little-endian signed
+integers of those widths (a SQL ``NULL`` parent as :data:`NO_PARENT`).
+A reader turns each column into int64 with one ``np.frombuffer``; nothing
+is inflated.  The recording encodes blocks as it writes its rows, with
+the stdlib's ``array``: the logger's drains name each thread's oldest open
+call, and rows that sort after it wait in memory (at most one open call
+tree per thread) until a later drain or the seal.  The writer never
+imports NumPy and never reads its trace back.
+
+**Format mark.**  SQLite's ``PRAGMA user_version`` holds
+:data:`BLOCK_FORMAT`.  It lives in the file header, outside ``meta`` and
+every table :func:`repro.digest.trace_digest` hashes, so the mark moves no
+digest.  A trace with ``call_blocks`` and any other mark holds blocks in
+an older layout (int64 columns compressed with zlib) and is refused.
 
 **Sealing.**  :meth:`TraceDatabase.seal` completes a trace; the event
 logger's ``finalize()``/``abort()`` and :meth:`salvage` call it.  It
@@ -56,10 +66,10 @@ NumPy arrays straight from SQL, and raw SQL for everyone else.
 ``readonly=True`` opens an existing trace through SQLite's read-only mode:
 no write lock, and the file's bytes never change — the mode every analysis
 command uses.  Either mode refuses, with :class:`TraceError` and before
-writing anything, a trace whose ``calls`` is still a table or that has no
-``call_blocks`` (the two schemas before this one); a read-only open also
-refuses a trace whose blocks do not cover ``call_rows`` (one that was
-never sealed).
+writing anything, a trace whose ``calls`` is still a table, that has no
+``call_blocks``, or whose blocks are not marked :data:`BLOCK_FORMAT` (the
+three layouts before this one); a read-only open also refuses a trace
+whose blocks do not cover ``call_rows`` (one that was never sealed).
 
 For traces too large to materialise, the **streaming API** walks the
 trace in bounded-size batches: :meth:`call_columns_chunks` decodes the
@@ -74,7 +84,6 @@ from __future__ import annotations
 import os
 import sqlite3
 import sys
-import zlib
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -105,6 +114,11 @@ TRUNCATED_CALL_NAME = "<truncated>"
 
 # A SQL NULL parent_id in a column block, and in every CallColumns batch.
 NO_PARENT = -1
+
+
+# ``PRAGMA user_version`` of a trace whose column blocks are in the layout
+# above; traces written before it carry 0 (SQLite's default).
+BLOCK_FORMAT = 1
 
 
 class TraceError(RuntimeError):
@@ -235,33 +249,59 @@ _CALL_COLUMNS = 10  # call_rows columns, the rows of a decoded block
 _START_ID = itemgetter(5, 0)  # (start_ns, id): a thread's block order
 _START = itemgetter(5)
 
+# A block column's typecode (a header byte) and its width in bytes.
+_WIDTHS = {ord("b"): 1, ord("h"): 2, ord("i"): 4, ord("q"): 8}
+
+
+def _typecode(low: int, high: int) -> str:
+    """The narrowest signed typecode that holds every value in ``[low, high]``."""
+    if -0x80 <= low and high < 0x80:
+        return "b"
+    if -0x8000 <= low and high < 0x8000:
+        return "h"
+    if -0x8000_0000 <= low and high < 0x8000_0000:
+        return "i"
+    return "q"
+
 
 def _pack_block(rows: Sequence[tuple]) -> bytes:
     """Encode ``call_rows`` tuples (one thread, block order) as one block.
 
-    Column by column through one compressor: no transposed copy of the
-    rows is ever built.
+    One column at a time: no transposed copy of the rows is ever built.
     """
-    compressor = zlib.compressobj(1)
-    parts = []
+    codes, columns = [], []
     for column in range(_CALL_COLUMNS):
-        values = map(itemgetter(column), rows)
+        values = list(map(itemgetter(column), rows))
         if column == 8:  # parent_id
             values = [NO_PARENT if p is None else p for p in values]
-        packed = array("q", values)
+        code = _typecode(min(values), max(values))
+        packed = array(code, values)
         if sys.byteorder == "big":
             packed.byteswap()
-        parts.append(compressor.compress(packed))
-    parts.append(compressor.flush())
-    return b"".join(parts)
+        codes.append(code)
+        columns.append(packed)
+    return b"".join(["".join(codes).encode(), *columns])
+
+
+def _block_columns(nrows: int, data: bytes) -> Iterator[tuple[int, int]]:
+    """``(width, offset)`` of each of a block's columns, in column order."""
+    offset = _CALL_COLUMNS
+    for code in data[:_CALL_COLUMNS]:
+        width = _WIDTHS[code]
+        yield width, offset
+        offset += width * nrows
 
 
 def _block_last_key(nrows: int, data: bytes) -> tuple[int, int]:
     """``(start_ns, id)`` of a block's last row, decoded without NumPy."""
-    values = array("q", zlib.decompress(data))
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values[6 * nrows - 1], values[nrows - 1]
+    columns = list(_block_columns(nrows, data))
+
+    def last(column: int) -> int:
+        width, offset = columns[column]
+        end = offset + width * nrows
+        return int.from_bytes(data[end - width : end], "little", signed=True)
+
+    return last(5), last(0)
 
 
 @dataclass(frozen=True)
@@ -294,9 +334,11 @@ class TraceDatabase:
 
     Either mode refuses, with :class:`TraceError` and before writing
     anything, a trace whose ``calls`` is still a table (the schema before
-    interned call sites) or that has ``call_rows`` but no ``call_blocks``
-    (the schema before column blocks); a read-only open also refuses a
-    file that holds no trace, and a trace that was never sealed.
+    interned call sites), that has ``call_rows`` but no ``call_blocks``
+    (the schema before column blocks), or whose ``call_blocks`` are not
+    marked :data:`BLOCK_FORMAT` (zlib-compressed int64 blocks); a
+    read-only open also refuses a file that holds no trace, and a trace
+    that was never sealed.
     """
 
     def __init__(
@@ -329,6 +371,7 @@ class TraceDatabase:
             self._check_schema()
             self._apply_recording_pragmas()
             self._conn.executescript(_SCHEMA_TABLES)
+            self._conn.execute(f"PRAGMA user_version = {BLOCK_FORMAT}")
             # (kind, name) → site id; a reopened trace keeps its ids.
             self._site_ids = {
                 (kind, name): site
@@ -376,6 +419,11 @@ class TraceDatabase:
             problem = "trace predates interned call sites; re-record it"
         elif "call_rows" in objects and "call_blocks" not in objects:
             problem = "trace predates column blocks; re-record it"
+        elif (
+            "call_blocks" in objects
+            and self._conn.execute("PRAGMA user_version").fetchone()[0] != BLOCK_FORMAT
+        ):
+            problem = "trace predates uncompressed column blocks; re-record it"
         elif not self.readonly:
             return
         elif "call_rows" not in objects:
@@ -843,8 +891,10 @@ class TraceDatabase:
         for nrows, data in self._conn.execute(
             "SELECT nrows, data FROM call_blocks ORDER BY thread_id, seq"
         ):
-            block = np.frombuffer(zlib.decompress(data), dtype="<i8")
-            pending.append(block.reshape(_CALL_COLUMNS, nrows))
+            block = np.empty((_CALL_COLUMNS, nrows), dtype=np.int64)
+            for column, (width, offset) in enumerate(_block_columns(nrows, data)):
+                block[column] = np.frombuffer(data, f"<i{width}", nrows, offset)
+            pending.append(block)
             have += nrows
             if have < chunk:
                 continue

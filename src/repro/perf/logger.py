@@ -168,7 +168,6 @@ class EventLogger:
         self._n_page_in = 0
         self._n_page_out = 0
         self._real_sgx_ecall: Optional[Callable] = None
-        self._wrapped_handlers = 0
         self._installed = False
         self._aborted = False
 
@@ -656,7 +655,6 @@ class EventLogger:
         real = self.process.loader.resolve_next(symbol, self.library)
         if handler is None:
             return real(signum, None)
-        self._wrapped_handlers += 1
 
         def wrapped(sig: int, info: Any):
             # The logger's own processing is bookkeeping-only in the model.

@@ -5,8 +5,11 @@ The invariant: once a trace is sealed, decoding a thread's blocks in
 ORDER BY start_ns, id`` (a ``NULL`` parent as ``-1``).  It must hold however
 the rows arrived: drained while calls were still open, closed by
 ``abort()``, synthesised by salvage, or added to a reopened trace.  The
-blocks are decoded here straight from SQLite, with zlib and NumPy, so the
-on-disk format is pinned too.
+blocks are decoded here straight from SQLite, with NumPy alone, so the
+on-disk format is pinned too: the ``PRAGMA user_version`` mark, a 10-byte
+header of typecodes, and each column at the narrowest width that holds
+its values.  A trace whose blocks are in the layout before this one
+(zlib-compressed int64 columns, no mark) is refused.
 """
 
 from __future__ import annotations
@@ -23,17 +26,65 @@ import pytest
 
 import repro
 from repro.faults.campaign import run_campaign
-from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase
+from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase, TraceError
 from repro.perf.events import ECALL, OCALL, CallEvent
 from repro.perf.logger import _F_ID, EventLogger
+from repro.workloads.recorders import record_glamdring
 
 from tests.perf.test_salvage import build_crashy_app
+
+# The block layout: ``PRAGMA user_version``, and the width in bytes of a
+# column stored under each header typecode (little-endian, signed).
+BLOCK_FORMAT = 1
+WIDTHS = {"b": 1, "h": 2, "i": 4, "q": 8}
+
+
+def narrowest(values: list) -> str:
+    """The typecode of the narrowest width whose signed range holds ``values``."""
+    low, high = min(values), max(values)
+    for code, width in WIDTHS.items():
+        bound = 1 << (8 * width - 1)
+        if -bound <= low and high < bound:
+            return code
+    raise AssertionError(f"no column width holds {low}..{high}")
+
+
+def decode_block(nrows: int, data: bytes) -> np.ndarray:
+    """A block's ``(10, nrows)`` int64 columns, checking its layout is exact."""
+    codes = data[:10].decode("ascii")
+    assert len(codes) == 10 and set(codes) <= set(WIDTHS), codes
+    assert len(data) == 10 + nrows * sum(WIDTHS[code] for code in codes)
+    columns, offset = [], 10
+    for code in codes:
+        column = np.frombuffer(data, f"<i{WIDTHS[code]}", nrows, offset)
+        columns.append(column.astype(np.int64))
+        offset += nrows * WIDTHS[code]
+    assert codes == "".join(narrowest(column.tolist()) for column in columns)
+    return np.stack(columns)
+
+
+def rewrite_as_zlib_blocks(path) -> None:
+    """Put a sealed trace's blocks in the layout before this one: the ten
+    columns as little-endian int64, compressed with zlib level 1, and no
+    format mark (``user_version`` 0, SQLite's default)."""
+    with closing(sqlite3.connect(path)) as conn:
+        blocks = conn.execute("SELECT thread_id, seq, nrows, data FROM call_blocks").fetchall()
+        assert blocks
+        with conn:
+            for tid, seq, nrows, data in blocks:
+                old = zlib.compress(decode_block(nrows, data).astype("<i8").tobytes(), 1)
+                conn.execute(
+                    "UPDATE call_blocks SET data = ? WHERE thread_id = ? AND seq = ?",
+                    (old, tid, seq),
+                )
+        conn.execute("PRAGMA user_version = 0")
 
 
 def assert_blocks_match_rows(path) -> int:
     """Check the invariant on a file-backed trace; returns the blocks seen."""
     blocks = 0
     with closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as conn:
+        assert conn.execute("PRAGMA user_version").fetchone() == (BLOCK_FORMAT,)
         threads = [t for (t,) in conn.execute("SELECT DISTINCT thread_id FROM call_rows")]
         assert sorted(threads) == [
             t for (t,) in conn.execute("SELECT DISTINCT thread_id FROM call_blocks ORDER BY 1")
@@ -46,7 +97,7 @@ def assert_blocks_match_rows(path) -> int:
                 (tid,),
             ):
                 assert 0 < nrows <= DEFAULT_CHUNK_EVENTS
-                columns = np.frombuffer(zlib.decompress(data), dtype="<i8").reshape(10, nrows)
+                columns = decode_block(nrows, data)
                 decoded.extend(zip(*columns.tolist()))
                 seqs.append(seq)
                 blocks += 1
@@ -223,3 +274,33 @@ def test_recording_never_imports_numpy(tmp_path):
     )
     assert assert_blocks_match_rows(path) > 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["glamdring.db"]
+
+
+class TestZlibBlockTrace:
+    """A recorded trace whose blocks are re-encoded in the zlib layout."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("zlib") / "old.db"
+        record_glamdring(str(path), 3, signs=1)
+        assert assert_blocks_match_rows(path) > 0
+        select = "SELECT thread_id, seq, nrows, data FROM call_blocks ORDER BY thread_id, seq"
+        with closing(sqlite3.connect(path)) as conn:
+            narrow = [decode_block(nrows, data) for _, _, nrows, data in conn.execute(select)]
+        rewrite_as_zlib_blocks(path)
+        with closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as conn:
+            assert conn.execute("PRAGMA user_version").fetchone() == (0,)
+            inflated = [  # what the reader of the zlib layout decoded
+                np.frombuffer(zlib.decompress(data), dtype="<i8").reshape(10, nrows)
+                for _, _, nrows, data in conn.execute(select)
+            ]
+        assert [block.tolist() for block in inflated] == [block.tolist() for block in narrow]
+        return path
+
+    @pytest.mark.parametrize("readonly", [True, False])
+    def test_open_is_refused_untouched(self, path, readonly):
+        before = path.read_bytes()
+        with pytest.raises(TraceError, match="predates uncompressed column blocks; re-record it"):
+            TraceDatabase(str(path), readonly=readonly)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["old.db"]

@@ -21,7 +21,7 @@ from repro.digest import trace_digest
 from repro.perf.cli import main
 from repro.perf.database import TraceDatabase
 
-from tests.perf.test_call_blocks import record_crash_snapshot
+from tests.perf.test_call_blocks import record_crash_snapshot, rewrite_as_zlib_blocks
 from tests.perf.test_columns import OLD_CALLS_DDL, PRE_BLOCKS_DDL
 
 CAMPAIGN_DIGESTS = {
@@ -268,6 +268,28 @@ def test_trace_before_column_blocks_exits_2_untouched(tmp_path, capsys):
         )
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pre-blocks.db"]
+
+
+def test_trace_with_zlib_blocks_exits_2_untouched(tmp_path, capsys):
+    path = tmp_path / "zlib.db"
+    assert main(["record", "sqlite", "-o", str(path)]) == 0
+    rewrite_as_zlib_blocks(path)
+    capsys.readouterr()
+    before = path.read_bytes()
+    for argv in (
+        ["analyze", str(path)],
+        ["stats", str(path), "ocall", "ocall_lseek"],
+        ["dot", str(path)],
+        ["optimize", str(path)],
+        ["salvage", str(path)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"sgxperf {argv[0]}: {path}: trace predates uncompressed column blocks;"
+            " re-record it\n"
+        )
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["zlib.db"]
 
 
 def test_crashed_trace_exits_2_untouched_until_salvaged(process, urts, tmp_path, capsys):
