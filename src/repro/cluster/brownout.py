@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro import faultrows
 from repro.cluster.router import (
     OP_CREATE,
     OP_FILL,
@@ -46,16 +47,10 @@ PRIORITY_READ = "read"
 PRIORITY_BACKGROUND = "background"
 PRIORITY_ORDER = (PRIORITY_BACKGROUND, PRIORITY_READ, PRIORITY_WRITE)
 
-# Controller levels.
+# Controller levels, named by their index in ``faultrows.BROWNOUT_LEVELS``.
 LEVEL_NORMAL = 0
 LEVEL_BROWNOUT = 1
 LEVEL_DEEP = 2
-LEVEL_NAMES = {LEVEL_NORMAL: "normal", LEVEL_BROWNOUT: "brownout", LEVEL_DEEP: "deep"}
-
-# Trace-row kinds (written through ``ServingStats.record_event`` when the
-# shard is traced; the priority-order test folds over these).
-BROWNOUT_LEVEL = "brownout:level"
-BROWNOUT_SHED = "brownout:shed"
 
 # Default thresholds, in EPC pages per virtual second.  One EWB/ELDU pair
 # costs ~14 µs of device time, so ~70k pages/s means the shard spends
@@ -82,7 +77,7 @@ class ClusterOverloaded(Exception):
 
     def __init__(self, priority: str, level: int, backlog: int, reason: str) -> None:
         super().__init__(
-            f"{reason}: {priority} shed at {LEVEL_NAMES[level]} (backlog {backlog})"
+            f"{reason}: {priority} shed at {faultrows.BROWNOUT_LEVELS[level]} (backlog {backlog})"
         )
         self.priority = priority
         self.level = level
@@ -179,7 +174,7 @@ class BrownoutController:
 
     @property
     def level_name(self) -> str:
-        return LEVEL_NAMES[self.level]
+        return faultrows.BROWNOUT_LEVELS[self.level]
 
     def _set_level(self, level: int, now_ns: int) -> None:
         if level == self.level:
@@ -193,9 +188,8 @@ class BrownoutController:
         self._level_since_ns = now_ns
         if self.record is not None:
             self.record(
-                BROWNOUT_LEVEL,
-                f"{LEVEL_NAMES[previous]} -> {LEVEL_NAMES[level]} "
-                f"at {self.signal.rate_pps:.0f} pages/s",
+                faultrows.BROWNOUT_LEVEL,
+                faultrows.encode_brownout_level(previous, level, self.signal.rate_pps),
             )
 
     def observe(self, now_ns: int) -> int:
@@ -254,9 +248,8 @@ class BrownoutController:
         """Write the typed-shed evidence row (class + level + reason)."""
         if self.record is not None:
             self.record(
-                BROWNOUT_SHED,
-                f"class={exc.priority} level={LEVEL_NAMES[exc.level]} "
-                f"reason={exc.reason} backlog={exc.backlog}",
+                faultrows.BROWNOUT_SHED,
+                faultrows.encode_brownout_shed(exc.priority, exc.level, exc.reason, exc.backlog),
             )
 
     def batch_limit(self, base: int) -> int:

@@ -272,11 +272,7 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
     combined = dict(injector.stats)
     for kind, count in pressure.stats.items():
         combined[kind] = combined.get(kind, 0) + count
-    faults = {
-        kind: count
-        for kind, count in sorted(combined.items())
-        if kind.startswith("inject:")
-    }
+    faults = dict(sorted(combined.items()))
 
     if logger is not None:
         logger.uninstall()

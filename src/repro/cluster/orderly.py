@@ -12,8 +12,9 @@ The recovery machinery is precisely where such bugs hide — reconnect
 paths that re-send ``MSG_CONNECT``, retry loops that race shutdown — so
 the gateway mirrors its session lifecycle into the trace's fault table
 (``session:connect`` / ``session:batch`` / ``session:close`` rows, see
-:mod:`repro.cluster.proxy`) and this module folds those rows, per trace
-and per gateway identity, into a verdict.  Violations surface as
+:mod:`repro.cluster.proxy`; :mod:`repro.faultrows` decodes them) and this
+module folds those rows, per trace and per gateway identity, into a
+verdict.  Violations surface as
 analyser findings in ``sgxperf analyze --cluster``.
 
 The fold is deterministic and streaming-friendly: rows are consumed in
@@ -23,11 +24,10 @@ state is just three booleans and counters.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.cluster.proxy import SESSION_BATCH, SESSION_CLOSE, SESSION_CONNECT
+from repro import faultrows
 
 # Violation kinds (stable vocabulary for findings and tests).
 DUPLICATE_CONNECT = "duplicate-connect"
@@ -35,8 +35,6 @@ BATCH_BEFORE_CONNECT = "batch-before-connect"
 BATCH_AFTER_CLOSE = "batch-after-close"
 DUPLICATE_CLOSE = "duplicate-close"
 NEVER_CONNECTED = "never-connected"
-
-_GATEWAY_RE = re.compile(r"^gateway (\d+):")
 
 
 @dataclass(frozen=True)
@@ -73,32 +71,22 @@ class SessionAudit:
     violations: list[OrderlinessViolation] = field(default_factory=list)
     rows: int = 0
 
-    def _state(self, gateway_id: int) -> _SessionState:
-        return self.sessions.setdefault(gateway_id, _SessionState())
-
     def _flag(self, gateway_id: int, kind: str, ts_ns: int, detail: str) -> None:
-        self.violations.append(
-            OrderlinessViolation(
-                trace=self.trace,
-                gateway_id=gateway_id,
-                kind=kind,
-                timestamp_ns=ts_ns,
-                detail=detail,
-            )
-        )
+        self.violations.append(OrderlinessViolation(self.trace, gateway_id, kind, ts_ns, detail))
 
     def add(self, fault) -> None:
-        """Fold one fault row in (non-``session:*`` rows are ignored)."""
-        if not fault.kind.startswith("session:"):
+        """Fold one fault row in (other rows, and session rows that name
+        no gateway, are ignored)."""
+        if fault.kind not in faultrows.SESSION_KINDS:
             return
-        match = _GATEWAY_RE.match(fault.detail)
-        if match is None:
+        session = faultrows.decode_session(fault.detail)
+        if session is None:
             return
         self.rows += 1
-        gateway_id = int(match.group(1))
-        state = self._state(gateway_id)
+        gateway_id = session[0]
+        state = self.sessions.setdefault(gateway_id, _SessionState())
         ts = fault.timestamp_ns
-        if fault.kind == SESSION_CONNECT:
+        if fault.kind == faultrows.SESSION_CONNECT:
             state.connects += 1
             if state.connects > 1:
                 self._flag(
@@ -108,7 +96,7 @@ class SessionAudit:
                     f"MSG_CONNECT sent {state.connects} times "
                     "(each repeat leaks a 40 KiB in-enclave session queue)",
                 )
-        elif fault.kind == SESSION_BATCH:
+        elif fault.kind == faultrows.SESSION_BATCH:
             state.batches += 1
             if state.connects == 0:
                 self._flag(
@@ -124,7 +112,7 @@ class SessionAudit:
                     ts,
                     "request batch sent after the gateway closed the session",
                 )
-        elif fault.kind == SESSION_CLOSE:
+        elif fault.kind == faultrows.SESSION_CLOSE:
             if state.closed:
                 self._flag(
                     gateway_id, DUPLICATE_CLOSE, ts, "session closed twice"
@@ -164,36 +152,14 @@ def validate_session_order(
     return audit
 
 
-def validate_trace_paths(
-    trace_paths: Iterable[str],
-) -> tuple[list[OrderlinessViolation], dict]:
-    """Audit every per-shard trace; returns (violations, rollup summary).
-
-    Paths are sorted so the merged report is deterministic regardless of
-    discovery order — same contract as
-    :func:`repro.cluster.slo.cluster_slo_from_traces`.
-    """
-    from repro.perf.database import TraceDatabase
-
-    violations: list[OrderlinessViolation] = []
-    totals = {"traces": 0, "sessions": 0, "rows": 0, "violations": 0}
-    for path in sorted(trace_paths):
-        with TraceDatabase(path, readonly=True) as db:
-            audit = validate_session_order(db.fault_events(), trace=path)
-        totals["traces"] += 1
-        totals["sessions"] += len(audit.sessions)
-        totals["rows"] += audit.rows
-        totals["violations"] += len(audit.violations)
-        violations.extend(audit.violations)
-    return violations, totals
-
-
-def render_orderliness(violations: list[OrderlinessViolation], totals: dict) -> str:
-    """Terminal rendering for the analyzer's cluster mode."""
+def render_orderliness(audits: list[SessionAudit]) -> str:
+    """Terminal rendering of per-trace audits for the analyzer's cluster mode."""
+    violations = [v for audit in audits for v in audit.violations]
     lines = ["-- session orderliness (Guardian-style) " + "-" * 38]
     lines.append(
-        f"{totals['traces']} trace(s), {totals['sessions']} gateway session(s), "
-        f"{totals['rows']} lifecycle row(s) audited"
+        f"{len(audits)} trace(s), "
+        f"{sum(len(audit.sessions) for audit in audits)} gateway session(s), "
+        f"{sum(audit.rows for audit in audits)} lifecycle row(s) audited"
     )
     if not violations:
         lines.append("no session-protocol violations")

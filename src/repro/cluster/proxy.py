@@ -42,6 +42,7 @@ from repro.cluster.router import OP_GET, ROLE_CLIENT, ROLE_HANDOFF, RoutedReques
 from repro.cluster.spec import ClusterSpec
 from repro.crypto.hmac import hkdf_like
 from repro.crypto.stream import stream_xor
+from repro.faultrows import SESSION_BATCH, SESSION_CLOSE, SESSION_CONNECT, encode_session
 from repro.sim.net import Listener, SocketClosed, SocketTimeout
 from repro.workloads.securekeeper.loadgen import _client_packet
 from repro.workloads.securekeeper.proxy import (
@@ -60,12 +61,6 @@ GATEWAY_ID_BASE = 900_000
 OUTCOME_OK = "ok"
 OUTCOME_RETRY = "retry"  # transient (reset/timeout/shed/ordering miss)
 OUTCOME_BAD = "bad"  # wrong payload — retrying cannot fix it
-
-# Gateway session lifecycle rows (fold input for the session-orderliness
-# validator in :mod:`repro.cluster.orderly`; written only when traced).
-SESSION_CONNECT = "session:connect"
-SESSION_BATCH = "session:batch"
-SESSION_CLOSE = "session:close"
 
 
 class _Shed(Exception):
@@ -195,10 +190,10 @@ class SecureKeeperClusterBackend:
 
     # -- connection management ----------------------------------------------
 
-    def _session_row(self, kind: str, conn: int, detail: str) -> None:
+    def _session_row(self, kind: str, conn: int, note: str) -> None:
+        # Input of repro.cluster.orderly's session audit; written only when traced.
         if self.serving is not None:
-            gateway_id = GATEWAY_ID_BASE + conn
-            self.serving.record_event(kind, f"gateway {gateway_id}: {detail}")
+            self.serving.record_event(kind, encode_session(GATEWAY_ID_BASE + conn, note))
 
     def _ensure(self, conn: int):
         sock = self._socks.get(conn)

@@ -10,11 +10,12 @@ nearest-rank convention as :func:`repro.workloads.serving.percentile_ns`,
 so one SLO schema covers the single-node campaigns and the cluster.
 
 The module also extends the analyser to cluster scale:
-:func:`cluster_slo_from_traces` replays the ``serve:*`` rows of per-shard
+:func:`fold_shard_traces` replays the ``serve:*`` rows of per-shard
 trace databases into per-node + cluster-wide entries of the same schema,
-so a traced cluster run can be re-analysed offline, long after the run.
-Its counts match the live report; its percentiles come from the exact
-latencies, not the live run's histogram buckets.
+so a traced cluster run can be re-analysed offline, long after the run,
+and audits each trace's gateway session rows (:mod:`repro.cluster.orderly`)
+in the same read.  Its counts match the live report; its percentiles come
+from the exact latencies, not the live run's histogram buckets.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Iterable, Optional
 from repro.workloads.serving import (
     NO_SAMPLES_NS,
     ServingStats,
+    availability_summary,
     success_rate,
     summary_lines,
 )
@@ -35,8 +37,6 @@ from repro.workloads.serving import (
 # run-to-run spread of any real latency distribution.
 GROWTH = 1.04
 _LOG_GROWTH = math.log(GROWTH)
-
-SLO_PERCENTILES = (50.0, 99.0, 99.9)
 
 
 def bucket_index(latency_ns: int) -> int:
@@ -162,19 +162,8 @@ class SloSummary:
         return self
 
     def as_dict(self) -> dict:
-        """The shared SLO schema (superset of ``ServingStats.summary``)."""
-        return {
-            "workload": self.scope,
-            "attempted": self.attempted,
-            "succeeded": self.succeeded,
-            "retries": self.retries,
-            "shed": self.shed,
-            "failed": self.failed,
-            "success_rate": self.success_rate,
-            "p50_ns": self.histogram.percentile_ns(50),
-            "p99_ns": self.histogram.percentile_ns(99),
-            "p999_ns": self.histogram.percentile_ns(99.9),
-        }
+        """``ServingStats.summary``'s schema, percentiles from the histogram."""
+        return availability_summary(self.scope, self, self.histogram.percentile_ns)
 
     @classmethod
     def from_metrics(cls, scope: str, metrics: dict) -> "SloSummary":
@@ -220,32 +209,37 @@ def render_slo_table(summaries: list[SloSummary]) -> str:
 # -- analyser extension: merge per-shard traces ------------------------------
 
 
-def cluster_slo_from_traces(trace_paths: Iterable[str]) -> list[dict]:
-    """Merge per-shard trace databases into the cluster SLO report.
+def fold_shard_traces(trace_paths: Iterable[str]) -> tuple[list[dict], list]:
+    """Fold each per-shard trace's fault rows, read once, for ``analyze --cluster``.
 
-    Folds each trace's fault rows through the analyser's
-    :class:`~repro.perf.analysis.report.FaultAccumulator`, whose
-    per-workload :class:`~repro.workloads.serving.ServingStats` ledgers
-    give the numbers `sgxperf analyze --availability` prints for each
-    trace, and appends a ``cluster`` entry: the merge of those ledgers.
-    Returns the per-workload summary dicts followed by the ``cluster`` one.
+    The rows feed the analyser's ``FaultAccumulator``, whose per-workload
+    ledgers give what ``sgxperf analyze --availability`` prints for each
+    trace, and one :class:`~repro.cluster.orderly.SessionAudit` per trace.
+    Returns those summaries plus a ``cluster`` one (their merge), and the
+    audits, in sorted path order.
     """
+    from repro.cluster.orderly import SessionAudit
     from repro.perf.analysis.report import FaultAccumulator
     from repro.perf.database import TraceDatabase
 
     acc = FaultAccumulator()
+    audits = []
     for path in sorted(trace_paths):
+        audit = SessionAudit(trace=path)
         with TraceDatabase(path, readonly=True) as db:
             for fault in db.fault_events():
                 acc.add(fault)
+                audit.add(fault)
+        audit.finish()
+        audits.append(audit)
     cluster = ServingStats("cluster")
     for ledger in acc.serving.values():
         cluster.merge(ledger)
-    return acc.availability() + [cluster.summary()]
+    return acc.availability() + [cluster.summary()], audits
 
 
 def render_trace_slo(entries: list[dict]) -> str:
-    """Render :func:`cluster_slo_from_traces` output for a terminal."""
+    """Render :func:`fold_shard_traces`' summaries for a terminal."""
     lines = ["-- cluster availability (from traces) " + "-" * 40]
     for entry in entries:
         lines.extend(summary_lines(entry))

@@ -25,19 +25,19 @@ _EXPORTS = {
     "FaultPlan": "repro.faults.plan",
     "HangDetection": "repro.faults.watchdog",
     "HangWatchdog": "repro.faults.watchdog",
-    "INJECT_EPC": "repro.faults.injector",
-    "INJECT_EPC_RELEASE": "repro.faults.pressure",
-    "INJECT_EPC_SQUEEZE": "repro.faults.pressure",
-    "INJECT_LOSS": "repro.faults.injector",
-    "INJECT_NET_DELAY": "repro.faults.injector",
-    "INJECT_NET_PARTITION": "repro.faults.injector",
-    "INJECT_NET_RESET": "repro.faults.injector",
-    "INJECT_NET_SHORT_WRITE": "repro.faults.injector",
-    "INJECT_OCALL_DELAY": "repro.faults.injector",
-    "INJECT_OCALL_ERROR": "repro.faults.injector",
-    "INJECT_STRESSOR_START": "repro.faults.pressure",
-    "INJECT_STRESSOR_STOP": "repro.faults.pressure",
-    "INJECT_TCS": "repro.faults.injector",
+    "INJECT_EPC": "repro.faultrows",
+    "INJECT_EPC_RELEASE": "repro.faultrows",
+    "INJECT_EPC_SQUEEZE": "repro.faultrows",
+    "INJECT_LOSS": "repro.faultrows",
+    "INJECT_NET_DELAY": "repro.faultrows",
+    "INJECT_NET_PARTITION": "repro.faultrows",
+    "INJECT_NET_RESET": "repro.faultrows",
+    "INJECT_NET_SHORT_WRITE": "repro.faultrows",
+    "INJECT_OCALL_DELAY": "repro.faultrows",
+    "INJECT_OCALL_ERROR": "repro.faultrows",
+    "INJECT_STRESSOR_START": "repro.faultrows",
+    "INJECT_STRESSOR_STOP": "repro.faultrows",
+    "INJECT_TCS": "repro.faultrows",
     "InjectedFault": "repro.faults.injector",
     "NetworkChaosPlan": "repro.faults.plan",
     "OcallFaultPlan": "repro.faults.plan",
@@ -46,9 +46,9 @@ _EXPORTS = {
     "StressorTenantPlan": "repro.faults.pressure",
     "TcsExhaustionPlan": "repro.faults.plan",
     "TransientEpcPlan": "repro.faults.plan",
-    "WATCHDOG_DEADLOCK": "repro.faults.watchdog",
-    "WATCHDOG_ECALL_TIMEOUT": "repro.faults.watchdog",
-    "WATCHDOG_LOST_WAKEUP": "repro.faults.watchdog",
+    "WATCHDOG_DEADLOCK": "repro.faultrows",
+    "WATCHDOG_ECALL_TIMEOUT": "repro.faultrows",
+    "WATCHDOG_LOST_WAKEUP": "repro.faultrows",
     "WatchdogHangError": "repro.faults.watchdog",
 }
 

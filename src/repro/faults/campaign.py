@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.digest import trace_digest
-from repro.faults.injector import INJECT_LOSS, FaultInjector
+from repro.faultrows import INJECT_LOSS, RECOVER_RECREATE
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     EnclaveLossPlan,
     FaultPlan,
@@ -30,7 +31,7 @@ from repro.faults.plan import (
 from repro.perf.logger import AexMode, EventLogger
 from repro.sdk.edger8r import build_enclave
 from repro.sdk.errors import EnclaveLostError, SgxError
-from repro.sdk.resilience import RECOVER_RECREATE, ResilientEnclave
+from repro.sdk.resilience import ResilientEnclave
 from repro.sdk.urts import Urts
 from repro.sgx.device import SgxDevice
 from repro.sgx.enclave import EnclaveConfig

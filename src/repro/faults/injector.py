@@ -18,24 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro import faultrows
 from repro.faults.plan import FaultPlan
 from repro.sdk.edger8r import SYNC_OCALL_NAMES
 from repro.sdk.errors import SgxError, SgxStatus
 from repro.sim.kernel import Simulation
 from repro.sim.net import SocketClosed
-
-# Injection-record kinds (also the ``faults`` table vocabulary).
-INJECT_LOSS = "inject:loss"
-INJECT_TCS = "inject:tcs"
-INJECT_OCALL_ERROR = "inject:ocall-error"
-INJECT_OCALL_DELAY = "inject:ocall-delay"
-INJECT_EPC = "inject:epc"
-INJECT_NET_RESET = "inject:net-reset"
-INJECT_NET_DELAY = "inject:net-delay"
-INJECT_NET_SHORT_WRITE = "inject:net-short-write"
-INJECT_NET_PARTITION = "inject:net-partition"
-INJECT_NET_SLOW = "inject:net-slow"
-INJECT_NET_ASYM = "inject:net-asym-partition"
 
 
 @dataclass(frozen=True)
@@ -49,7 +37,24 @@ class InjectedFault:
     detail: str
 
 
-class FaultInjector:
+class InjectionLog:
+    """What an injector fired: ``injected`` in order, per-kind ``stats``,
+    and one ``faults`` row each when a logger is wired in."""
+
+    def __init__(self, sim: Simulation, logger: Optional[Any]) -> None:
+        self.sim = sim
+        self.logger = logger
+        self.injected: list[InjectedFault] = []
+        self.stats: dict[str, int] = {}
+
+    def _record(self, kind: str, enclave_id: int, call: str, detail: str) -> None:
+        self.injected.append(InjectedFault(kind, self.sim.now_ns, enclave_id, call, detail))
+        self.stats[kind] = self.stats.get(kind, 0) + 1
+        if self.logger is not None:
+            self.logger.record_fault(kind, enclave_id=enclave_id, call=call, detail=detail)
+
+
+class FaultInjector(InjectionLog):
     """Wires a :class:`FaultPlan` into a URTS, its driver and its logger."""
 
     def __init__(
@@ -58,11 +63,8 @@ class FaultInjector:
         sim: Simulation,
         logger: Optional[Any] = None,
     ) -> None:
+        super().__init__(sim, logger)
         self.plan = plan
-        self.sim = sim
-        self.logger = logger
-        self.injected: list[InjectedFault] = []
-        self.stats: dict[str, int] = {}
         loss = plan.enclave_loss
         self._loss_due: list[int] = sorted(loss.at_ns) if loss else []
         self._attached: list[Any] = []
@@ -115,20 +117,6 @@ class FaultInjector:
     def _stream(self, name: str):
         return self.sim.rng.stream(f"{self.plan.stream_salt}:{name}")
 
-    def _record(self, kind: str, enclave_id: int, call: str, detail: str) -> None:
-        self.injected.append(
-            InjectedFault(
-                kind=kind,
-                timestamp_ns=self.sim.now_ns,
-                enclave_id=enclave_id,
-                call=call,
-                detail=detail,
-            )
-        )
-        self.stats[kind] = self.stats.get(kind, 0) + 1
-        if self.logger is not None:
-            self.logger.record_fault(kind, enclave_id=enclave_id, call=call, detail=detail)
-
     # -- hook: ecall entry (called by Urts._sgx_ecall) ----------------------
 
     def on_ecall_entry(self, runtime: Any) -> Optional[SgxStatus]:
@@ -151,7 +139,7 @@ class FaultInjector:
             if due:
                 runtime.urts.device.driver.invalidate_enclave(runtime.enclave)
                 self._record(
-                    INJECT_LOSS,
+                    faultrows.INJECT_LOSS,
                     runtime.enclave_id,
                     "",
                     f"power transition: enclave {runtime.enclave_id} invalidated",
@@ -159,7 +147,7 @@ class FaultInjector:
         tcs = plan.tcs
         if tcs is not None and tcs.active and tcs.exhausted_at(now):
             self._record(
-                INJECT_TCS,
+                faultrows.INJECT_TCS,
                 runtime.enclave_id,
                 "",
                 f"TCS exhaustion burst at {now} ns",
@@ -180,7 +168,7 @@ class FaultInjector:
             self._stream("ocall-delay").random() < plan.delay_probability
         ):
             self._record(
-                INJECT_OCALL_DELAY,
+                faultrows.INJECT_OCALL_DELAY,
                 runtime.enclave_id,
                 name,
                 f"+{plan.delay_ns} ns",
@@ -189,7 +177,7 @@ class FaultInjector:
         if plan.error_probability > 0.0 and (
             self._stream("ocall-error").random() < plan.error_probability
         ):
-            self._record(INJECT_OCALL_ERROR, runtime.enclave_id, name, "raised")
+            self._record(faultrows.INJECT_OCALL_ERROR, runtime.enclave_id, name, "raised")
             raise SgxError(
                 SgxStatus.SGX_ERROR_UNEXPECTED, f"injected fault in ocall {name!r}"
             )
@@ -202,7 +190,7 @@ class FaultInjector:
         if plan is None or not plan.active:
             return
         if self._stream("epc").random() < plan.probability:
-            self._record(INJECT_EPC, 0, direction, f"retry +{plan.retry_cost_ns} ns")
+            self._record(faultrows.INJECT_EPC, 0, direction, f"retry +{plan.retry_cost_ns} ns")
             self.sim.compute(plan.retry_cost_ns)
 
     # -- hooks: network chaos (called by sim.net SimSocket/Listener) --------
@@ -216,7 +204,7 @@ class FaultInjector:
         if end is not None:
             stall = end - self.sim.now_ns
             self._record(
-                INJECT_NET_PARTITION, 0, where, f"link down, stalled {stall} ns"
+                faultrows.INJECT_NET_PARTITION, 0, where, f"link down, stalled {stall} ns"
             )
             self.sim.compute(stall)
 
@@ -226,7 +214,7 @@ class FaultInjector:
         if plan is None or not plan.slow_windows:
             return
         if plan.slowed_at(self.sim.now_ns):
-            self._record(INJECT_NET_SLOW, 0, where, f"+{plan.slow_extra_ns} ns")
+            self._record(faultrows.INJECT_NET_SLOW, 0, where, f"+{plan.slow_extra_ns} ns")
             self.sim.compute(plan.slow_extra_ns)
 
     def on_net_send(self, sock: Any, nbytes: int) -> int:
@@ -247,14 +235,14 @@ class FaultInjector:
             if end is not None:
                 stall = end - self.sim.now_ns
                 self._record(
-                    INJECT_NET_ASYM, 0, sock.name, f"reply path down, stalled {stall} ns"
+                    faultrows.INJECT_NET_ASYM, 0, sock.name, f"reply path down, stalled {stall} ns"
                 )
                 self.sim.compute(stall)
         self._net_slow_surcharge(sock.name)
         if plan.reset_probability > 0.0 and (
             self._stream("net-reset").random() < plan.reset_probability
         ):
-            self._record(INJECT_NET_RESET, 0, sock.name, "connection reset on send")
+            self._record(faultrows.INJECT_NET_RESET, 0, sock.name, "connection reset on send")
             sock.reset()
             raise SocketClosed(
                 f"{sock.name}: connection reset by chaos injector",
@@ -264,7 +252,7 @@ class FaultInjector:
         if plan.delay_probability > 0.0 and (
             self._stream("net-delay").random() < plan.delay_probability
         ):
-            self._record(INJECT_NET_DELAY, 0, sock.name, f"send +{plan.delay_ns} ns")
+            self._record(faultrows.INJECT_NET_DELAY, 0, sock.name, f"send +{plan.delay_ns} ns")
             self.sim.compute(plan.delay_ns)
         if (
             nbytes > 1
@@ -273,7 +261,7 @@ class FaultInjector:
         ):
             allowed = 1 + int(self._stream("net-short").random() * (nbytes - 1))
             self._record(
-                INJECT_NET_SHORT_WRITE,
+                faultrows.INJECT_NET_SHORT_WRITE,
                 0,
                 sock.name,
                 f"{allowed}/{nbytes} bytes",
@@ -291,13 +279,13 @@ class FaultInjector:
         if plan.reset_probability > 0.0 and (
             self._stream("net-reset").random() < plan.reset_probability
         ):
-            self._record(INJECT_NET_RESET, 0, sock.name, "connection reset on recv")
+            self._record(faultrows.INJECT_NET_RESET, 0, sock.name, "connection reset on recv")
             sock.reset()
             return
         if plan.delay_probability > 0.0 and (
             self._stream("net-delay").random() < plan.delay_probability
         ):
-            self._record(INJECT_NET_DELAY, 0, sock.name, f"recv +{plan.delay_ns} ns")
+            self._record(faultrows.INJECT_NET_DELAY, 0, sock.name, f"recv +{plan.delay_ns} ns")
             self.sim.compute(plan.delay_ns)
 
     def on_net_connect(self, listener: Any) -> None:

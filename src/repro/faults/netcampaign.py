@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.digest import trace_digest
+from repro.faultrows import INJECT_PREFIX, WATCHDOG_PREFIX
 from repro.faults.plan import FaultPlan, NetworkChaosPlan
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
@@ -141,14 +142,14 @@ def run_netcampaign(
     )
     injected_by_kind = {kind: count for kind, count in fault_rows}
     watchdog_hits = sum(
-        count for kind, count in injected_by_kind.items() if kind.startswith("watchdog:")
+        count for kind, count in injected_by_kind.items() if kind.startswith(WATCHDOG_PREFIX)
     )
     result = NetCampaignResult(
         workload=workload,
         seed=seed,
         availability=availability,
         injected={
-            k: v for k, v in injected_by_kind.items() if k.startswith("inject:")
+            k: v for k, v in injected_by_kind.items() if k.startswith(INJECT_PREFIX)
         },
         watchdog_detections=watchdog_hits,
         duration_ns=process.sim.now_ns,

@@ -23,13 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.faults.injector import InjectedFault
+from repro import faultrows
+from repro.faults.injector import InjectionLog
 from repro.sim.process import SimProcess
-
-INJECT_EPC_SQUEEZE = "inject:epc-squeeze"
-INJECT_EPC_RELEASE = "inject:epc-squeeze-release"
-INJECT_STRESSOR_START = "inject:stressor-start"
-INJECT_STRESSOR_STOP = "inject:stressor-stop"
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class PressurePlan:
         return cls()
 
 
-class PressureInjector:
+class PressureInjector(InjectionLog):
     """Arms a :class:`PressurePlan` on a process's shared device.
 
     Every window runs on its own daemon simulation thread: the injector
@@ -117,16 +113,13 @@ class PressureInjector:
         logger: Optional[Any] = None,
         urts: Optional[Any] = None,
     ) -> None:
+        super().__init__(process.sim, logger)
         self.plan = plan
         self.process = process
-        self.sim = process.sim
         self.device = device
-        self.logger = logger
         # The host's URTS, when one exists: tenant enclaves must share it
         # (one process owns one ``sgx_ecall`` symbol).
         self.urts = urts
-        self.injected: list[InjectedFault] = []
-        self.stats: dict[str, int] = {}
         self._tenant_apps: list[Any] = []
         self._armed = False
 
@@ -137,20 +130,6 @@ class PressureInjector:
         return sum(app.ops_done for app in self._tenant_apps)
 
     # -- bookkeeping --------------------------------------------------------
-
-    def _record(self, kind: str, enclave_id: int, call: str, detail: str) -> None:
-        self.injected.append(
-            InjectedFault(
-                kind=kind,
-                timestamp_ns=self.sim.now_ns,
-                enclave_id=enclave_id,
-                call=call,
-                detail=detail,
-            )
-        )
-        self.stats[kind] = self.stats.get(kind, 0) + 1
-        if self.logger is not None:
-            self.logger.record_fault(kind, enclave_id=enclave_id, call=call, detail=detail)
 
     def _sleep_until(self, when_ns: int) -> None:
         delay = when_ns - self.sim.now_ns
@@ -198,7 +177,7 @@ class PressureInjector:
             self._sleep_until(window.start_ns)
             epc.squeeze(window.pages)
             self._record(
-                INJECT_EPC_SQUEEZE,
+                faultrows.INJECT_EPC_SQUEEZE,
                 0,
                 "epc",
                 f"-{window.pages} pages until {window.end_ns} ns "
@@ -206,7 +185,7 @@ class PressureInjector:
             )
             self._sleep_until(window.end_ns)
             epc.release_squeeze()
-            self._record(INJECT_EPC_RELEASE, 0, "epc", f"+{window.pages} pages")
+            self._record(faultrows.INJECT_EPC_RELEASE, 0, "epc", f"+{window.pages} pages")
 
     def _tenant_timeline(self, index: int, tenant: StressorTenantPlan) -> None:
         from repro.workloads.stressors import StressorApp, get_profile
@@ -221,7 +200,7 @@ class PressureInjector:
         )
         self._tenant_apps.append(app)
         self._record(
-            INJECT_STRESSOR_START,
+            faultrows.INJECT_STRESSOR_START,
             app.handle.enclave_id,
             tenant.stressor,
             f"x{tenant.intensity:g} footprint={app.footprint_pages}p "
@@ -235,7 +214,7 @@ class PressureInjector:
             self.sim.compute(1_000)
         app.close()
         self._record(
-            INJECT_STRESSOR_STOP,
+            faultrows.INJECT_STRESSOR_STOP,
             app.handle.enclave_id,
             tenant.stressor,
             f"ops={app.ops_done}",

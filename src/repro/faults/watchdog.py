@@ -31,11 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.faultrows import WATCHDOG_DEADLOCK, WATCHDOG_ECALL_TIMEOUT, WATCHDOG_LOST_WAKEUP
 from repro.sim.kernel import Simulation
-
-WATCHDOG_DEADLOCK = "watchdog:deadlock"
-WATCHDOG_LOST_WAKEUP = "watchdog:lost-wakeup"
-WATCHDOG_ECALL_TIMEOUT = "watchdog:ecall-timeout"
 
 
 class WatchdogHangError(RuntimeError):

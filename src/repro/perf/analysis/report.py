@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro import faultrows
 from repro.perf.analysis import callgraph as callgraph_mod
 from repro.perf.analysis import detectors as det
 from repro.perf.analysis import stats as stats_mod
@@ -18,7 +19,7 @@ from repro.perf.analysis.streaming import CallFold
 from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase
 from repro.perf.events import SyncKind
 from repro.sdk.edl import EnclaveDefinition
-from repro.workloads.serving import SERVE_KINDS, ServingStats, summary_lines
+from repro.workloads.serving import ServingStats, summary_lines
 
 DEFAULT_TRANSITION_NS = 2_130  # §2.3.1 baseline if the trace lacks metadata
 
@@ -46,26 +47,18 @@ class FaultAccumulator:
     def add(self, fault) -> None:
         self.total += 1
         self.counts[fault.kind] = self.counts.get(fault.kind, 0) + 1
-        if fault.kind == "brownout:level":
-            # detail: "normal -> brownout at 12345 pages/s"; escalations
-            # only, matching BrownoutController.summary() semantics.
-            order = ("normal", "brownout", "deep")
-            words = fault.detail.split()
-            if len(words) >= 3 and words[0] in order and words[2] in order:
-                if order.index(words[2]) > order.index(words[0]):
-                    self.brownout_transitions += 1
-                    if words[2] == "deep":
-                        self.brownout_deep_transitions += 1
-            return
-        if fault.kind == "brownout:shed":
-            # detail: "class=read level=deep reason=brownout backlog=12"
-            for token in fault.detail.split():
-                if token.startswith("class="):
-                    cls = token[len("class=") :]
-                    self.shed_by_class[cls] = self.shed_by_class.get(cls, 0) + 1
-                    break
-            return
-        if fault.kind in SERVE_KINDS:
+        if fault.kind == faultrows.BROWNOUT_LEVEL:
+            change = faultrows.decode_brownout_level(fault.detail)
+            # Escalations only, as BrownoutController.summary() counts them.
+            if change is not None and change[1] > change[0]:
+                self.brownout_transitions += 1
+                if change[1] == len(faultrows.BROWNOUT_LEVELS) - 1:  # deep
+                    self.brownout_deep_transitions += 1
+        elif fault.kind == faultrows.BROWNOUT_SHED:
+            shed = faultrows.decode_brownout_shed(fault.detail)
+            if shed is not None:
+                self.shed_by_class[shed[0]] = self.shed_by_class.get(shed[0], 0) + 1
+        elif fault.kind in faultrows.SERVE_KINDS:
             workload = fault.call or "?"
             ledger = self.serving.get(workload)
             if ledger is None:
@@ -88,23 +81,22 @@ def apply_fault_annotations(
     counts = acc.counts
     report.trace_state = trace_state
     report.fault_counts = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    report.truncated_calls = counts.get("truncated", 0)
+    report.truncated_calls = counts.get(faultrows.TRUNCATED, 0)
     report.availability = acc.availability()
     report.pressure = {
         "brownout_transitions": acc.brownout_transitions,
         "brownout_deep_transitions": acc.brownout_deep_transitions,
         "shed_by_class": dict(sorted(acc.shed_by_class.items())),
-        "epc_waits": counts.get("recover:epc-wait", 0),
-        "epc_squeezes": counts.get("inject:epc-squeeze", 0),
-        "stressor_windows": counts.get("inject:stressor-start", 0),
+        "epc_waits": counts.get(faultrows.RECOVER_EPC_WAIT, 0),
+        "epc_squeezes": counts.get(faultrows.INJECT_EPC_SQUEEZE, 0),
+        "stressor_windows": counts.get(faultrows.INJECT_STRESSOR_START, 0),
     }
     report.watchdog_counts = sorted(
-        (kv for kv in counts.items() if kv[0].startswith("watchdog:")),
-        key=lambda kv: kv[0],
+        kv for kv in counts.items() if kv[0].startswith(faultrows.WATCHDOG_PREFIX)
     )
-    losses = counts.get("inject:loss", 0)
-    recreates = counts.get("recover:recreate", 0)
-    retries = counts.get("recover:retry", 0)
+    losses = counts.get(faultrows.INJECT_LOSS, 0)
+    recreates = counts.get(faultrows.RECOVER_RECREATE, 0)
+    retries = counts.get(faultrows.RECOVER_RETRY, 0)
     if losses or recreates:
         report.notes.append(
             f"enclave loss: {losses} lost, {recreates} re-created, "

@@ -120,8 +120,8 @@ def _cmd_analyze_cluster(args: argparse.Namespace) -> int:
     """Merge a directory of per-shard cluster traces: SLOs + orderliness."""
     import glob
 
-    from repro.cluster.orderly import render_orderliness, validate_trace_paths
-    from repro.cluster.slo import cluster_slo_from_traces, render_trace_slo
+    from repro.cluster.orderly import render_orderliness
+    from repro.cluster.slo import fold_shard_traces, render_trace_slo
 
     paths = sorted(glob.glob(os.path.join(args.trace, "*.db")))
     if not paths:
@@ -130,11 +130,11 @@ def _cmd_analyze_cluster(args: argparse.Namespace) -> int:
     print(
         f"merging {len(paths)} shard trace(s) under {args.trace}", file=sys.stderr
     )
-    print(render_trace_slo(cluster_slo_from_traces(paths)))
-    violations, totals = validate_trace_paths(paths)
+    entries, audits = fold_shard_traces(paths)
+    print(render_trace_slo(entries))
     print()
-    print(render_orderliness(violations, totals))
-    return 1 if violations else 0
+    print(render_orderliness(audits))
+    return 1 if any(audit.violations for audit in audits) else 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

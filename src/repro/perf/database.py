@@ -90,6 +90,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
+from repro.faultrows import TRUNCATED
 from repro.perf.events import (
     ECALL,
     OCALL,
@@ -1143,7 +1144,7 @@ class TraceDatabase:
                     horizon,
                     enclave_id,
                     thread_id,
-                    "truncated",
+                    TRUNCATED,
                     TRUNCATED_CALL_NAME,
                     f"call {call_id} never returned; closed at trace horizon",
                 )

@@ -121,15 +121,10 @@ class PagingRecord:
 
 @dataclass(frozen=True)
 class FaultRecord:
-    """One fault or recovery event (injected faults, retries, truncations).
+    """One row of the ``faults`` table (injected faults, recoveries, ...).
 
-    ``kind`` is namespaced: ``inject:*`` rows come from the fault injector,
-    ``recover:*`` from :class:`~repro.sdk.resilience.ResilientEnclave`,
-    ``status:*`` from non-success ecall statuses the logger observed,
-    ``serve:*`` from the serving-path availability accounting (``call``
-    holds the workload name), ``watchdog:*`` from the hang watchdog, and
-    ``truncated`` marks calls closed by abort/salvage rather than by
-    returning.
+    :mod:`repro.faultrows` declares every ``kind`` and the format of each
+    ``detail`` that a reader parses back.
     """
 
     event_id: int

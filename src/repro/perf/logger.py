@@ -36,6 +36,7 @@ import enum
 import os
 from typing import Any, Callable, Optional, Union
 
+from repro.faultrows import STATUS_EXCEPTION, TRUNCATED, status_kind
 from repro.perf.database import TraceDatabase, TraceError
 from repro.perf.events import ECALL, OCALL, EnclaveRecord, SyncKind, ThreadRecord
 from repro.sdk.edger8r import (
@@ -321,7 +322,7 @@ class EventLogger:
                         now,
                         frame[_F_ENCLAVE],
                         tid,
-                        "truncated",
+                        TRUNCATED,
                         frame[_F_NAME],
                         f"open at abort; closed at {now} ns",
                     )
@@ -456,9 +457,7 @@ class EventLogger:
             self._n_ecalls += 1
             if self._record_statuses and status is not SgxStatus.SGX_SUCCESS:
                 fault_id = self._event_seq = self._event_seq + 1
-                kind = (
-                    f"status:{status.name}" if status is not None else "status:EXCEPTION"
-                )
+                kind = status_kind(status.name) if status is not None else STATUS_EXCEPTION
                 self._fault_rows.append(
                     (fault_id, clock.now_ns, enclave_id, tid, kind, name, "")
                 )

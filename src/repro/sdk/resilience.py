@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.faultrows import RECOVER_EPC_WAIT, RECOVER_GIVEUP, RECOVER_RECREATE, RECOVER_RETRY
 from repro.sdk.edger8r import EnclaveHandle
 from repro.sdk.errors import EnclaveLostError, SgxError, SgxStatus
 from repro.sgx.epc import EpcFull
@@ -40,14 +41,6 @@ RETRYABLE_STATUSES = frozenset(
         SgxStatus.SGX_ERROR_INVALID_ENCLAVE_ID,
     }
 )
-
-RECOVER_RETRY = "recover:retry"
-RECOVER_RECREATE = "recover:recreate"
-RECOVER_GIVEUP = "recover:giveup"
-# Typed degradation: the EPC had no evictable frame (a squeeze window or a
-# noisy neighbour holds the pool).  Backed off and retried — never
-# re-created, which would only add an enclave build to the thrash.
-RECOVER_EPC_WAIT = "recover:epc-wait"
 
 
 @dataclass(frozen=True)
@@ -95,11 +88,6 @@ class ResilientEnclave:
         self.stats: dict[str, int] = {}
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def handle(self) -> EnclaveHandle:
-        """The current underlying handle (changes across re-creates)."""
-        return self._handle
 
     @property
     def enclave_id(self) -> int:

@@ -43,11 +43,6 @@ class SdkMutex:
         self.stats = {"lock_fast": 0, "lock_slept": 0, "wake_ocalls": 0}
 
     @property
-    def locked(self) -> bool:
-        """Whether some thread currently holds the mutex."""
-        return self._owner is not None
-
-    @property
     def owner_token(self) -> Any:
         """Thread token of the current holder (``None`` if free).
 

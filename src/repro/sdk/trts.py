@@ -70,11 +70,6 @@ class TrustedBuffer:
         self.enclave = enclave
         self.allocation = allocation
 
-    @property
-    def size(self) -> int:
-        """Allocation size in bytes."""
-        return self.allocation.size
-
     def pages(self) -> list:
         """Heap pages this buffer spans."""
         return self.enclave.heap_pages_for(self.allocation)
@@ -209,10 +204,6 @@ class TrustedContext:
     def mutex(self, name: str):
         """Get (or lazily create) a named SDK mutex for this enclave."""
         return self.runtime.mutex(name)
-
-    def condvar(self, name: str):
-        """Get (or lazily create) a named SDK condition variable."""
-        return self.runtime.condvar(name)
 
 
 def copy_sizer(

@@ -36,10 +36,5 @@ class SgxDevice:
         else:
             self.timer = TimerInterruptSource(sim.rng, timer_period_ns)
 
-    @property
-    def patch_level(self) -> PatchLevel:
-        """Current microcode/SDK mitigation level."""
-        return self.cpu.patch_level
-
     def __repr__(self) -> str:
         return f"SgxDevice(patch={self.cpu.patch_level.value}, epc={self.epc!r})"

@@ -102,11 +102,6 @@ class Epc:
         return self._high_water
 
     @property
-    def pinned_pages(self) -> int:
-        """Number of pages currently marked unevictable."""
-        return len(self._pinned)
-
-    @property
     def is_full(self) -> bool:
         """Whether inserting a page would require an eviction."""
         return self._resident_count >= self.effective_capacity

@@ -254,11 +254,6 @@ class Listener:
         self._chaos: Optional[Any] = None
         self._conn_seq = 0
 
-    @property
-    def closed(self) -> bool:
-        """Whether the listener has been closed."""
-        return self._closed
-
     def set_chaos(self, hook: Optional[Any]) -> None:
         """Install (or clear) the chaos hook; propagated to new connections."""
         self._chaos = hook

@@ -21,11 +21,6 @@ class DeterministicRng:
         self._seed = int(seed)
         self._streams: dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed all streams are derived from."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return the :class:`random.Random` for ``name``, creating it on first use.
 

@@ -58,11 +58,6 @@ class Pager:
 
     # -- page access ------------------------------------------------------------
 
-    @property
-    def page_count(self) -> int:
-        """Number of pages in the database (including the header page 0)."""
-        return self._page_count
-
     def allocate_page(self) -> int:
         """Extend the database by one page; returns its number."""
         page_no = self._page_count

@@ -27,17 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
+from repro import faultrows
 from repro.sim.kernel import Simulation
-
-# Fault-table vocabulary for request-level accounting (``faults`` rows are
-# only written when a logger is wired in, so default runs are unchanged).
-SERVE_REQUEST = "serve:request"
-SERVE_RETRY = "serve:retry"
-SERVE_SHED = "serve:shed"
-SERVE_FAILED = "serve:failed"
-SERVE_KINDS = frozenset((SERVE_REQUEST, SERVE_RETRY, SERVE_SHED, SERVE_FAILED))
 
 # Sentinel returned by :func:`percentile_ns` when there are no samples: a
 # latency can never be negative, so ``-1`` is unambiguous, and reports that
@@ -75,6 +68,26 @@ def percentile_ns(ordered: list, pct: float) -> int:
 def success_rate(succeeded: int, attempted: int) -> float:
     """Fraction of attempted requests that succeeded (1.0 with no attempts)."""
     return succeeded / attempted if attempted else 1.0
+
+
+def availability_summary(
+    workload: str, ledger: Any, percentile_ns: Callable[[float], int]
+) -> dict:
+    """The availability schema of one scope: outcome counts from ``ledger``,
+    p50/p99/p999 from ``percentile_ns`` (exact samples in
+    :meth:`ServingStats.summary`, a histogram in ``SloSummary.as_dict``)."""
+    return {
+        "workload": workload,
+        "attempted": ledger.attempted,
+        "succeeded": ledger.succeeded,
+        "retries": ledger.retries,
+        "shed": ledger.shed,
+        "failed": ledger.failed,
+        "success_rate": success_rate(ledger.succeeded, ledger.attempted),
+        "p50_ns": percentile_ns(50),
+        "p99_ns": percentile_ns(99),
+        "p999_ns": percentile_ns(99.9),
+    }
 
 
 def summary_lines(entry: dict) -> list[str]:
@@ -194,23 +207,23 @@ class ServingStats:
         self.attempted += 1
         self.succeeded += 1
         self.latencies_ns.append(latency_ns)
-        self._row(SERVE_REQUEST, f"ok +{latency_ns} ns")
+        self._row(faultrows.SERVE_REQUEST, faultrows.encode_serve_request(latency_ns))
 
     def record_retry(self, reason: str) -> None:
         """One attempt failed and will be retried."""
         self.retries += 1
-        self._row(SERVE_RETRY, reason)
+        self._row(faultrows.SERVE_RETRY, reason)
 
     def record_shed(self, reason: str) -> None:
         """The server refused a request (breaker open / overload)."""
         self.shed += 1
-        self._row(SERVE_SHED, reason)
+        self._row(faultrows.SERVE_SHED, reason)
 
     def record_failure(self, reason: str) -> None:
         """One request exhausted its retries and was given up on."""
         self.attempted += 1
         self.failed += 1
-        self._row(SERVE_FAILED, reason)
+        self._row(faultrows.SERVE_FAILED, reason)
 
     def record_event(self, kind: str, detail: str) -> None:
         """Mirror a protocol-level event into the trace's fault table.
@@ -224,20 +237,21 @@ class ServingStats:
     def fold_row(self, kind: str, detail: str) -> None:
         """Count one row as the ``record_*`` call that wrote it did.
 
-        Writes no row.  A ``serve:request`` whose detail is not
-        ``ok +N ns`` counts a success without a latency sample; a row of
-        any kind outside :data:`SERVE_KINDS` counts nothing.
+        Writes no row.  A ``serve:request`` whose detail carries no
+        latency counts a success without a sample; a row of any kind
+        outside ``repro.faultrows.SERVE_KINDS`` counts nothing.
         """
-        if kind == SERVE_REQUEST:
+        if kind == faultrows.SERVE_REQUEST:
             self.attempted += 1
             self.succeeded += 1
-            if detail.startswith("ok +") and detail.endswith(" ns"):
-                self.latencies_ns.append(int(detail[4:-3]))
-        elif kind == SERVE_RETRY:
+            latency_ns = faultrows.decode_serve_request(detail)
+            if latency_ns is not None:
+                self.latencies_ns.append(latency_ns)
+        elif kind == faultrows.SERVE_RETRY:
             self.retries += 1
-        elif kind == SERVE_SHED:
+        elif kind == faultrows.SERVE_SHED:
             self.shed += 1
-        elif kind == SERVE_FAILED:
+        elif kind == faultrows.SERVE_FAILED:
             self.attempted += 1
             self.failed += 1
 
@@ -262,15 +276,4 @@ class ServingStats:
         campaigns and the cluster reports of :mod:`repro.cluster`.
         """
         ordered = sorted(self.latencies_ns)
-        return {
-            "workload": self.workload,
-            "attempted": self.attempted,
-            "succeeded": self.succeeded,
-            "retries": self.retries,
-            "shed": self.shed,
-            "failed": self.failed,
-            "success_rate": self.success_rate,
-            "p50_ns": percentile_ns(ordered, 50),
-            "p99_ns": percentile_ns(ordered, 99),
-            "p999_ns": percentile_ns(ordered, 99.9),
-        }
+        return availability_summary(self.workload, self, lambda pct: percentile_ns(ordered, pct))

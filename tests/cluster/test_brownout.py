@@ -189,6 +189,38 @@ class TestPressuredCluster:
 
 
 class TestTraceEvidence:
+    def test_offline_fold_matches_live_counters(self, tmp_path):
+        """Each shard's trace rows, folded offline, sum to the live report."""
+        import glob
+
+        from repro.perf.analysis.report import FaultAccumulator
+        from repro.perf.database import TraceDatabase
+
+        trace_dir = str(tmp_path / "traces")
+        # The rate makes the gateway shed reads and background, not only
+        # change level.
+        report = run_cluster(_pressured_spec(rate_rps=120_000.0), jobs=0, trace_dir=trace_dir)
+        keys = (
+            "shed_background",
+            "shed_read",
+            "shed_write",
+            "brownout_transitions",
+            "brownout_deep_transitions",
+        )
+        offline = dict.fromkeys(keys, 0)
+        for path in sorted(glob.glob(f"{trace_dir}/*.db")):
+            acc = FaultAccumulator()
+            with TraceDatabase(path, readonly=True) as db:
+                for fault in db.fault_events():
+                    acc.add(fault)
+            for priority, count in acc.shed_by_class.items():
+                offline[f"shed_{priority}"] += count
+            offline["brownout_transitions"] += acc.brownout_transitions
+            offline["brownout_deep_transitions"] += acc.brownout_deep_transitions
+        assert offline == {key: report.brownout[key] for key in keys}
+        assert offline["shed_read"] and offline["shed_background"]
+        assert offline["brownout_deep_transitions"]
+
     def test_shed_rows_prove_priority_order(self, tmp_path):
         """The acceptance gate reads the order off trace rows, not stats."""
         from repro.cluster.node import run_clusternode

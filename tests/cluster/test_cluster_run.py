@@ -8,7 +8,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, run_cluster
 from repro.cluster.node import run_clusternode
-from repro.cluster.slo import cluster_slo_from_traces
+from repro.cluster.slo import fold_shard_traces
 
 
 def _spec(**overrides):
@@ -110,7 +110,7 @@ class TestTraceAnalysis:
 
         paths = glob.glob(f"{trace_dir}/*.db")
         assert len(paths) == spec.nodes
-        entries = cluster_slo_from_traces(paths)
+        entries, _ = fold_shard_traces(paths)
         cluster = entries[-1]
         assert cluster["workload"] == "cluster"
         assert cluster["attempted"] == report.cluster_slo.attempted
@@ -159,6 +159,24 @@ class TestCli:
         assert "-- session orderliness" in captured.out
         assert "2 trace(s)" in captured.out
         assert "no session-protocol violations" in captured.out
+
+    def test_analyze_cluster_reads_each_shard_once(self, capsys, tmp_path, monkeypatch):
+        """The SLO merge and the session audit share one read per shard."""
+        from repro.perf.cli import main
+        from repro.perf.database import TraceDatabase
+
+        trace_dir = str(tmp_path / "traces")
+        run_cluster(_spec(clients=16, seed=5), jobs=0, trace_dir=trace_dir)
+        reads = []
+        fault_events = TraceDatabase.fault_events
+
+        def counted(db, *args, **kwargs):
+            reads.append(db)
+            return fault_events(db, *args, **kwargs)
+
+        monkeypatch.setattr(TraceDatabase, "fault_events", counted)
+        assert main(["analyze", "--cluster", trace_dir]) == 0
+        assert len(reads) == 2
 
     def test_analyze_cluster_without_traces_exits_2(self, capsys, tmp_path):
         from repro.perf.cli import main

@@ -100,18 +100,13 @@ class TestValidator:
 class TestRendering:
     def test_clean_render(self):
         audit = validate_session_order([_connect(1), _close(1)], trace="a.db")
-        text = render_orderliness(
-            audit.violations,
-            {"traces": 1, "sessions": 1, "rows": 2, "violations": 0},
-        )
+        text = render_orderliness([audit])
+        assert "1 trace(s), 1 gateway session(s), 2 lifecycle row(s) audited" in text
         assert "no session-protocol violations" in text
 
     def test_violation_render_names_kind_and_gateway(self):
         audit = validate_session_order([_connect(7, 1), _connect(7, 2)])
-        text = render_orderliness(
-            audit.violations,
-            {"traces": 1, "sessions": 1, "rows": 2, "violations": 1},
-        )
+        text = render_orderliness([audit])
         assert "VIOLATION" in text
         assert DUPLICATE_CONNECT in text
         assert "gateway 7" in text

@@ -4,13 +4,10 @@ import random
 
 import pytest
 
+from repro.faultrows import SERVE_FAILED, SERVE_REQUEST, SERVE_RETRY, SERVE_SHED
 from repro.sim.kernel import Simulation
 from repro.workloads.serving import (
     NO_SAMPLES_NS,
-    SERVE_FAILED,
-    SERVE_REQUEST,
-    SERVE_RETRY,
-    SERVE_SHED,
     CircuitBreaker,
     RetryPolicy,
     ServingStats,
