@@ -255,7 +255,7 @@ def test_analyzer_weight_sensitivity(benchmark):
     def sweep():
         db = TraceDatabase()
         for event in make_trace():
-            db.add_call(event)
+            db.add_call_row(event.to_row())
         counts = {}
         for scale, label in ((0.5, "permissive"), (1.0, "default"), (1.4, "strict")):
             weights = AnalyzerWeights(

@@ -27,17 +27,17 @@ def main() -> None:
     logger.uninstall()
     trace = logger.finalize()
 
-    ecalls = trace.calls(kind="ecall")
-    ocalls = trace.calls(kind="ocall")
+    ecalls = trace.call_columns(kind="ecall")
+    ocalls = trace.call_columns(kind="ocall")
     print(f"served {result.requests} HTTPS requests "
           f"({result.client.responses_verified} verified end to end)")
     print(f"ecalls: {len(ecalls)} events, {len(ecalls) / result.requests:.1f} per "
-          f"request (paper: 27.6) across {len({c.name for c in ecalls})} "
+          f"request (paper: 27.6) across {len(set(ecalls.name))} "
           f"distinct calls (paper: 61)")
     print(f"ocalls: {len(ocalls)} events, {len(ocalls) / result.requests:.1f} per "
           f"request (paper: 29.0)")
-    short_e = stats_mod.fraction_shorter_than(stats_mod.durations_ns(ecalls), 10_000)
-    short_o = stats_mod.fraction_shorter_than(stats_mod.durations_ns(ocalls), 10_000)
+    short_e = stats_mod.fraction_shorter_than(ecalls.duration_ns(), 10_000)
+    short_o = stats_mod.fraction_shorter_than(ocalls.duration_ns(), 10_000)
     print(f"short calls (<10us): {short_e:.1%} of ecalls (paper 60.78%), "
           f"{short_o:.1%} of ocalls (paper 73.69%)")
     print()

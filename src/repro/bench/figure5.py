@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.perf.analysis import Analyzer
 from repro.perf.analysis import callgraph as cg
 from repro.perf.analysis import stats as stats_mod
@@ -67,9 +69,8 @@ def run_figure5(requests: int = 250, seed: int = 0) -> Figure5Result:
     run_talos_nginx(requests=requests, process=process, device=device, app=app)
     logger.uninstall()
     db = logger.finalize()
-    calls = db.calls()
-    ecalls = [c for c in calls if c.kind == "ecall"]
-    ocalls = [c for c in calls if c.kind == "ocall"]
+    ecalls = db.call_columns(kind="ecall")
+    ocalls = db.call_columns(kind="ocall")
     graph = Analyzer(db).call_graph()
     # Busiest first; ties by the parent's first appearance, then child name.
     rank = {key: i for i, key in enumerate(graph.nodes)}
@@ -84,16 +85,13 @@ def run_figure5(requests: int = 250, seed: int = 0) -> Figure5Result:
         requests=requests,
         interface_ecalls=TOTAL_ECALLS,
         interface_ocalls=TOTAL_OCALLS,
-        distinct_ecalls_called=len({c.name for c in ecalls}),
-        distinct_ocalls_called=len({c.name for c in ocalls}),
+        # Within one kind each call site is one name.
+        distinct_ecalls_called=len(np.unique(ecalls.site)),
+        distinct_ocalls_called=len(np.unique(ocalls.site)),
         ecall_events=len(ecalls),
         ocall_events=len(ocalls),
-        ecall_short_fraction=stats_mod.fraction_shorter_than(
-            stats_mod.durations_ns(ecalls), 10_000
-        ),
-        ocall_short_fraction=stats_mod.fraction_shorter_than(
-            stats_mod.durations_ns(ocalls), 10_000
-        ),
+        ecall_short_fraction=stats_mod.fraction_shorter_than(ecalls.duration_ns(), 10_000),
+        ocall_short_fraction=stats_mod.fraction_shorter_than(ocalls.duration_ns(), 10_000),
         top_edges=edges,
         dot=cg.to_dot(graph),
     )

@@ -84,27 +84,29 @@ def run_figures_7_8(
     logger.uninstall()
     db = logger.finalize()
 
-    client_calls = db.calls(kind="ecall", name=ECALL_FROM_CLIENT)
-    zk_calls = db.calls(kind="ecall", name=ECALL_FROM_ZOOKEEPER)
+    client_calls = db.call_columns(kind="ecall", name=ECALL_FROM_CLIENT)
+    client_durations = client_calls.duration_ns()
     # Figure 7/8 show the request path; connect handshakes (with their
     # in-ecall sleeps) are a separate phase.
-    request_calls = [c for c in client_calls if c.duration_ns < 60_000]
-    ecalls = db.calls(kind="ecall")
-    ocalls = db.calls(kind="ocall")
-    starts, durations = stats_mod.scatter_series(request_calls)
+    request = client_durations < 60_000
+    request_durations = client_durations[request]
+    zk_durations = db.call_columns(kind="ecall", name=ECALL_FROM_ZOOKEEPER).duration_ns()
+    ecalls = db.call_columns(kind="ecall")
+    ocalls = db.call_columns(kind="ocall")
     transition_us = device.cpu.transition_round_trip_ns / 1000.0
     return Figures78Result(
         operations=result.operations,
         ecall_events=len(ecalls),
         ocall_events=len(ocalls),
-        distinct_ecalls=len({c.name for c in ecalls}),
-        distinct_ocalls_called=len({c.name for c in ocalls}),
-        client_mean_us=float(np.mean([c.duration_ns for c in request_calls]) / 1000.0),
-        zk_mean_us=float(np.mean([c.duration_ns for c in zk_calls]) / 1000.0),
+        # Within one kind each call site is one name.
+        distinct_ecalls=len(np.unique(ecalls.site)),
+        distinct_ocalls_called=len(np.unique(ocalls.site)),
+        client_mean_us=float(np.mean(request_durations) / 1000.0),
+        zk_mean_us=float(np.mean(zk_durations) / 1000.0),
         transition_us=transition_us,
-        sync_ocalls=sum(1 for c in ocalls if c.is_sync),
-        histogram=stats_mod.histogram(request_calls, bins=100),
-        scatter_starts_ns=starts,
-        scatter_durations_ns=durations,
+        sync_ocalls=int(ocalls.is_sync.sum()),
+        histogram=stats_mod.histogram(request_durations, bins=100),
+        scatter_starts_ns=client_calls.start_ns[request],
+        scatter_durations_ns=request_durations,
         verified_gets=result.verified_gets,
     )

@@ -159,8 +159,8 @@ def run_switchless_microbench(
             process.sim.spawn(load, name="bench")
             process.sim.run()
         with TraceDatabase(path, readonly=True) as db:
-            ecalls = len(db.calls(kind="ecall"))
-            ocalls = len(db.calls(kind="ocall"))
+            ecalls = db.calls_count(kind="ecall")
+            ocalls = db.calls_count(kind="ocall")
         rows.append(
             SwitchlessBenchRow(
                 mode=mode,

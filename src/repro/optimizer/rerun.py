@@ -74,8 +74,8 @@ class RunMetrics:
 def _metrics_from(
     label: str, db, requests: int, latencies: list, wall_ns: Optional[int] = None
 ) -> RunMetrics:
-    ecalls = len(db.calls(kind="ecall"))
-    ocalls = len(db.calls(kind="ocall"))
+    ecalls = db.calls_count(kind="ecall")
+    ocalls = db.calls_count(kind="ocall")
     wall = int(wall_ns if wall_ns is not None else sum(latencies))
     ordered = sorted(latencies)
     seconds = wall / 1e9
@@ -314,9 +314,9 @@ def _rerun_securekeeper(
     base_result = run(baseline_path, None)
     with TraceDatabase(baseline_path, readonly=True) as db:
         base_report = Analyzer(db).run()
-        base_latencies = [
-            c.duration_ns for c in db.calls(kind="ecall", name=ECALL_FROM_CLIENT)
-        ]
+        base_latencies = (
+            db.call_columns(kind="ecall", name=ECALL_FROM_CLIENT).duration_ns().tolist()
+        )
         base_metrics = _metrics_from(
             "baseline",
             db,
@@ -330,9 +330,9 @@ def _rerun_securekeeper(
     opt_result = run(optimized_path, plan)
     with TraceDatabase(optimized_path, readonly=True) as db:
         opt_report = Analyzer(db).run()
-        opt_latencies = [
-            c.duration_ns for c in db.calls(kind="ecall", name=ECALL_FROM_CLIENT)
-        ]
+        opt_latencies = (
+            db.call_columns(kind="ecall", name=ECALL_FROM_CLIENT).duration_ns().tolist()
+        )
         opt_metrics = _metrics_from(
             "optimized",
             db,
@@ -362,21 +362,17 @@ def _applied_counts(db, plan: OptimizationPlan) -> dict:
     """How often each applied transform is visible in the optimized trace."""
     applied: dict = {}
     for pair in plan.fused:
-        applied[f"fused:{pair.name}"] = len(db.calls(kind="ocall", name=pair.name))
+        applied[f"fused:{pair.name}"] = db.calls_count(kind="ocall", name=pair.name)
     if plan.switchless:
-        applied["switchless:worker_ecalls"] = len(
-            db.calls(kind="ecall", name=WORKER_ECALL)
-        )
+        applied["switchless:worker_ecalls"] = db.calls_count(kind="ecall", name=WORKER_ECALL)
         for call in plan.switchless:
             # Switchless requests bypass sgx_ecall entirely; remaining
             # rows are the cold-path fallbacks (expected: 0).
-            applied[f"switchless:{call.call}_residual_ecalls"] = len(
-                db.calls(kind="ecall", name=call.call)
+            applied[f"switchless:{call.call}_residual_ecalls"] = db.calls_count(
+                kind="ecall", name=call.call
             )
     for batch in plan.batched:
-        applied[f"batch:{batch.name}_flushes"] = len(
-            db.calls(kind="ocall", name=batch.name)
-        )
+        applied[f"batch:{batch.name}_flushes"] = db.calls_count(kind="ocall", name=batch.name)
     return applied
 
 

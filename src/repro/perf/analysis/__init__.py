@@ -22,7 +22,6 @@ from repro.perf.analysis.stats import (
     compute_statistics,
     fraction_shorter_than,
     histogram,
-    scatter_series,
 )
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "recompute_direct_parents",
     "report_to_dict",
     "report_to_json",
-    "scatter_series",
     "to_dot",
 ]

@@ -9,7 +9,7 @@ detector and the security analysis, and packages the result as an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import faultrows
 from repro.perf.analysis import callgraph as callgraph_mod
@@ -18,8 +18,10 @@ from repro.perf.analysis import stats as stats_mod
 from repro.perf.analysis.streaming import CallFold
 from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase
 from repro.perf.events import SyncKind
-from repro.sdk.edl import EnclaveDefinition
 from repro.workloads.serving import ServingStats, summary_lines
+
+if TYPE_CHECKING:
+    from repro.sdk.edl import EnclaveDefinition
 
 DEFAULT_TRANSITION_NS = 2_130  # §2.3.1 baseline if the trace lacks metadata
 
@@ -420,16 +422,6 @@ class Analyzer:
                     name = str(current[2])
                     affected[name] = affected.get(name, 0) + 1
         return affected, page_in, total - page_in, len(distinct)
-
-    # -- visualisation helpers -------------------------------------------------
-
-    def histogram(self, kind: str, name: str, bins: int = 100) -> stats_mod.Histogram:
-        """Execution-time histogram for one call (Figure 7)."""
-        return stats_mod.histogram(self.db.call_columns(kind=kind, name=name), bins=bins)
-
-    def scatter(self, kind: str, name: str):
-        """(start, duration) scatter series for one call (Figure 8)."""
-        return stats_mod.scatter_series(self.db.call_columns(kind=kind, name=name))
 
     def call_graph(self) -> callgraph_mod.CallGraph:
         """Name-level call graph with direct/indirect edges (Figure 5).

@@ -18,11 +18,13 @@ sets, observed allow sets, per-call counts) and hands those to the
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.perf.analysis.detectors import Finding, Problem, Recommendation
 from repro.perf.events import ECALL, OCALL
-from repro.sdk.edl import EnclaveDefinition
+
+if TYPE_CHECKING:
+    from repro.sdk.edl import EnclaveDefinition
 
 
 def private_ecall_findings_from_sets(

@@ -1,29 +1,25 @@
 """General call statistics (paper §4.3.1).
 
 Per ecall/ocall: call counts, mean and median duration, standard deviation
-and the 90th/95th/99th percentiles; plus histogram and scatter series for
-the Figure 7/8-style visualisations.
+and the 90th/95th/99th percentiles; plus the execution-time histogram of
+the Figure 7-style visualisation.
 
 Remember the duration convention (§4.1.2): ocall durations are execution
 time only and compare directly to the transition cost, while ecall
 durations include one transition round-trip, which must be subtracted
 before such comparisons.
 
-Every entry point accepts either :class:`~repro.perf.columns.CallColumns`
-(durations come out of the arrays directly) or a ``Sequence[CallEvent]``.
+Every entry point takes durations as an int64 array, as
+:meth:`~repro.perf.columns.CallColumns.duration_ns` returns them.
+:func:`compute_statistics` wants one call site's in the trace's
+``(start_ns, id)`` order: its mean and standard deviation depend on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
-
-from repro.perf.columns import CallColumns
-from repro.perf.events import CallEvent
-
-Calls = Union[CallColumns, Sequence[CallEvent]]
 
 
 @dataclass(frozen=True)
@@ -86,19 +82,8 @@ class Histogram:
         return "\n".join(lines)
 
 
-def durations_ns(events: Calls) -> np.ndarray:
-    """Measured durations of ``events`` as an array."""
-    if isinstance(events, CallColumns):
-        return events.duration_ns()
-    return np.array([e.duration_ns for e in events], dtype=np.int64)
-
-
-def compute_statistics(kind: str, name: str, events: Calls) -> CallStatistics:
-    """Summary statistics over one group of events."""
-    return _statistics_from_values(kind, name, durations_ns(events))
-
-
-def _statistics_from_values(kind: str, name: str, values: np.ndarray) -> CallStatistics:
+def compute_statistics(kind: str, name: str, values: np.ndarray) -> CallStatistics:
+    """Summary statistics over one call site's durations."""
     if len(values) == 0:
         return CallStatistics(kind, name, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
     # One partition for all four order statistics; the 50th percentile is
@@ -120,21 +105,12 @@ def _statistics_from_values(kind: str, name: str, values: np.ndarray) -> CallSta
     )
 
 
-def histogram(events: Calls, bins: int = 100) -> Histogram:
-    """Execution-time histogram over a group of events (Figure 7)."""
-    values = durations_ns(events)
+def histogram(values: np.ndarray, bins: int = 100) -> Histogram:
+    """Execution-time histogram over one call site's durations (Figure 7)."""
     if len(values) == 0:
         return Histogram(counts=(), edges_ns=())
     counts, edges = np.histogram(values, bins=bins)
     return Histogram(counts=tuple(int(c) for c in counts), edges_ns=tuple(float(e) for e in edges))
-
-
-def scatter_series(events: Calls) -> tuple[np.ndarray, np.ndarray]:
-    """(start time, duration) series over the run (Figure 8)."""
-    if isinstance(events, CallColumns):
-        return events.start_ns, events.duration_ns()
-    starts = np.array([e.start_ns for e in events], dtype=np.int64)
-    return starts, durations_ns(events)
 
 
 def fraction_shorter_than(values: np.ndarray, threshold_ns: float) -> float:

@@ -441,7 +441,7 @@ class CallFold:
     def statistics(self) -> list[stats_mod.CallStatistics]:
         """Per-call statistics, busiest first (ties in first-appearance order)."""
         stats = [
-            stats_mod._statistics_from_values(g.kind, g.name, g.sorted_durations())
+            stats_mod.compute_statistics(g.kind, g.name, g.sorted_durations())
             for g in self._ordered_groups()
         ]
         stats.sort(key=lambda s: s.total_ns, reverse=True)

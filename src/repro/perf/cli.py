@@ -210,21 +210,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.perf.analysis import stats as stats_mod
 
     with TraceDatabase(args.trace, readonly=True) as db:
-        events = db.calls(kind=args.kind, name=args.call)
-        if not events:
+        calls = db.call_columns(kind=args.kind, name=args.call)
+        if not len(calls):
             print(f"no events for {args.kind} {args.call!r}", file=sys.stderr)
             return 1
-        stat = stats_mod.compute_statistics(args.kind, args.call, events)
+        durations = calls.duration_ns()
+        stat = stats_mod.compute_statistics(args.kind, args.call, durations)
         print(
             f"{stat.kind} {stat.name}: n={stat.count} mean={stat.mean_ns:.0f}ns "
             f"median={stat.median_ns:.0f}ns std={stat.std_ns:.0f}ns "
             f"p90={stat.p90_ns:.0f}ns p95={stat.p95_ns:.0f}ns p99={stat.p99_ns:.0f}ns"
         )
         if args.histogram:
-            print(stats_mod.histogram(events, bins=args.bins).render())
+            print(stats_mod.histogram(durations, bins=args.bins).render())
         if args.scatter:
-            starts, durations = stats_mod.scatter_series(events)
-            for s, d in zip(starts, durations):
+            for s, d in zip(calls.start_ns.tolist(), durations.tolist()):
                 print(f"{s} {d}")
     return 0
 

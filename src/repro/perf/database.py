@@ -48,21 +48,21 @@ The writer is tuned for trace recording (§4.1's "keep the hot path cheap,
 serialise off the critical path" design applied to the store itself):
 
 * rows arrive as **flat tuples** in ``calls`` view order (``add_*_row``)
-  or in bulk (``add_call_rows`` et al.) — the dataclass-taking ``add_*``
-  methods remain as thin compatibility shims; ``(kind, name)`` is interned
+  or in bulk (``add_call_rows`` et al.); ``(kind, name)`` is interned
   through a dict that a writable reopen loads from ``sites``;
 * buffered rows flush **one transaction per batch** via ``executemany``,
   with a uniform per-table flush threshold (calls, aex, paging *and* sync);
 * recording pragmas: WAL journaling (file-backed traces, until the seal),
-  ``synchronous=OFF``, in-memory temp store and a larger page cache — a
-  crashed trace run is worthless anyway, so durability is traded for speed;
+  ``synchronous=OFF`` and an in-memory temp store — a crashed trace run is
+  worthless anyway, so durability is traded for speed;
 * ``call_rows`` carries no index: no reader needs its rows in any order
   but the blocks'.
 
-**Readers never write.**  The reader side exposes typed records for
-compatibility, a **columnar API** (:meth:`call_columns`,
-:meth:`durations_ns`, :meth:`starts_ns`, :meth:`call_summary`) returning
-NumPy arrays straight from SQL, and raw SQL for everyone else.
+**Readers never write.**  The reader side exposes typed records
+(:meth:`calls`, :meth:`sync_events` et al.) for other tools, one
+**columnar reader** (:meth:`call_columns`: a filtered set of calls as
+NumPy arrays, whose ``duration_ns()`` is what the statistics take) and
+raw SQL for everyone else.
 ``readonly=True`` opens an existing trace through SQLite's read-only mode:
 no write lock, and the file's bytes never change — the mode every analysis
 command uses.  Either mode refuses, with :class:`TraceError` and before
@@ -86,7 +86,6 @@ import sqlite3
 import sys
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -105,8 +104,6 @@ from repro.perf.events import (
 )
 
 if TYPE_CHECKING:  # NumPy loads on the first columnar read, not with the writer
-    import numpy as np
-
     from repro.perf.columns import CallColumns
 
 # Name given to calls synthesised by salvage for ids the crashed logger
@@ -305,23 +302,6 @@ def _block_last_key(nrows: int, data: bytes) -> tuple[int, int]:
     return last(5), last(0)
 
 
-@dataclass(frozen=True)
-class CallSummary:
-    """One ``call_summary()`` row: per-(kind, name) aggregates from SQL."""
-
-    kind: str
-    name: str
-    count: int
-    total_ns: int
-    min_ns: int
-    max_ns: int
-
-    @property
-    def mean_ns(self) -> float:
-        """Average measured duration."""
-        return self.total_ns / self.count if self.count else 0.0
-
-
 class TraceDatabase:
     """Writer/reader for an sgx-perf trace.
 
@@ -450,7 +430,6 @@ class TraceDatabase:
             conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=OFF")
         conn.execute("PRAGMA temp_store=MEMORY")
-        conn.execute("PRAGMA cache_size=-32768")  # 32 MiB page cache
 
     def seal(self) -> None:
         """Complete the trace: every call row in a column block, one file.
@@ -663,54 +642,13 @@ class TraceDatabase:
             raise
         conn.execute("COMMIT")
 
-    # -- writer side: typed records (compatibility shims) ---------------------
+    # -- writer side: metadata, threads and enclaves --------------------------
 
     def set_meta(self, key: str, value: str) -> None:
         """Store one key/value metadata pair (patch level, frequency, ...)."""
         self._check_owner()
         self._conn.execute(
             "INSERT OR REPLACE INTO meta(key, value) VALUES (?, ?)", (key, str(value))
-        )
-
-    def add_call(self, event: CallEvent) -> None:
-        """Buffer one completed call event."""
-        self.add_call_row(event.to_row())
-
-    def add_aex(self, event: AexEvent) -> None:
-        """Buffer one traced AEX."""
-        self.add_aex_row(
-            (
-                event.event_id,
-                event.timestamp_ns,
-                event.enclave_id,
-                event.thread_id,
-                event.call_id,
-            )
-        )
-
-    def add_paging(self, record: PagingRecord) -> None:
-        """Buffer one paging event."""
-        self.add_paging_row(
-            (
-                record.event_id,
-                record.timestamp_ns,
-                record.enclave_id,
-                record.vaddr,
-                record.direction,
-            )
-        )
-
-    def add_sync(self, event: SyncEvent) -> None:
-        """Buffer one sync sleep/wake event."""
-        self.add_sync_row(
-            (
-                event.event_id,
-                event.timestamp_ns,
-                event.thread_id,
-                event.kind.value,
-                event.call_id,
-                ",".join(str(t) for t in event.targets),
-            )
         )
 
     def add_thread(self, record: ThreadRecord) -> None:
@@ -956,50 +894,6 @@ class TraceDatabase:
             if not rows:
                 break
             yield rows
-
-    def durations_ns(
-        self,
-        kind: Optional[str] = None,
-        name: Optional[str] = None,
-        enclave_id: Optional[int] = None,
-    ) -> np.ndarray:
-        """Measured durations straight from SQL, ``(start_ns, id)``-ordered."""
-        import numpy as np
-
-        self._ensure_read()
-        where, params = self._call_filter(kind, name, enclave_id)
-        rows = self._conn.execute(
-            "SELECT end_ns - start_ns FROM calls" + where + " ORDER BY start_ns, id",
-            params,
-        ).fetchall()
-        return np.fromiter((r[0] for r in rows), dtype=np.int64, count=len(rows))
-
-    def starts_ns(
-        self,
-        kind: Optional[str] = None,
-        name: Optional[str] = None,
-        enclave_id: Optional[int] = None,
-    ) -> np.ndarray:
-        """Start timestamps straight from SQL, ``(start_ns, id)``-ordered."""
-        import numpy as np
-
-        self._ensure_read()
-        where, params = self._call_filter(kind, name, enclave_id)
-        rows = self._conn.execute(
-            "SELECT start_ns FROM calls" + where + " ORDER BY start_ns, id", params
-        ).fetchall()
-        return np.fromiter((r[0] for r in rows), dtype=np.int64, count=len(rows))
-
-    def call_summary(self) -> list[CallSummary]:
-        """Per-(kind, name) aggregates grouped in SQL, busiest first."""
-        self._ensure_read()
-        rows = self._conn.execute(
-            "SELECT kind, name, COUNT(*), SUM(end_ns - start_ns),"
-            " MIN(end_ns - start_ns), MAX(end_ns - start_ns)"
-            " FROM calls GROUP BY kind, name"
-            " ORDER BY SUM(end_ns - start_ns) DESC, kind, name"
-        ).fetchall()
-        return [CallSummary(*r) for r in rows]
 
     def aex_events(self) -> list[AexEvent]:
         """Load all traced AEX events."""

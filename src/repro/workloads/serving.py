@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro import faultrows
-from repro.sim.kernel import Simulation
+
+if TYPE_CHECKING:
+    from repro.sim.kernel import Simulation
 
 # Sentinel returned by :func:`percentile_ns` when there are no samples: a
 # latency can never be negative, so ``-1`` is unambiguous, and reports that

@@ -1,5 +1,8 @@
 """Brownout degradation: pressure signal, controller policy, cluster runs."""
 
+import glob
+import os
+
 import pytest
 
 from repro.cluster import ClusterSpec, run_cluster
@@ -148,6 +151,17 @@ def pressured_report():
     return run_cluster(_pressured_spec(), jobs=0)
 
 
+@pytest.fixture(scope="module")
+def shedding(tmp_path_factory):
+    """One traced pressured run whose rate makes the gateway shed reads and
+    background requests, not only change level: the report and the shard
+    trace paths.  (At this rate the tenant finishes no op, so the noisy
+    neighbour checks keep ``pressured_report``.)"""
+    trace_dir = str(tmp_path_factory.mktemp("shedding-traces"))
+    report = run_cluster(_pressured_spec(rate_rps=120_000.0), jobs=0, trace_dir=trace_dir)
+    return report, sorted(glob.glob(os.path.join(trace_dir, "*.db")))
+
+
 class TestPressuredCluster:
     def test_noisy_neighbour_actually_ran(self, pressured_report):
         assert pressured_report.brownout["tenant_ops"] > 0
@@ -156,12 +170,12 @@ class TestPressuredCluster:
     def test_brownout_engaged_under_pressure(self, pressured_report):
         assert pressured_report.brownout["brownout_transitions"] > 0
 
-    def test_sheds_strictly_in_priority_order(self, pressured_report):
-        b = pressured_report.brownout
+    def test_sheds_strictly_in_priority_order(self, shedding):
+        b = shedding[0].brownout
+        assert b["shed_read"] > 0, "no read was shed: the order goes untested"
         assert b["shed_write"] == 0  # writes are never brownout-shed
-        if b["shed_read"]:
-            # Reads only shed at deep, where background must shed too.
-            assert b["shed_background"] > 0
+        # Reads only shed at deep, where background must shed too.
+        assert b["shed_background"] > 0
 
     def test_write_availability_holds(self, pressured_report):
         assert pressured_report.brownout["write_availability"] >= 0.99
@@ -189,17 +203,12 @@ class TestPressuredCluster:
 
 
 class TestTraceEvidence:
-    def test_offline_fold_matches_live_counters(self, tmp_path):
+    def test_offline_fold_matches_live_counters(self, shedding):
         """Each shard's trace rows, folded offline, sum to the live report."""
-        import glob
-
         from repro.perf.analysis.report import FaultAccumulator
         from repro.perf.database import TraceDatabase
 
-        trace_dir = str(tmp_path / "traces")
-        # The rate makes the gateway shed reads and background, not only
-        # change level.
-        report = run_cluster(_pressured_spec(rate_rps=120_000.0), jobs=0, trace_dir=trace_dir)
+        report, paths = shedding
         keys = (
             "shed_background",
             "shed_read",
@@ -208,7 +217,7 @@ class TestTraceEvidence:
             "brownout_deep_transitions",
         )
         offline = dict.fromkeys(keys, 0)
-        for path in sorted(glob.glob(f"{trace_dir}/*.db")):
+        for path in paths:
             acc = FaultAccumulator()
             with TraceDatabase(path, readonly=True) as db:
                 for fault in db.fault_events():
@@ -221,18 +230,18 @@ class TestTraceEvidence:
         assert offline["shed_read"] and offline["shed_background"]
         assert offline["brownout_deep_transitions"]
 
-    def test_shed_rows_prove_priority_order(self, tmp_path):
+    def test_shed_rows_prove_priority_order(self, shedding):
         """The acceptance gate reads the order off trace rows, not stats."""
-        from repro.cluster.node import run_clusternode
         from repro.perf.database import TraceDatabase
 
-        spec = _pressured_spec()
-        db_path = str(tmp_path / "node0.db")
-        run_clusternode({**spec.to_params(), "seed": 7, "node": 0}, db_path)
-        with TraceDatabase(db_path) as db:
-            rows = [f for f in db.fault_events() if f.kind == "brownout:shed"]
-            levels = [f for f in db.fault_events() if f.kind == "brownout:level"]
+        rows, levels = [], []
+        for path in shedding[1]:
+            with TraceDatabase(path, readonly=True) as db:
+                faults = db.fault_events()
+            rows += [f for f in faults if f.kind == "brownout:shed"]
+            levels += [f for f in faults if f.kind == "brownout:level"]
         assert levels, "no brownout transitions traced"
+        assert rows, "no shed rows traced: the order goes untested"
         classes = set()
         for row in rows:
             fields = dict(
@@ -245,3 +254,4 @@ class TestTraceEvidence:
                 assert fields["level"] == "deep"
             assert fields["class"] != "write"
         assert "write" not in classes
+        assert {"read", "background"} <= classes

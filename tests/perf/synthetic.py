@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Iterable
 
 from repro.perf.analysis.callgraph import CallGraph
@@ -23,10 +24,19 @@ def analyze(
     """
     db = TraceDatabase()
     for event in calls:
-        db.add_call(event)
+        db.add_call_row(event.to_row())
     for event in sync:
-        db.add_sync(event)
+        db.add_sync_row(
+            (
+                event.event_id,
+                event.timestamp_ns,
+                event.thread_id,
+                event.kind.value,
+                event.call_id,
+                ",".join(str(t) for t in event.targets),
+            )
+        )
     for record in paging:
-        db.add_paging(record)
+        db.add_paging_row(astuple(record))
     analyzer = Analyzer(db, **options)
     return analyzer.run(), analyzer.call_graph()

@@ -217,9 +217,9 @@ class TestReopenedTrace:
     def path(self, tmp_path):
         path = tmp_path / "trace.db"
         with TraceDatabase(str(path)) as db:
-            db.add_call(_call(1, 100, dur=50))
-            db.add_call(_call(2, 110, parent=1, kind=OCALL, name="ocall_x"))
-            db.add_call(_call(3, 300, thread_id=2))
+            db.add_call_row(_call(1, 100, dur=50).to_row())
+            db.add_call_row(_call(2, 110, parent=1, kind=OCALL, name="ocall_x").to_row())
+            db.add_call_row(_call(3, 300, thread_id=2).to_row())
             db.seal()
         return path
 
@@ -232,8 +232,8 @@ class TestReopenedTrace:
     def test_later_rows_append_blocks(self, path):
         before = self._blocks(path)
         with TraceDatabase(str(path)) as db:
-            db.add_call(_call(4, 400))
-            db.add_call(_call(5, 500, thread_id=3))
+            db.add_call_row(_call(4, 400).to_row())
+            db.add_call_row(_call(5, 500, thread_id=3).to_row())
             db.seal()
         after = self._blocks(path)
         assert set(before) <= set(after)  # earlier blocks are kept as written
@@ -242,7 +242,7 @@ class TestReopenedTrace:
 
     def test_earlier_rows_re_encode_the_thread(self, path):
         with TraceDatabase(str(path)) as db:
-            db.add_call(_call(6, 50))  # sorts before thread 1's last block
+            db.add_call_row(_call(6, 50).to_row())  # sorts before thread 1's last block
             db.seal()
         assert [(t, s, n) for t, s, n, _ in self._blocks(path)] == [(1, 0, 3), (2, 0, 1)]
         assert assert_blocks_match_rows(path) == 2

@@ -1,6 +1,6 @@
 """Per-site call statistics, against the formulas they replaced.
 
-``_statistics_from_values`` takes the median and the 90th/95th/99th
+``compute_statistics`` takes the median and the 90th/95th/99th
 percentiles from one ``np.percentile`` partition; ``np.median`` plus three
 ``np.percentile`` calls must give the same floats.  Durations are drawn
 below 2^52 ns (52 days): there every duration, every sum of two and its
@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, example, given, strategies as st
 
-from repro.perf.analysis.stats import _statistics_from_values
+from repro.perf.analysis.stats import compute_statistics
 from repro.perf.analysis.streaming import _GroupState
 from repro.perf.events import ECALL
 
@@ -46,7 +46,7 @@ def four_partitions(values: np.ndarray) -> tuple[float, ...]:
 @example([2**52 - 1, 2**52 - 2])
 def test_one_partition_equals_median_and_three_percentiles(values):
     array = np.array(values, dtype=np.int64)
-    stats = _statistics_from_values(ECALL, "ecall_a", array)
+    stats = compute_statistics(ECALL, "ecall_a", array)
     one_partition = (stats.median_ns, stats.p90_ns, stats.p95_ns, stats.p99_ns)
     assert one_partition == four_partitions(array)
     assert stats.count == len(values)

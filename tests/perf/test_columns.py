@@ -45,10 +45,10 @@ def _rows(cols: CallColumns) -> list[tuple]:
 
 def _populated_db(**db_kwargs) -> TraceDatabase:
     db = TraceDatabase(**db_kwargs)
-    db.add_call(_event(1, ECALL, "ecall_a", start=100, dur=40))
-    db.add_call(_event(2, OCALL, "ocall_x", start=120, dur=10, parent=1))
-    db.add_call(_event(3, ECALL, "ecall_b", start=300, dur=60, enclave_id=1))
-    db.add_call(_event(4, ECALL, "ecall_a", start=500, dur=45))
+    db.add_call_row(_event(1, ECALL, "ecall_a", start=100, dur=40).to_row())
+    db.add_call_row(_event(2, OCALL, "ocall_x", start=120, dur=10, parent=1).to_row())
+    db.add_call_row(_event(3, ECALL, "ecall_b", start=300, dur=60, enclave_id=1).to_row())
+    db.add_call_row(_event(4, ECALL, "ecall_a", start=500, dur=45).to_row())
     return db
 
 
@@ -68,29 +68,14 @@ class TestColumnarReaders:
     def test_durations_and_starts(self):
         db = _populated_db()
         np.testing.assert_array_equal(
-            db.durations_ns(kind=ECALL, name="ecall_a"), [40, 45]
+            db.call_columns(kind=ECALL, name="ecall_a").duration_ns(), [40, 45]
         )
-        np.testing.assert_array_equal(db.starts_ns(kind=OCALL), [120])
-        assert db.durations_ns().dtype == np.int64
-
-    def test_call_summary_grouped_and_ordered(self):
-        db = _populated_db()
-        summary = db.call_summary()
-        assert [(s.kind, s.name) for s in summary] == [
-            (ECALL, "ecall_a"),
-            (ECALL, "ecall_b"),
-            (OCALL, "ocall_x"),
-        ]
-        top = summary[0]
-        assert (top.count, top.total_ns, top.min_ns, top.max_ns) == (2, 85, 40, 45)
-        assert top.mean_ns == pytest.approx(42.5)
+        np.testing.assert_array_equal(db.call_columns(kind=OCALL).start_ns, [120])
+        assert db.call_columns().duration_ns().dtype == np.int64
 
     def test_empty_trace(self):
         db = TraceDatabase()
         assert len(db.call_columns()) == 0
-        assert db.durations_ns().shape == (0,)
-        assert db.starts_ns(kind=ECALL).shape == (0,)
-        assert db.call_summary() == []
         assert db.call_columns().group_codes()[1] == []
 
     def test_call_blocks_written_with_the_rows(self):
@@ -115,7 +100,7 @@ class TestColumnarReaders:
         assert len(reopened.call_columns()) == 4
         assert reopened.get_meta("k") == "v"
         np.testing.assert_array_equal(
-            reopened.durations_ns(kind=ECALL, name="ecall_a"), [40, 45]
+            reopened.call_columns(kind=ECALL, name="ecall_a").duration_ns(), [40, 45]
         )
         reopened.close()
 
@@ -241,8 +226,8 @@ class TestStoreSchema:
         assert sites == [(1, ECALL, "ecall_a"), (2, OCALL, "ocall_x"), (3, ECALL, "ecall_b")]
         db.close()
         reopened = TraceDatabase(path)
-        reopened.add_call(_event(5, OCALL, "ocall_x", start=600, dur=5))
-        reopened.add_call(_event(6, OCALL, "ocall_y", start=700, dur=5))
+        reopened.add_call_row(_event(5, OCALL, "ocall_x", start=600, dur=5).to_row())
+        reopened.add_call_row(_event(6, OCALL, "ocall_y", start=700, dur=5).to_row())
         reopened.flush()
         assert reopened.execute("SELECT site_id, kind, name FROM sites ORDER BY site_id") == [
             *sites,
@@ -287,7 +272,7 @@ class TestStoreSchema:
             assert "sqlite_autoindex_call_blocks_1" in plan[0][3]  # no sort
             assert [len(c) for c in db.call_columns_chunks()] == [2]
             db.calls()
-            db.call_summary()
+            db.calls_count(kind=ECALL)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.db"]
 
@@ -316,7 +301,7 @@ class TestStoreSchema:
     def test_readonly_open_refuses_an_unsealed_trace(self, tmp_path):
         path = tmp_path / "raw.db"
         with TraceDatabase(str(path)) as db:
-            db.add_call(_event(1))
+            db.add_call_row(_event(1).to_row())
             db.seal()
             db.execute(  # a row the blocks do not cover, and no seal after it
                 "INSERT INTO call_rows SELECT id + 1, site_id, call_index, enclave_id,"

@@ -10,6 +10,7 @@ from repro.perf.analysis import callgraph as CG
 from repro.perf.analysis import parents as P
 from repro.perf.analysis import stats as S
 from repro.perf.analysis.detectors import AnalyzerWeights
+from repro.perf.database import TraceDatabase
 from repro.perf.events import CallEvent, ECALL, OCALL
 
 from tests.perf.synthetic import analyze
@@ -138,7 +139,7 @@ class TestStatistics:
         ]
 
     def test_summary_values(self):
-        stats = S.compute_statistics("ecall", "e", self.make_events([100, 200, 300]))
+        stats = S.compute_statistics("ecall", "e", np.array([100, 200, 300]))
         assert stats.count == 3
         assert stats.mean_ns == 200
         assert stats.median_ns == 200
@@ -146,13 +147,11 @@ class TestStatistics:
         assert stats.total_ns == 600
 
     def test_percentiles_ordered(self):
-        stats = S.compute_statistics(
-            "ecall", "e", self.make_events(list(range(1, 101)))
-        )
+        stats = S.compute_statistics("ecall", "e", np.arange(1, 101))
         assert stats.p90_ns <= stats.p95_ns <= stats.p99_ns <= stats.max_ns
 
     def test_empty_group(self):
-        stats = S.compute_statistics("ecall", "e", [])
+        stats = S.compute_statistics("ecall", "e", np.array([], dtype=np.int64))
         assert stats.count == 0 and stats.mean_ns == 0.0
 
     def test_execution_durations_subtract_transition_for_ecalls(self):
@@ -176,20 +175,23 @@ class TestStatistics:
         assert S.fraction_shorter_than(np.array([]), 10) == 0.0
 
     def test_histogram_total_preserved(self):
-        events = self.make_events([10, 20, 30, 40, 50] * 10)
-        hist = S.histogram(events, bins=5)
+        hist = S.histogram(np.array([10, 20, 30, 40, 50] * 10), bins=5)
         assert sum(hist.counts) == 50
 
     def test_histogram_render_nonempty(self):
-        events = self.make_events(list(range(100, 200)))
-        text = S.histogram(events, bins=100).render(max_rows=10)
+        text = S.histogram(np.arange(100, 200), bins=100).render(max_rows=10)
         assert "us |" in text
 
-    def test_scatter_series_alignment(self):
-        events = self.make_events([10, 20])
-        starts, durations = S.scatter_series(events)
-        assert list(starts) == [0, 1_000]
-        assert list(durations) == [10, 20]
+    def test_scatter_series_alignment(self, tmp_path, capsys):
+        from repro.perf.cli import main
+
+        path = str(tmp_path / "t.db")
+        with TraceDatabase(path) as db:
+            for event in self.make_events([10, 20]):
+                db.add_call_row(event.to_row())
+        assert main(["stats", path, "ecall", "e", "--scatter"]) == 0
+        # Each call's start next to its duration, in start order.
+        assert capsys.readouterr().out.splitlines()[1:] == ["0 10", "1000 20"]
 
     def test_all_statistics_sorted_by_total(self):
         events = self.make_events([100] * 5) + [

@@ -10,6 +10,7 @@ import repro
 from repro.perf.analysis import callgraph as CG
 from repro.perf.analysis.detectors import Problem, Recommendation
 from repro.perf.analysis.report import Analyzer
+from repro.perf.analysis.stats import histogram
 from repro.perf.database import TraceDatabase
 from repro.perf.events import CallEvent, ECALL, OCALL
 from repro.sdk.edl import parse_edl
@@ -146,7 +147,7 @@ class TestAnalyzerFacade:
     def make_db(self):
         db = TraceDatabase()
         for event in nested_trace():
-            db.add_call(event)
+            db.add_call_row(event.to_row())
         db.set_meta("transition_round_trip_ns", "2130")
         return db
 
@@ -177,11 +178,10 @@ class TestAnalyzerFacade:
         assert priorities == sorted(priorities)
 
     def test_histogram_and_scatter_helpers(self):
-        analyzer = Analyzer(self.make_db())
-        hist = analyzer.histogram(ECALL, "ecall_outer")
+        calls = self.make_db().call_columns(kind=ECALL, name="ecall_outer")
+        hist = histogram(calls.duration_ns())
         assert sum(hist.counts) == 6
-        starts, durations = analyzer.scatter(ECALL, "ecall_outer")
-        assert len(starts) == 6
+        assert len(calls.start_ns) == 6
 
     def test_dot_helper(self):
         assert "digraph" in Analyzer(self.make_db()).call_graph_dot()
@@ -194,7 +194,7 @@ class TestCli:
         path = str(tmp_path / "t.db")
         with TraceDatabase(path) as db:
             for event in nested_trace():
-                db.add_call(event)
+                db.add_call_row(event.to_row())
         assert main(["analyze", path]) == 0
         out = capsys.readouterr().out
         assert "sgx-perf analysis report" in out
@@ -205,7 +205,7 @@ class TestCli:
         trace = str(tmp_path / "t.db")
         with TraceDatabase(trace) as db:
             for event in nested_trace():
-                db.add_call(event)
+                db.add_call_row(event.to_row())
         edl = tmp_path / "app.edl"
         edl.write_text(EDL_WITH_WIDE_ALLOW)
         assert main(["analyze", trace, "--edl", str(edl)]) == 0
@@ -217,7 +217,7 @@ class TestCli:
         path = str(tmp_path / "t.db")
         with TraceDatabase(path) as db:
             for event in nested_trace():
-                db.add_call(event)
+                db.add_call_row(event.to_row())
         assert main(["stats", path, "ecall", "ecall_outer", "--histogram"]) == 0
         out = capsys.readouterr().out
         assert "n=6" in out
@@ -235,7 +235,7 @@ class TestCli:
         path = str(tmp_path / "t.db")
         with TraceDatabase(path) as db:
             for event in nested_trace():
-                db.add_call(event)
+                db.add_call_row(event.to_row())
         assert main(["dot", path]) == 0
         assert "digraph" in capsys.readouterr().out
 
@@ -314,7 +314,7 @@ class TestCli:
         path = str(tmp_path / "t.db")
         with TraceDatabase(path) as db:
             for event in nested_trace():
-                db.add_call(event)
+                db.add_call_row(event.to_row())
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.perf.cli", "analyze", path],

@@ -27,6 +27,7 @@ import pytest
 
 from repro.perf.analysis.export import report_to_json
 from repro.perf.analysis.report import Analyzer
+from repro.perf.analysis.stats import compute_statistics
 from repro.perf.cli import main as cli_main
 from repro.perf.database import TraceDatabase, TraceError
 from repro.sdk.edl import parse_edl
@@ -175,6 +176,24 @@ def test_count_fast_paths(traces):
         assert db.event_count() == sum(counts.values())
         threads = dict(db.thread_row_counts())
         assert sum(threads.values()) == len(cols)
+
+
+# -- the fold's statistics against one call site's read ----------------------
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_fold_statistics_equal_filtered_reads(traces, workload):
+    """The fold re-sorts each site's thread-major durations to the ``calls``
+    view's ``(start_ns, id)`` order; one filtered read must give the same
+    statistics to the last bit (the mean and deviation depend on order)."""
+    with TraceDatabase(traces[workload], readonly=True) as db:
+        statistics = Analyzer(db).run().statistics
+        assert statistics
+        for stat in statistics:
+            durations = db.call_columns(kind=stat.kind, name=stat.name).duration_ns()
+            assert compute_statistics(stat.kind, stat.name, durations) == stat
+        if workload == "securekeeper":  # client threads interleave their calls
+            assert len(db.thread_row_counts()) >= 8
 
 
 # -- read-only mode --------------------------------------------------------

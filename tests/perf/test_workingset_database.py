@@ -1,5 +1,7 @@
 """Working set estimator and the SQLite trace store."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.perf.database import TraceDatabase
@@ -9,7 +11,6 @@ from repro.perf.events import (
     ECALL,
     EnclaveRecord,
     PagingRecord,
-    SyncEvent,
     SyncKind,
     ThreadRecord,
 )
@@ -110,30 +111,30 @@ class TestTraceDatabase:
     def test_call_roundtrip(self):
         db = TraceDatabase()
         event = self.make_call(aex_count=3, parent_id=None, is_sync=True)
-        db.add_call(event)
+        db.add_call_row(event.to_row())
         loaded = db.calls()[0]
         assert loaded == event
 
     def test_filters(self):
         db = TraceDatabase()
-        db.add_call(self.make_call(1, name="a"))
-        db.add_call(self.make_call(2, name="b", kind="ocall"))
-        db.add_call(self.make_call(3, name="a", enclave_id=2))
+        db.add_call_row(self.make_call(1, name="a").to_row())
+        db.add_call_row(self.make_call(2, name="b", kind="ocall").to_row())
+        db.add_call_row(self.make_call(3, name="a", enclave_id=2).to_row())
         assert len(db.calls(name="a")) == 2
         assert len(db.calls(kind="ocall")) == 1
         assert len(db.calls(enclave_id=2)) == 1
 
     def test_ordering_by_start(self):
         db = TraceDatabase()
-        db.add_call(self.make_call(1, start_ns=100, end_ns=110))
-        db.add_call(self.make_call(2, start_ns=50, end_ns=60))
+        db.add_call_row(self.make_call(1, start_ns=100, end_ns=110).to_row())
+        db.add_call_row(self.make_call(2, start_ns=50, end_ns=60).to_row())
         assert [c.event_id for c in db.calls()] == [2, 1]
 
     def test_aex_paging_sync_roundtrip(self):
         db = TraceDatabase()
-        db.add_aex(AexEvent(1, 100, 1, 2, 3))
-        db.add_paging(PagingRecord(2, 200, 1, 0xABC000, "page_in"))
-        db.add_sync(SyncEvent(3, 300, 4, SyncKind.WAKE, 9, targets=(5, 6)))
+        db.add_aex_row(astuple(AexEvent(1, 100, 1, 2, 3)))
+        db.add_paging_row(astuple(PagingRecord(2, 200, 1, 0xABC000, "page_in")))
+        db.add_sync_row((3, 300, 4, SyncKind.WAKE.value, 9, "5,6"))
         assert db.aex_events()[0].thread_id == 2
         assert db.paging_events()[0].direction == "page_in"
         sync = db.sync_events()[0]
@@ -155,14 +156,14 @@ class TestTraceDatabase:
     def test_raw_sql_escape_hatch(self):
         db = TraceDatabase()
         for i in range(5):
-            db.add_call(self.make_call(i + 1, start_ns=i, end_ns=i + 10))
+            db.add_call_row(self.make_call(i + 1, start_ns=i, end_ns=i + 10).to_row())
         rows = db.execute("SELECT COUNT(*), MAX(end_ns) FROM calls")
         assert rows == [(5, 14)]
 
     def test_file_persistence(self, tmp_path):
         path = str(tmp_path / "trace.db")
         with TraceDatabase(path) as db:
-            db.add_call(self.make_call())
+            db.add_call_row(self.make_call().to_row())
         reopened = TraceDatabase(path)
         assert len(reopened.calls()) == 1
         reopened.close()
@@ -170,5 +171,5 @@ class TestTraceDatabase:
     def test_buffer_flush_threshold(self):
         db = TraceDatabase()
         for i in range(5000):  # crosses the 4096 batch boundary
-            db.add_call(self.make_call(i + 1))
+            db.add_call_row(self.make_call(i + 1).to_row())
         assert len(db.calls()) == 5000

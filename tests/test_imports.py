@@ -11,6 +11,10 @@ or NumPy, nor the trace stack (logger, store, ``sqlite3``).
 repro.perf.logger`` lean; these tests fail as soon as a top-level import
 pulls either stack back onto that path.
 
+The other way round, the analysis package reads traces and loads none of
+the simulator that recorded them (SDK, SGX model, ``repro.sim``): it names
+those types in annotations only.
+
 ``sgxperf`` imports the analysis package only inside the commands that
 analyse, and nothing in the package loads networkx (NumPy is the one
 runtime dependency).  ``repro.cluster`` and ``repro.faults`` resolve
@@ -97,6 +101,21 @@ print(json.dumps([name for name in sys.argv[2:] if name in sys.modules]))
 """
 
 
+SIMULATOR = ("repro.sdk", "repro.sgx", "repro.sim")
+
+# A bare ``import repro.perf.analysis``; prints the loaded modules that
+# are, or sit under, one of the packages named in argv.
+ANALYSIS_IMPORT = """
+import json, sys
+
+import repro.perf.analysis
+
+print(json.dumps(sorted(
+    name for name in sys.modules
+    if any(name == p or name.startswith(p + ".") for p in sys.argv[1:])
+)))
+"""
+
 # A bare ``import repro.perf.cli``, as every ``sgxperf`` command starts.
 CLI_IMPORT = """
 import json, sys
@@ -150,6 +169,10 @@ def test_untraced_cluster_shard_loads_no_analysis_stack():
     assert (report["status"], report["error"]) == ("ok", "")
     assert report["loaded"] == []
     assert report["unresolved"] == []
+
+
+def test_analysis_import_loads_no_simulator():
+    assert _probe(ANALYSIS_IMPORT, *SIMULATOR) == []
 
 
 def test_cli_import_loads_no_analysis_stack():
