@@ -226,10 +226,10 @@ def test_analyzer_weight_sensitivity(benchmark):
     monotonically as the thresholds tighten, and that the defaults sit
     between the permissive and strict extremes.
     """
-    from repro.perf.analysis import Analyzer
     from repro.perf.analysis.detectors import AnalyzerWeights
+    from repro.perf.analysis.report import Analyzer
     from repro.perf.database import TraceDatabase
-    from repro.perf.events import CallEvent, ECALL
+    from repro.perf.events import ECALL, CallEvent
 
     def make_trace():
         events = []

@@ -12,7 +12,7 @@ from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.constants import PatchLevel
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
-from repro.workloads.glamdring import (
+from repro.workloads.glamdring.signer import (
     GlamdringSigner,
     SignerBuild,
     make_certificate,

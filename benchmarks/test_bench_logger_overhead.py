@@ -7,7 +7,7 @@ Paper: +≈1,366 ns per logged ecall, +≈1,320 ns per logged ocall,
 
 from conftest import run_once
 
-from repro.bench import run_table2
+from repro.bench.table2 import run_table2
 
 
 def test_logger_overhead(benchmark):

@@ -23,7 +23,7 @@ import time
 from conftest import run_once
 
 from repro.digest import sha256_hex, trace_digest
-from repro.perf.analysis import Analyzer
+from repro.perf.analysis.report import Analyzer
 from repro.perf.database import TraceDatabase
 from repro.perf.logger import AexMode, EventLogger
 from repro.sdk.errors import SgxStatus

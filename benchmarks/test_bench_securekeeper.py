@@ -8,7 +8,7 @@ histogram mode around 15 µs.
 import numpy as np
 from conftest import run_once
 
-from repro.bench import run_figures_7_8
+from repro.bench.figures78 import run_figures_7_8
 
 
 def test_securekeeper_profile(benchmark):

@@ -9,7 +9,8 @@ from conftest import run_once
 from repro.sgx.constants import PatchLevel
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
-from repro.workloads.minisql import SQLITE_SYSCALL_COSTS, SqlBuild, run_sql_benchmark
+from repro.workloads.minisql.enclavised import SqlBuild
+from repro.workloads.minisql.workload import SQLITE_SYSCALL_COSTS, run_sql_benchmark
 
 
 def _run_all(requests: int):

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import run_once
 
-from repro.sweep import run_sweep
+from repro.sweep.engine import run_sweep
 
 SEEDS = "0-15"  # 16 single-seed campaign tasks
 MIN_SPEEDUP = 2.0

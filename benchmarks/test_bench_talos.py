@@ -8,7 +8,7 @@ around SSL_read and the read/write ocalls.
 
 from conftest import run_once
 
-from repro.bench import run_figure5
+from repro.bench.figure5 import run_figure5
 
 
 def test_talos_call_graph(benchmark):

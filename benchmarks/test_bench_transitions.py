@@ -7,7 +7,7 @@ with the Spectre fixes (≈1.74×) and ≈4,890 ns with the L1TF microcode
 
 from conftest import run_once
 
-from repro.bench import run_switchless_microbench, run_transition_experiment
+from repro.bench.transitions import run_switchless_microbench, run_transition_experiment
 from repro.sgx.constants import PatchLevel
 
 

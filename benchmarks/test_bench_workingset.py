@@ -7,7 +7,7 @@ and 94 (0.36 MiB) in steady state, so ≈249 enclaves would fit the EPC.
 
 from conftest import run_once
 
-from repro.bench import run_working_set_experiments
+from repro.bench.workingsets import run_working_set_experiments
 
 
 def test_working_sets(benchmark):

@@ -11,10 +11,11 @@ Workflow:
 Run:  python examples/partition_and_optimize.py
 """
 
-from repro.perf import AexMode, Analyzer, EventLogger
-from repro.sgx import SgxDevice
-from repro.sim import SimProcess
-from repro.workloads.glamdring import (
+from repro.perf.analysis.report import Analyzer
+from repro.perf.logger import AexMode, EventLogger
+from repro.sgx.device import SgxDevice
+from repro.sim.process import SimProcess
+from repro.workloads.glamdring.signer import (
     GlamdringSigner,
     SignerBuild,
     make_certificate,

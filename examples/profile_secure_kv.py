@@ -9,11 +9,12 @@ connect-phase contention.
 Run:  python examples/profile_secure_kv.py
 """
 
-from repro.bench import run_figures_7_8
+from repro.bench.figures78 import run_figures_7_8
 from repro.perf.workingset import WorkingSetEstimator
-from repro.sgx import SgxDevice
-from repro.sim import SimProcess
-from repro.workloads.securekeeper import SecureKeeperProxy, run_securekeeper_load
+from repro.sgx.device import SgxDevice
+from repro.sim.process import SimProcess
+from repro.workloads.securekeeper.loadgen import run_securekeeper_load
+from repro.workloads.securekeeper.proxy import SecureKeeperProxy
 
 
 def ascii_scatter(starts, durations, width=72, height=14) -> str:

@@ -8,10 +8,14 @@ exactly what a developer should fix.
 Run:  python examples/quickstart.py
 """
 
-from repro.perf import AexMode, Analyzer, EventLogger
-from repro.sdk import Urts, build_enclave, parse_edl
-from repro.sgx import EnclaveConfig, SgxDevice
-from repro.sim import SimProcess
+from repro.perf.analysis.report import Analyzer
+from repro.perf.logger import AexMode, EventLogger
+from repro.sdk.edger8r import build_enclave
+from repro.sdk.edl import parse_edl
+from repro.sdk.urts import Urts
+from repro.sgx.device import SgxDevice
+from repro.sgx.enclave import EnclaveConfig
+from repro.sim.process import SimProcess
 
 EDL = """
 enclave {

@@ -9,16 +9,19 @@ prints the Figure 6 bars.
 Run:  python examples/sql_ocall_merging.py
 """
 
-from repro.perf import AexMode, Analyzer, EventLogger, Recommendation
-from repro.sgx import SgxDevice
-from repro.sim import SimProcess
-from repro.workloads.minisql import (
+from repro.perf.analysis.detectors import Recommendation
+from repro.perf.analysis.report import Analyzer
+from repro.perf.logger import AexMode, EventLogger
+from repro.sgx.device import SgxDevice
+from repro.sim.process import SimProcess
+from repro.workloads.minisql.enclavised import EnclavedSqlApp, SqlBuild
+from repro.workloads.minisql.workload import (
+    CREATE_SQL,
     SQLITE_SYSCALL_COSTS,
-    SqlBuild,
+    _insert_sql,
+    commit_stream,
     run_sql_benchmark,
 )
-from repro.workloads.minisql.enclavised import EnclavedSqlApp
-from repro.workloads.minisql.workload import CREATE_SQL, _insert_sql, commit_stream
 
 
 def profile_naive_build(requests: int = 150):

@@ -10,11 +10,13 @@ with Graphviz if available).
 Run:  python examples/tls_termination_audit.py
 """
 
-from repro.perf import AexMode, Analyzer, EventLogger
 from repro.perf.analysis import stats as stats_mod
-from repro.sgx import SgxDevice
-from repro.sim import SimProcess
-from repro.workloads.talos import TalosApp, run_talos_nginx
+from repro.perf.analysis.report import Analyzer
+from repro.perf.logger import AexMode, EventLogger
+from repro.sgx.device import SgxDevice
+from repro.sim.process import SimProcess
+from repro.workloads.talos.app import TalosApp
+from repro.workloads.talos.workload import run_talos_nginx
 
 
 def main() -> None:

@@ -14,6 +14,10 @@ Packages:
 * :mod:`repro.crypto` — from-scratch crypto used by the workloads.
 * :mod:`repro.workloads` — the four evaluated applications.
 * :mod:`repro.bench` — experiment harness regenerating every table/figure.
+
+A package's ``__init__`` imports nothing: each name is imported from the
+module that defines it, so importing one module loads only what that
+module needs (``sgxperf`` loads no simulator to parse its arguments).
 """
 
 __version__ = "1.0.0"

@@ -5,32 +5,3 @@ One runner per experiment; each returns a small result object with a
 pytest-benchmark suites under ``benchmarks/`` and the EXPERIMENTS.md
 numbers both come from these runners.
 """
-
-from repro.bench.transitions import (
-    SwitchlessBenchResult,
-    TransitionResult,
-    run_switchless_microbench,
-    run_transition_experiment,
-)
-from repro.bench.table2 import Table2Result, run_table2
-from repro.bench.figure5 import Figure5Result, run_figure5
-from repro.bench.figure6 import Figure6Result, run_figure6
-from repro.bench.figures78 import Figures78Result, run_figures_7_8
-from repro.bench.workingsets import WorkingSetResult, run_working_set_experiments
-
-__all__ = [
-    "Figure5Result",
-    "Figure6Result",
-    "Figures78Result",
-    "SwitchlessBenchResult",
-    "Table2Result",
-    "TransitionResult",
-    "WorkingSetResult",
-    "run_figure5",
-    "run_figure6",
-    "run_figures_7_8",
-    "run_switchless_microbench",
-    "run_table2",
-    "run_transition_experiment",
-    "run_working_set_experiments",
-]

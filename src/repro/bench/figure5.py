@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perf.analysis import Analyzer
 from repro.perf.analysis import callgraph as cg
 from repro.perf.analysis import stats as stats_mod
+from repro.perf.analysis.report import Analyzer
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
-from repro.workloads.talos import TOTAL_ECALLS, TOTAL_OCALLS, TalosApp, run_talos_nginx
+from repro.workloads.talos.api import TOTAL_ECALLS, TOTAL_OCALLS
+from repro.workloads.talos.app import TalosApp
+from repro.workloads.talos.workload import run_talos_nginx
 
 
 @dataclass

@@ -15,12 +15,9 @@ from dataclasses import dataclass
 from repro.sgx.constants import PatchLevel
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
-from repro.workloads.glamdring import SignerBuild, run_signing_benchmark
-from repro.workloads.minisql import (
-    SQLITE_SYSCALL_COSTS,
-    SqlBuild,
-    run_sql_benchmark,
-)
+from repro.workloads.glamdring.signer import SignerBuild, run_signing_benchmark
+from repro.workloads.minisql.enclavised import SqlBuild
+from repro.workloads.minisql.workload import SQLITE_SYSCALL_COSTS, run_sql_benchmark
 
 
 @dataclass

@@ -18,11 +18,11 @@ from repro.perf.analysis import stats as stats_mod
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
-from repro.workloads.securekeeper import (
+from repro.workloads.securekeeper.loadgen import run_securekeeper_load
+from repro.workloads.securekeeper.proxy import (
     ECALL_FROM_CLIENT,
     ECALL_FROM_ZOOKEEPER,
     SecureKeeperProxy,
-    run_securekeeper_load,
 )
 
 

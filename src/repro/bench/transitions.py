@@ -118,7 +118,7 @@ def run_switchless_microbench(
     import os
     import tempfile
 
-    from repro.optimizer import OptimizationPlan, SwitchlessCall
+    from repro.optimizer.plan import OptimizationPlan, SwitchlessCall
     from repro.perf.database import TraceDatabase
     from repro.perf.logger import AexMode, EventLogger
 

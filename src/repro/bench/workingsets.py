@@ -15,8 +15,9 @@ from repro.perf.workingset import WorkingSetEstimator
 from repro.sgx.constants import EPC_USABLE_PAGES
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
-from repro.workloads.glamdring import GlamdringSigner, SignerBuild, make_certificate
-from repro.workloads.securekeeper import SecureKeeperProxy, run_securekeeper_load
+from repro.workloads.glamdring.signer import GlamdringSigner, SignerBuild, make_certificate
+from repro.workloads.securekeeper.loadgen import run_securekeeper_load
+from repro.workloads.securekeeper.proxy import SecureKeeperProxy
 
 
 @dataclass

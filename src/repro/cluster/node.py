@@ -89,7 +89,7 @@ def node_pressure_plan(spec: ClusterSpec, node: int):
     hammering the shard's EPC for the spec's stressor window.  The salt
     keeps per-node tenant RNG streams independent of the serving stack's.
     """
-    from repro.faults import PressurePlan, StressorTenantPlan
+    from repro.faults.pressure import PressurePlan, StressorTenantPlan
 
     if not spec.stressor:
         return PressurePlan.disabled()
@@ -132,7 +132,8 @@ def run_clusternode(params: dict, db_path: str = ":memory:") -> tuple[str, dict,
     untraced default digests the canonical metrics instead (tracing tens
     of thousands of requests is opt-in, not the price of every sweep).
     """
-    from repro.faults import FaultInjector, PressureInjector
+    from repro.faults.injector import FaultInjector
+    from repro.faults.pressure import PressureInjector
     from repro.workloads.serving import CircuitBreaker, RetryPolicy, ServingStats
 
     spec = ClusterSpec.from_params(params)

@@ -25,7 +25,6 @@ state is just three booleans and counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro import faultrows
 
@@ -130,26 +129,6 @@ class SessionAudit:
                     0,
                     f"{state.batches} batch(es) but no MSG_CONNECT ever sent",
                 )
-
-    def summary(self) -> dict:
-        """Counts for reports: sessions audited, rows folded, violations."""
-        return {
-            "trace": self.trace,
-            "sessions": len(self.sessions),
-            "rows": self.rows,
-            "violations": len(self.violations),
-        }
-
-
-def validate_session_order(
-    faults: Iterable, trace: str = ""
-) -> SessionAudit:
-    """Audit one trace's fault rows (already in time order)."""
-    audit = SessionAudit(trace=trace)
-    for fault in faults:
-        audit.add(fault)
-    audit.finish()
-    return audit
 
 
 def render_orderliness(audits: list[SessionAudit]) -> str:

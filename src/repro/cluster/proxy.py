@@ -27,7 +27,7 @@ and a request that exhausts its attempts is recorded as failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.cluster.brownout import (
@@ -124,26 +124,7 @@ class MuxStats:
     batch_limit_min: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "reconnects": self.reconnects,
-            "admission_shed": self.admission_shed,
-            "max_backlog": self.max_backlog,
-            "replica_ok": self.replica_ok,
-            "replica_failed": self.replica_failed,
-            "replica_shed": self.replica_shed,
-            "handoff_ok": self.handoff_ok,
-            "handoff_failed": self.handoff_failed,
-            "write_ok": self.write_ok,
-            "write_failed": self.write_failed,
-            "read_ok": self.read_ok,
-            "read_failed": self.read_failed,
-            "shed_write": self.shed_write,
-            "shed_read": self.shed_read,
-            "shed_background": self.shed_background,
-            "batch_limit_min": self.batch_limit_min,
-        }
+        return asdict(self)
 
     def count_shed(self, priority: str) -> None:
         """Fold one shed (any mechanism) into its priority-class book."""

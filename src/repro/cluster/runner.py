@@ -2,7 +2,7 @@
 
 ``run_cluster`` turns a :class:`~repro.cluster.spec.ClusterSpec` into a
 one-axis sweep grid (``node = 0..N-1``) and runs it on
-:func:`repro.sweep.run_sweep` — every node is a shared-nothing worker
+:func:`repro.sweep.engine.run_sweep` — every node is a shared-nothing worker
 process with its own simulation kernel, and the engine's task-index-order
 merge makes the cluster manifest byte-identical at any ``--jobs``.  The
 parent then reassembles per-node :class:`~repro.cluster.slo.SloSummary`
@@ -27,7 +27,7 @@ from repro.cluster.router import RoutingInfo, route_requests
 from repro.cluster.slo import SloSummary, render_slo_table, rollup
 from repro.cluster.spec import ClusterSpec
 from repro.digest import canonical_json, sha256_hex
-from repro.sweep import SweepReport, run_sweep
+from repro.sweep.engine import SweepReport, run_sweep
 from repro.workloads.serving import success_rate
 
 # Shard-metric keys aggregated into the cluster replication health line.

@@ -151,7 +151,7 @@ class ClusterSpec:
                 "detector thresholds suspect_after/recover_after must be >= 1"
             )
         if self.stressor:
-            from repro.workloads.stressors import STRESSOR_NAMES
+            from repro.workloads.stressors.profiles import STRESSOR_NAMES
 
             if self.stressor not in STRESSOR_NAMES:
                 raise ClusterSpecError(

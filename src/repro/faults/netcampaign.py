@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from repro.digest import trace_digest
 from repro.faultrows import INJECT_PREFIX, WATCHDOG_PREFIX
 from repro.faults.plan import FaultPlan, NetworkChaosPlan
-from repro.sgx.device import SgxDevice
-from repro.sim.process import SimProcess
 
 WORKLOADS = ("talos", "securekeeper")
 
@@ -85,6 +83,8 @@ def run_netcampaign(
     deterministic, and byte-identical to a run without any chaos hooks).
     """
     from repro.perf.logger import AexMode, EventLogger
+    from repro.sgx.device import SgxDevice
+    from repro.sim.process import SimProcess
 
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; pick from {WORKLOADS}")

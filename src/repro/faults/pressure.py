@@ -6,7 +6,7 @@ the machine claims EPC frames and suddenly every page load evicts (§3.5,
 §5.3).  A :class:`PressurePlan` makes that regime injectable:
 
 * **stressor tenants** — windows during which a seeded
-  :class:`~repro.workloads.stressors.StressorApp` co-tenant (its own
+  :class:`~repro.workloads.stressors.app.StressorApp` co-tenant (its own
   enclave, built at window start on the *shared* device) hammers the
   machine with one profile from the Stress-SGX-style catalogue;
 * **EPC squeezes** — windows during which ``pages`` frames of the shared
@@ -188,7 +188,8 @@ class PressureInjector(InjectionLog):
             self._record(faultrows.INJECT_EPC_RELEASE, 0, "epc", f"+{window.pages} pages")
 
     def _tenant_timeline(self, index: int, tenant: StressorTenantPlan) -> None:
-        from repro.workloads.stressors import StressorApp, get_profile
+        from repro.workloads.stressors.app import StressorApp
+        from repro.workloads.stressors.profiles import get_profile
 
         self._sleep_until(tenant.start_ns)
         profile = get_profile(tenant.stressor, tenant.intensity)

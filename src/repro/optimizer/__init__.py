@@ -11,25 +11,3 @@ short ecalls, and deferred ocall batching — without human edits.  The
 ``--rerun`` mode that replays the workload on the optimized interface and
 reports the measured before/after difference.
 """
-
-from repro.optimizer.plan import (
-    BatchedOcall,
-    FusedPair,
-    OptimizationPlan,
-    SkippedTransform,
-    SwitchlessCall,
-)
-from repro.optimizer.rerun import RerunReport, RunMetrics, run_rerun
-from repro.optimizer.transforms import build_plan
-
-__all__ = [
-    "BatchedOcall",
-    "FusedPair",
-    "OptimizationPlan",
-    "RerunReport",
-    "RunMetrics",
-    "SkippedTransform",
-    "SwitchlessCall",
-    "build_plan",
-    "run_rerun",
-]

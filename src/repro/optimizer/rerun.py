@@ -219,7 +219,7 @@ def _verify_findings(plan: OptimizationPlan, base_report, opt_report) -> tuple[l
 def _rerun_sqlite(
     seed: int, requests: int, workdir: str, knobs: PlanKnobs
 ) -> RerunReport:
-    from repro.perf.analysis import Analyzer
+    from repro.perf.analysis.report import Analyzer
     from repro.perf.database import TraceDatabase
     from repro.workloads.minisql.enclavised import sqlite_definition
     from repro.workloads.recorders import record_sqlite
@@ -281,13 +281,13 @@ def _rerun_sqlite(
 def _rerun_securekeeper(
     seed: int, requests: int, workdir: str, knobs: PlanKnobs
 ) -> RerunReport:
-    from repro.perf.analysis import Analyzer
+    from repro.perf.analysis.report import Analyzer
     from repro.perf.database import TraceDatabase
     from repro.perf.logger import AexMode, EventLogger
     from repro.sgx.device import SgxDevice
     from repro.sim.process import SimProcess
-    from repro.workloads.securekeeper import SecureKeeperProxy, run_securekeeper_load
-    from repro.workloads.securekeeper.proxy import ECALL_FROM_CLIENT
+    from repro.workloads.securekeeper.loadgen import run_securekeeper_load
+    from repro.workloads.securekeeper.proxy import ECALL_FROM_CLIENT, SecureKeeperProxy
 
     baseline_path = os.path.join(workdir, "baseline.db")
     optimized_path = os.path.join(workdir, "optimized.db")

@@ -45,7 +45,8 @@ from repro.perf.analysis import callgraph as callgraph_mod
 from repro.perf.analysis import detectors as det
 from repro.perf.analysis import security as sec
 from repro.perf.analysis import stats as stats_mod
-from repro.perf.columns import NO_PARENT, CallColumns
+from repro.perf.columns import CallColumns
+from repro.perf.database import NO_PARENT
 from repro.perf.events import ECALL, OCALL
 
 

@@ -24,7 +24,7 @@ Subcommands:
   (``--digest-only``) its trace digest;
 * ``sweep``   — fan a declarative grid of seeded runs of any task kind
   across a shared-nothing process pool and print the deterministically
-  merged report (``--jobs N``, default cpu count / ``SGXPERF_JOBS``);
+  merged report (``--jobs N``, default cpu count);
 * ``cluster`` — run a sharded multi-enclave serving cluster (router,
   gateway batching, open-loop load, optional node-loss chaos) with one
   shard per worker process and print the merged per-node + cluster-wide
@@ -37,7 +37,9 @@ with one line on stderr.  ``analyze``, ``stats``, ``dot`` and ``optimize
 TRACE`` open their input read-only: analysing a trace never changes its
 bytes, and a trace that was never finalized is refused until ``salvage``
 seals it.  The analysis stack (and with it NumPy) is imported inside the
-commands that analyse, so no other command pays for it at start-up.
+commands that analyse, so no other command pays for it at start-up; the
+module-level imports are the argument constants and input-error types,
+and load none of the SDK runtime, SGX model, simulator or logger.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from repro.cluster.spec import POLICIES, VARIANTS, ClusterSpec, ClusterSpecError
 from repro.faults.netcampaign import WORKLOADS as NET_WORKLOADS
 from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase, TraceError
 from repro.sdk.edl import EdlError, parse_edl
-from repro.sweep import SweepError
+from repro.sweep.engine import SweepError
 from repro.sweep.grid import GridError
 from repro.sweep.tasks import TASK_KINDS, UnknownTaskKind
-from repro.workloads.stressors import DEFAULT_EPC_PAGES, STRESSOR_NAMES
+from repro.workloads.stressors.profiles import DEFAULT_EPC_PAGES, STRESSOR_NAMES
 
 # Bad input from outside the program: ``main`` reports one stderr line, exit 2.
 _INPUT_ERRORS = (ClusterSpecError, EdlError, GridError, SweepError, TraceError, UnknownTaskKind)
@@ -142,7 +144,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return _cmd_analyze_cluster(args)
     if _missing_trace(args.trace):
         return 2
-    from repro.perf.analysis import Analyzer
+    from repro.perf.analysis.report import Analyzer
 
     definition = _read_input(args.edl, parse_edl, EdlError) if args.edl else None
     with TraceDatabase(args.trace, readonly=True) as db:
@@ -232,7 +234,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_dot(args: argparse.Namespace) -> int:
     if _missing_trace(args.trace):
         return 2
-    from repro.perf.analysis import Analyzer
+    from repro.perf.analysis.report import Analyzer
 
     with TraceDatabase(args.trace, readonly=True) as db:
         print(Analyzer(db).call_graph_dot())
@@ -405,7 +407,7 @@ def _print_fanned(args: argparse.Namespace, report, render: Callable[[], str], s
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import run_sweep
+    from repro.sweep.engine import run_sweep
 
     report = run_sweep(spec=_sweep_spec(args), jobs=args.jobs)
     _print_fanned(args, report, report.render_report, report)
@@ -424,8 +426,8 @@ def _optimize_definition(args: argparse.Namespace):
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    from repro.optimizer import build_plan, run_rerun
-    from repro.optimizer.rerun import RERUN_WORKLOADS
+    from repro.optimizer.rerun import RERUN_WORKLOADS, run_rerun
+    from repro.optimizer.transforms import build_plan
 
     if args.rerun:
         if args.target not in RERUN_WORKLOADS:
@@ -457,7 +459,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     if _missing_trace(args.target):
         return 2
-    from repro.perf.analysis import Analyzer
+    from repro.perf.analysis.report import Analyzer
 
     definition = _optimize_definition(args)
     with TraceDatabase(args.target, readonly=True) as db:
@@ -546,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: SGXPERF_JOBS, else cpu count; 0 = inline)",
+        help="worker processes (default: cpu count; 0 = inline)",
     )
     fanned.add_argument("--trace-dir", help="keep per-task trace databases in this directory")
     fanned.add_argument("--manifest", help="write the merged manifest to this path")

@@ -18,11 +18,9 @@ every column stays a dense integer array.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-from repro.perf.database import NO_PARENT
 
 # Column order mirrors the ``calls`` view of the trace store.
 CALL_COLUMN_NAMES = (
@@ -93,37 +91,6 @@ class CallColumns:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple]) -> "CallColumns":
-        """Build from ``calls`` view rows (eleven columns, strings included)."""
-        n = len(rows)
-        if n == 0:
-            return cls.empty()
-        cols = list(zip(*rows))
-        codes: dict[tuple[str, str], int] = {}
-        site = np.fromiter(
-            (codes.setdefault(key, len(codes)) for key in zip(cols[1], cols[2])),
-            dtype=np.int64,
-            count=n,
-        )
-        return cls(
-            event_id=np.fromiter(cols[0], dtype=np.int64, count=n),
-            site=site,
-            sites={code: key for key, code in codes.items()},
-            call_index=np.fromiter(cols[3], dtype=np.int64, count=n),
-            enclave_id=np.fromiter(cols[4], dtype=np.int64, count=n),
-            thread_id=np.fromiter(cols[5], dtype=np.int64, count=n),
-            start_ns=np.fromiter(cols[6], dtype=np.int64, count=n),
-            end_ns=np.fromiter(cols[7], dtype=np.int64, count=n),
-            aex_count=np.fromiter(cols[8], dtype=np.int64, count=n),
-            parent_id=np.fromiter(
-                (NO_PARENT if p is None else p for p in cols[9]),
-                dtype=np.int64,
-                count=n,
-            ),
-            is_sync=np.fromiter(cols[10], dtype=bool, count=n),
-        )
-
-    @classmethod
     def from_block(
         cls, block: np.ndarray, sites: dict[int, tuple[str, str]]
     ) -> "CallColumns":
@@ -146,24 +113,6 @@ class CallColumns:
             aex_count=block[7],
             parent_id=block[8],
             is_sync=block[9].astype(bool),
-        )
-
-    @classmethod
-    def empty(cls) -> "CallColumns":
-        """A zero-row column set."""
-        i64 = np.empty(0, dtype=np.int64)
-        return cls(
-            event_id=i64,
-            site=i64,
-            sites={},
-            call_index=i64,
-            enclave_id=i64,
-            thread_id=i64,
-            start_ns=i64,
-            end_ns=i64,
-            aex_count=i64,
-            parent_id=i64,
-            is_sync=np.empty(0, dtype=bool),
         )
 
     @property

@@ -61,8 +61,9 @@ serialise off the critical path" design applied to the store itself):
 **Readers never write.**  The reader side exposes typed records
 (:meth:`calls`, :meth:`sync_events` et al.) for other tools, one
 **columnar reader** (:meth:`call_columns`: a filtered set of calls as
-NumPy arrays, whose ``duration_ns()`` is what the statistics take) and
-raw SQL for everyone else.
+NumPy arrays, masked out of the decoded column blocks, whose
+``duration_ns()`` is what the statistics take) and raw SQL for everyone
+else.
 ``readonly=True`` opens an existing trace through SQLite's read-only mode:
 no write lock, and the file's bytes never change — the mode every analysis
 command uses.  Either mode refuses, with :class:`TraceError` and before
@@ -104,6 +105,8 @@ from repro.perf.events import (
 )
 
 if TYPE_CHECKING:  # NumPy loads on the first columnar read, not with the writer
+    import numpy as np
+
     from repro.perf.columns import CallColumns
 
 # Name given to calls synthesised by salvage for ids the crashed logger
@@ -288,6 +291,16 @@ def _block_columns(nrows: int, data: bytes) -> Iterator[tuple[int, int]]:
         width = _WIDTHS[code]
         yield width, offset
         offset += width * nrows
+
+
+def _decode_block(nrows: int, data: bytes) -> np.ndarray:
+    """A block's rows as a ``(10, nrows)`` int64 array, one column per row."""
+    import numpy as np
+
+    block = np.empty((_CALL_COLUMNS, nrows), dtype=np.int64)
+    for column, (width, offset) in enumerate(_block_columns(nrows, data)):
+        block[column] = np.frombuffer(data, f"<i{width}", nrows, offset)
+    return block
 
 
 def _block_last_key(nrows: int, data: bytes) -> tuple[int, int]:
@@ -755,15 +768,40 @@ class TraceDatabase:
         name: Optional[str] = None,
         enclave_id: Optional[int] = None,
     ) -> CallColumns:
-        """Load call events as columns — the analyser fast path."""
+        """Load call events as columns, filtered as :meth:`calls` filters
+        them and in its ``(start_ns, id)`` order.
+
+        Decodes the column blocks and keeps the rows whose site matches
+        ``kind``/``name`` and whose enclave is ``enclave_id``; one
+        ``np.lexsort`` then orders them across threads.
+        """
+        import numpy as np
+
         from repro.perf.columns import CallColumns
 
         self._ensure_read()
-        where, params = self._call_filter(kind, name, enclave_id)
-        rows = self._conn.execute(
-            "SELECT * FROM calls" + where + " ORDER BY start_ns, id", params
-        ).fetchall()
-        return CallColumns.from_rows(rows)
+        sites = self._sites()
+        wanted = np.zeros(max(sites, default=0) + 1, dtype=bool)
+        for site, (site_kind, site_name) in sites.items():
+            wanted[site] = (kind is None or site_kind == kind) and (
+                name is None or site_name == name
+            )
+        kept = [np.empty((_CALL_COLUMNS, 0), dtype=np.int64)]
+        for nrows, data in self._conn.execute("SELECT nrows, data FROM call_blocks"):
+            block = _decode_block(nrows, data)
+            keep = wanted[block[1]]
+            if enclave_id is not None:
+                keep &= block[3] == enclave_id
+            kept.append(block[:, keep])
+        rows = np.concatenate(kept, axis=1)
+        return CallColumns.from_block(rows[:, np.lexsort((rows[0], rows[5]))], sites)
+
+    def _sites(self) -> dict[int, tuple[str, str]]:
+        """The trace's site table: site id → ``(kind, name)``."""
+        return {
+            site: (kind, name)
+            for site, kind, name in self._conn.execute("SELECT site_id, kind, name FROM sites")
+        }
 
     # -- reader side: streaming (windowed-memory) API ------------------------
 
@@ -820,20 +858,14 @@ class TraceDatabase:
         from repro.perf.columns import CallColumns
 
         self._ensure_read()
-        sites = {
-            site: (kind, name)
-            for site, kind, name in self._conn.execute("SELECT site_id, kind, name FROM sites")
-        }
+        sites = self._sites()
         chunk = max(1, int(chunk_events))
         pending: list[np.ndarray] = []  # decoded (10, n) blocks not yet yielded
         have = 0
         for nrows, data in self._conn.execute(
             "SELECT nrows, data FROM call_blocks ORDER BY thread_id, seq"
         ):
-            block = np.empty((_CALL_COLUMNS, nrows), dtype=np.int64)
-            for column, (width, offset) in enumerate(_block_columns(nrows, data)):
-                block[column] = np.frombuffer(data, f"<i{width}", nrows, offset)
-            pending.append(block)
+            pending.append(_decode_block(nrows, data))
             have += nrows
             if have < chunk:
                 continue

@@ -6,63 +6,3 @@ runtime exposing ``sgx_ecall`` and the patchable AEP, a trusted runtime
 with ``sgx_ocall`` through the saved ocall table, and in-enclave
 synchronisation primitives that sleep via ocalls.
 """
-
-from repro.sdk.edger8r import (
-    EnclaveHandle,
-    OcallTable,
-    SYNC_OCALL_NAMES,
-    UntrustedContext,
-    UntrustedProxies,
-    add_sdk_sync_ocalls,
-    build_enclave,
-    generate_untrusted,
-)
-from repro.sdk.edl import (
-    Direction,
-    EcallDecl,
-    EdlError,
-    EnclaveDefinition,
-    OcallDecl,
-    Param,
-    format_edl,
-    parse_edl,
-)
-from repro.sdk.errors import EnclaveLostError, SdkSyncError, SgxError, SgxStatus
-from repro.sdk.resilience import RecoveryEvent, ResilientEnclave
-from repro.sdk.sync import HybridMutex, SdkCondVar, SdkMutex
-from repro.sdk.trts import ThreadState, TrustedBridge, TrustedBuffer, TrustedContext
-from repro.sdk.urts import EnclaveRuntime, Urts
-
-__all__ = [
-    "Direction",
-    "EcallDecl",
-    "EdlError",
-    "EnclaveDefinition",
-    "EnclaveHandle",
-    "EnclaveLostError",
-    "EnclaveRuntime",
-    "HybridMutex",
-    "OcallDecl",
-    "OcallTable",
-    "Param",
-    "SYNC_OCALL_NAMES",
-    "RecoveryEvent",
-    "ResilientEnclave",
-    "SdkCondVar",
-    "SdkMutex",
-    "SdkSyncError",
-    "SgxError",
-    "SgxStatus",
-    "ThreadState",
-    "TrustedBridge",
-    "TrustedBuffer",
-    "TrustedContext",
-    "UntrustedContext",
-    "UntrustedProxies",
-    "Urts",
-    "add_sdk_sync_ocalls",
-    "build_enclave",
-    "format_edl",
-    "generate_untrusted",
-    "parse_edl",
-]

@@ -251,7 +251,7 @@ def build_enclave(
     """One-stop enclave build: parse/validate EDL, generate glue, create.
 
     ``definition`` may be EDL source text or an already-built definition.
-    With ``interface_plan`` (an :class:`repro.optimizer.OptimizationPlan`)
+    With ``interface_plan`` (an :class:`repro.optimizer.plan.OptimizationPlan`)
     the interface is regenerated before creation — fused/batched ocall
     declarations and service ecalls appended, their implementations
     synthesised — and the optimizer runtimes are bound to the handle.

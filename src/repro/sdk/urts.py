@@ -190,7 +190,7 @@ class Urts:
     def set_fault_hook(self, hook: Optional[Any]) -> None:
         """Install (or clear) the fault-injection hook.
 
-        The hook (a :class:`repro.faults.FaultInjector`) is consulted on
+        The hook (a :class:`repro.faults.injector.FaultInjector`) is consulted on
         every ecall entry (may invalidate the enclave or force
         ``SGX_ERROR_OUT_OF_TCS``) and on every ocall dispatch (may delay or
         raise).  With no hook installed these paths cost nothing extra.

@@ -5,51 +5,3 @@ it: enclaves in a 93 MiB-usable EPC, synchronous transitions whose cost
 depends on the microcode mitigation level, asynchronous exits on timer
 interrupts and page faults, and driver-level paging with tracepoints.
 """
-
-from repro.sgx.constants import (
-    EPC_USABLE_PAGES,
-    PAGE_SIZE,
-    PatchLevel,
-)
-from repro.sgx.cpu import SgxCpu
-from repro.sgx.device import SgxDevice
-from repro.sgx.enclave import (
-    Enclave,
-    EnclaveConfig,
-    EnclaveOutOfMemory,
-    Page,
-    PageType,
-    Permission,
-)
-from repro.sgx.epc import Epc, EpcFull
-from repro.sgx.events import AexInfo, AexReason, PageFaultInfo, PagingDirection, PagingEvent
-from repro.sgx.execution import EnclaveExecution
-from repro.sgx.mmu import Mmu, SgxPermissionError
-from repro.sgx.paging import KPROBE_ELDU, KPROBE_EWB, SgxDriver
-
-__all__ = [
-    "AexInfo",
-    "AexReason",
-    "EPC_USABLE_PAGES",
-    "Enclave",
-    "EnclaveConfig",
-    "EnclaveExecution",
-    "EnclaveOutOfMemory",
-    "Epc",
-    "EpcFull",
-    "KPROBE_ELDU",
-    "KPROBE_EWB",
-    "Mmu",
-    "PAGE_SIZE",
-    "Page",
-    "PageFaultInfo",
-    "PageType",
-    "PagingDirection",
-    "PagingEvent",
-    "PatchLevel",
-    "Permission",
-    "SgxCpu",
-    "SgxDevice",
-    "SgxDriver",
-    "SgxPermissionError",
-]

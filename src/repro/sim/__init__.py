@@ -9,26 +9,3 @@ All time in the simulator is *virtual* and measured in integer nanoseconds.
 Nothing in this package reads wall-clock time, so every simulation run is
 bit-for-bit reproducible given the same seed.
 """
-
-from repro.sim.clock import VirtualClock
-from repro.sim.kernel import Simulation, SimThread, SimulationError, DeadlockError
-from repro.sim.loader import Library, Loader, SymbolNotFound
-from repro.sim.process import SimProcess
-from repro.sim.rng import DeterministicRng
-from repro.sim.syscalls import FileDescriptor, SyscallCosts, VirtualOS
-
-__all__ = [
-    "DeadlockError",
-    "DeterministicRng",
-    "FileDescriptor",
-    "Library",
-    "Loader",
-    "SimProcess",
-    "SimThread",
-    "Simulation",
-    "SimulationError",
-    "SymbolNotFound",
-    "SyscallCosts",
-    "VirtualClock",
-    "VirtualOS",
-]

@@ -11,26 +11,3 @@ and trace store) and returns a compact
 deterministic task order, never completion order, so the merged manifest
 is byte-identical regardless of worker count or start method.
 """
-
-from repro.sweep.engine import (
-    WORKER_LOST,
-    SweepError,
-    SweepReport,
-    resolve_jobs,
-    run_sweep,
-)
-from repro.sweep.grid import expand_grid, parse_seeds
-from repro.sweep.tasks import SweepTask, TaskResult, run_task
-
-__all__ = [
-    "WORKER_LOST",
-    "SweepError",
-    "SweepReport",
-    "SweepTask",
-    "TaskResult",
-    "expand_grid",
-    "parse_seeds",
-    "resolve_jobs",
-    "run_sweep",
-    "run_task",
-]

@@ -64,20 +64,13 @@ class SweepError(RuntimeError):
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit value, else ``SGXPERF_JOBS``, else cpu_count.
+    """Worker count: explicit value, else cpu_count.
 
     ``0`` selects inline execution (tasks run serially in this process —
     no isolation, but no worker start-up; crash drills must not use it).
     """
     if jobs is None:
-        env = os.environ.get("SGXPERF_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise SweepError(f"SGXPERF_JOBS must be an integer, got {env!r}") from None
-        else:
-            jobs = os.cpu_count() or 1
+        jobs = os.cpu_count() or 1
     jobs = int(jobs)
     if jobs < 0:
         raise SweepError(f"jobs must be >= 0, got {jobs}")

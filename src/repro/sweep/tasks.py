@@ -13,10 +13,10 @@ Task kinds:
 * ``campaign``    — one :func:`repro.faults.campaign.run_campaign` run;
 * ``clusternode`` — one node shard of a :mod:`repro.cluster` serving run;
 * ``netcampaign`` — one :func:`repro.faults.netcampaign.run_netcampaign` run;
-* ``stressor``    — one :func:`repro.workloads.stressors.run_stressor` run
+* ``stressor``    — one :func:`repro.workloads.stressors.runner.run_stressor` run
   (the EPC-pressure scenario matrix: ``--axis stressor=... --axis
   intensity=...``);
-* ``optimizer``   — one :func:`repro.optimizer.run_rerun` analyze→optimize→
+* ``optimizer``   — one :func:`repro.optimizer.rerun.run_rerun` analyze→optimize→
   rerun A/B cell; the task digest is the optimized trace's digest (the CI
   determinism gate compares it across ``--jobs`` values);
 * ``selftest``    — a tiny pure-scheduler simulation (used by the engine's
@@ -208,7 +208,7 @@ def _run_clusternode_task(params: dict, db_path: str) -> tuple[str, dict, dict]:
 
 
 def _run_stressor_task(params: dict, db_path: str) -> tuple[str, dict, dict]:
-    from repro.workloads.stressors import run_stressor_task
+    from repro.workloads.stressors.runner import run_stressor_task
 
     return run_stressor_task(params, db_path)
 
@@ -223,7 +223,7 @@ def _run_optimizer_task(params: dict, db_path: str) -> tuple[str, dict, dict]:
     import shutil
     import tempfile
 
-    from repro.optimizer import run_rerun
+    from repro.optimizer.rerun import run_rerun
 
     if db_path == ":memory:":
         workdir = tempfile.mkdtemp(prefix="sgxperf-optimize-")

@@ -1,51 +1,1 @@
 """Glamdring-partitioned LibreSSL signing workload (paper §5.2.3)."""
-
-from repro.workloads.glamdring.bignum import (
-    BigNum,
-    BnEnv,
-    bn_add_words,
-    bn_mul_normal,
-    bn_mul_recursive,
-    bn_sub_part_words,
-    bn_sub_words,
-)
-from repro.workloads.glamdring.partitioner import (
-    FunctionSpec,
-    Glamdring,
-    Partition,
-    PartitionError,
-)
-from repro.workloads.glamdring.signer import (
-    GlamdringSigner,
-    RsaKey,
-    SignerBuild,
-    SigningResult,
-    TEST_KEY,
-    application_model,
-    make_certificate,
-    make_partition,
-    run_signing_benchmark,
-)
-
-__all__ = [
-    "BigNum",
-    "BnEnv",
-    "FunctionSpec",
-    "Glamdring",
-    "GlamdringSigner",
-    "Partition",
-    "PartitionError",
-    "RsaKey",
-    "SignerBuild",
-    "SigningResult",
-    "TEST_KEY",
-    "application_model",
-    "bn_add_words",
-    "bn_mul_normal",
-    "bn_mul_recursive",
-    "bn_sub_part_words",
-    "bn_sub_words",
-    "make_certificate",
-    "make_partition",
-    "run_signing_benchmark",
-]

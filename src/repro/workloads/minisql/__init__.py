@@ -1,49 +1,1 @@
 """minisql: the SQLite-analogue embedded SQL engine (paper §5.2.2)."""
-
-from repro.workloads.minisql.btree import BTree, BTreeError
-from repro.workloads.minisql.enclavised import EnclavedSqlApp, SqlBuild
-from repro.workloads.minisql.engine import Database, EngineError, decode_row, encode_row
-from repro.workloads.minisql.pager import PAGE_SIZE, Pager, PagerError
-from repro.workloads.minisql.sql import (
-    ColumnType,
-    Condition,
-    SqlError,
-    parse_sql,
-    tokenize,
-)
-from repro.workloads.minisql.vfs import MergedOcallVfs, OcallVfs, OsVfs, Vfs
-from repro.workloads.minisql.workload import (
-    CREATE_SQL,
-    SQLITE_SYSCALL_COSTS,
-    SqlBenchResult,
-    commit_stream,
-    run_sql_benchmark,
-)
-
-__all__ = [
-    "BTree",
-    "BTreeError",
-    "CREATE_SQL",
-    "ColumnType",
-    "Condition",
-    "Database",
-    "EnclavedSqlApp",
-    "EngineError",
-    "MergedOcallVfs",
-    "OcallVfs",
-    "OsVfs",
-    "PAGE_SIZE",
-    "Pager",
-    "PagerError",
-    "SQLITE_SYSCALL_COSTS",
-    "SqlBenchResult",
-    "SqlBuild",
-    "SqlError",
-    "Vfs",
-    "commit_stream",
-    "decode_row",
-    "encode_row",
-    "parse_sql",
-    "run_sql_benchmark",
-    "tokenize",
-]

@@ -40,7 +40,8 @@ def record_talos(
     db_path: str, seed: int = 0, requests: int = 300, attach: AttachHook = None
 ) -> None:
     """TaLoS + nginx serving HTTPS GETs (paper §5.2.1)."""
-    from repro.workloads.talos import TalosApp, run_talos_nginx
+    from repro.workloads.talos.app import TalosApp
+    from repro.workloads.talos.workload import run_talos_nginx
 
     process = SimProcess(seed=seed)
     device = SgxDevice(process.sim)
@@ -67,16 +68,16 @@ def record_sqlite(
 
     ``prepared`` switches the load to the prepared-statement interface
     (bind/step per commit instead of SQL text); ``plan`` builds the
-    enclave with an :class:`repro.optimizer.OptimizationPlan` applied.
+    enclave with an :class:`repro.optimizer.plan.OptimizationPlan` applied.
     A plan forces the load onto a spawned thread — the switchless worker
     needs the scheduler — as does ``spawn`` or an attached observer.
     ``latencies`` collects per-commit virtual-time latencies (prepared
     mode only).
     """
-    from repro.workloads.minisql import SQLITE_SYSCALL_COSTS, SqlBuild
-    from repro.workloads.minisql.enclavised import EnclavedSqlApp
+    from repro.workloads.minisql.enclavised import EnclavedSqlApp, SqlBuild
     from repro.workloads.minisql.workload import (
         CREATE_SQL,
+        SQLITE_SYSCALL_COSTS,
         _insert_sql,
         commit_stream,
         run_prepared_inserts,
@@ -111,7 +112,7 @@ def record_glamdring(
     db_path: str, seed: int = 0, signs: int = 4, attach: AttachHook = None
 ) -> None:
     """Glamdring-partitioned signing (paper §5.2.3)."""
-    from repro.workloads.glamdring import GlamdringSigner, SignerBuild, make_certificate
+    from repro.workloads.glamdring.signer import GlamdringSigner, SignerBuild, make_certificate
 
     process = SimProcess(seed=seed)
     device = SgxDevice(process.sim)
@@ -144,7 +145,8 @@ def record_securekeeper(
     interface rewrite applied, and the proxy is closed inside the logger
     so the teardown flush of any batched ocalls lands in the trace.
     """
-    from repro.workloads.securekeeper import SecureKeeperProxy, run_securekeeper_load
+    from repro.workloads.securekeeper.loadgen import run_securekeeper_load
+    from repro.workloads.securekeeper.proxy import SecureKeeperProxy
 
     process = SimProcess(seed=seed)
     device = SgxDevice(process.sim)

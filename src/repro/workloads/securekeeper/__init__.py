@@ -1,33 +1,1 @@
 """SecureKeeper: encrypting ZooKeeper proxy workload (paper §5.2.4)."""
-
-from repro.workloads.securekeeper.loadgen import (
-    LoadError,
-    SecureKeeperLoadResult,
-    run_securekeeper_load,
-)
-from repro.workloads.securekeeper.proxy import (
-    ECALL_FROM_CLIENT,
-    ECALL_FROM_ZOOKEEPER,
-    SecureKeeperEnclave,
-    SecureKeeperProxy,
-)
-from repro.workloads.securekeeper.zookeeper import (
-    ZkError,
-    ZkRequest,
-    ZkResponse,
-    ZkServer,
-)
-
-__all__ = [
-    "ECALL_FROM_CLIENT",
-    "ECALL_FROM_ZOOKEEPER",
-    "LoadError",
-    "SecureKeeperEnclave",
-    "SecureKeeperLoadResult",
-    "SecureKeeperProxy",
-    "ZkError",
-    "ZkRequest",
-    "ZkResponse",
-    "ZkServer",
-    "run_securekeeper_load",
-]

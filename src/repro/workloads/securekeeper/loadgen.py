@@ -268,7 +268,8 @@ def run_securekeeper_netload(
     enclave-loss recovery, optional hang watchdog) and returns
     ``(SecureKeeperLoadResult, availability summary dict)``.
     """
-    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
     from repro.faults.watchdog import HangWatchdog
     from repro.workloads.serving import CircuitBreaker, RetryPolicy, ServingStats
 

@@ -9,29 +9,3 @@ sweeps (`sgxperf sweep stressor`); :class:`repro.faults.pressure
 .PressureInjector` schedules the same apps as noisy neighbours inside
 cluster nodes.
 """
-
-from repro.workloads.stressors.app import StressorApp
-from repro.workloads.stressors.profiles import (
-    PROFILES,
-    STRESSOR_NAMES,
-    StressorProfile,
-    get_profile,
-)
-from repro.workloads.stressors.runner import (
-    DEFAULT_EPC_PAGES,
-    StressorResult,
-    run_stressor,
-    run_stressor_task,
-)
-
-__all__ = [
-    "DEFAULT_EPC_PAGES",
-    "PROFILES",
-    "STRESSOR_NAMES",
-    "StressorApp",
-    "StressorProfile",
-    "StressorResult",
-    "get_profile",
-    "run_stressor",
-    "run_stressor_task",
-]

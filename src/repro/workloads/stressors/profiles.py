@@ -118,6 +118,11 @@ PROFILES: dict[str, StressorProfile] = {
 
 STRESSOR_NAMES = tuple(sorted(PROFILES))
 
+# Default EPC for standalone runs: small enough that an epc-thrash
+# footprint (1.25x) stays tractable while behaving exactly like the
+# full-size pool under pressure.
+DEFAULT_EPC_PAGES = 2_048
+
 
 def get_profile(name: str, intensity: float = 1.0) -> StressorProfile:
     """Look a profile up by name and scale it to ``intensity``."""

@@ -22,12 +22,7 @@ from repro.sgx.device import SgxDevice
 from repro.sgx.epc import Epc
 from repro.sim.process import SimProcess
 from repro.workloads.stressors.app import StressorApp
-from repro.workloads.stressors.profiles import get_profile
-
-# Default EPC for standalone runs: small enough that an epc-thrash
-# footprint (1.25x) stays tractable while behaving exactly like the
-# full-size pool under pressure.
-DEFAULT_EPC_PAGES = 2_048
+from repro.workloads.stressors.profiles import DEFAULT_EPC_PAGES, get_profile
 
 
 @dataclass

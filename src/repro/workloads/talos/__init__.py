@@ -1,39 +1,1 @@
 """TaLoS: enclavised TLS library with the OpenSSL interface (paper §5.2.1)."""
-
-from repro.workloads.talos.api import (
-    CORE_ECALLS,
-    PERIODIC_ECALLS,
-    TOTAL_ECALLS,
-    TOTAL_OCALLS,
-    USED_OCALLS,
-    all_ecall_names,
-    all_ocall_names,
-    build_definition,
-)
-from repro.workloads.talos.app import TalosApp
-from repro.workloads.talos.client import ClientStats, TalosCurlClient, TlsClientError
-from repro.workloads.talos.minissl import MiniSslLibrary, SslConnection, SslState
-from repro.workloads.talos.server import ServerStats, TalosNginx
-from repro.workloads.talos.workload import TalosRunResult, run_talos_nginx
-
-__all__ = [
-    "CORE_ECALLS",
-    "ClientStats",
-    "MiniSslLibrary",
-    "PERIODIC_ECALLS",
-    "ServerStats",
-    "SslConnection",
-    "SslState",
-    "TOTAL_ECALLS",
-    "TOTAL_OCALLS",
-    "TalosApp",
-    "TalosCurlClient",
-    "TalosNginx",
-    "TalosRunResult",
-    "TlsClientError",
-    "USED_OCALLS",
-    "all_ecall_names",
-    "all_ocall_names",
-    "build_definition",
-    "run_talos_nginx",
-]

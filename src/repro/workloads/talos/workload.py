@@ -92,7 +92,8 @@ def run_talos_chaos(
     and enclave-loss recovery through :class:`ResilientEnclave`.  With
     ``watchdog=True`` a virtual-time hang watchdog guards the run.
     """
-    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
     from repro.faults.watchdog import HangWatchdog
     from repro.workloads.serving import CircuitBreaker, RetryPolicy, ServingStats
 

@@ -5,7 +5,6 @@ import os
 
 import pytest
 
-from repro.cluster import ClusterSpec, run_cluster
 from repro.cluster.brownout import (
     LEVEL_BROWNOUT,
     LEVEL_DEEP,
@@ -18,6 +17,8 @@ from repro.cluster.brownout import (
     PressureSignal,
     priority_class,
 )
+from repro.cluster.runner import run_cluster
+from repro.cluster.spec import ClusterSpec
 
 
 class TestPriorityClass:

@@ -6,9 +6,10 @@ slowest tests in the suite — keep the client counts tiny.
 
 import pytest
 
-from repro.cluster import ClusterSpec, run_cluster
 from repro.cluster.node import run_clusternode
+from repro.cluster.runner import run_cluster
 from repro.cluster.slo import fold_shard_traces
+from repro.cluster.spec import ClusterSpec
 
 
 def _spec(**overrides):

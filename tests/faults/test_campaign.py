@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.faults import FaultPlan
 from repro.faults.campaign import default_plan, run_campaign
+from repro.faults.plan import FaultPlan
 from repro.perf.analysis.report import Analyzer
 from repro.perf.database import TraceDatabase
 

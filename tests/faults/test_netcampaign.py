@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan
 from repro.faults.campaign import trace_digest
+from repro.faults.injector import FaultInjector
 from repro.faults.netcampaign import default_chaos_plan, run_netcampaign
+from repro.faults.plan import FaultPlan
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sim.net import Listener
@@ -117,7 +118,7 @@ class TestCampaignAvailability:
         assert plan.enclave_loss is None
 
     def test_analyser_reproduces_campaign_availability(self, tmp_path):
-        from repro.perf.analysis import Analyzer
+        from repro.perf.analysis.report import Analyzer
         from repro.perf.database import TraceDatabase
 
         path = str(tmp_path / "netcampaign.db")

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.faults import (
+from repro.faultrows import (
     INJECT_NET_DELAY,
     INJECT_NET_PARTITION,
     INJECT_NET_RESET,
     INJECT_NET_SHORT_WRITE,
-    FaultInjector,
-    FaultPlan,
-    NetworkChaosPlan,
 )
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, NetworkChaosPlan
 from repro.sim.kernel import Simulation
 from repro.sim.net import Listener, SocketClosed
 

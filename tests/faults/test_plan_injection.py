@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import (
+from repro.faultrows import (
     INJECT_EPC,
     INJECT_LOSS,
     INJECT_OCALL_DELAY,
     INJECT_OCALL_ERROR,
     INJECT_TCS,
+)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import (
     EnclaveLossPlan,
-    FaultInjector,
     FaultPlan,
     OcallFaultPlan,
     TcsExhaustionPlan,

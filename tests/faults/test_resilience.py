@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import EnclaveLossPlan, FaultInjector, FaultPlan, TcsExhaustionPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import EnclaveLossPlan, FaultPlan, TcsExhaustionPlan
 from repro.sdk.edger8r import build_enclave
 from repro.sdk.errors import EnclaveLostError, SgxError, SgxStatus
 from repro.sdk.resilience import (

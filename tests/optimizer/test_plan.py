@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.optimizer import (
+from repro.optimizer.plan import (
+    CONST,
+    ECHO,
+    PLAN_SCHEMA,
     BatchedOcall,
     FusedPair,
     OptimizationPlan,
     SwitchlessCall,
-    build_plan,
 )
-from repro.optimizer.plan import CONST, ECHO, PLAN_SCHEMA
-from repro.optimizer.transforms import PlanKnobs
+from repro.optimizer.transforms import PlanKnobs, build_plan
 from repro.sdk.edl import parse_edl
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.optimizer import run_rerun
+from repro.optimizer.rerun import run_rerun
 
 REQUESTS = 100
 
@@ -100,7 +100,7 @@ def test_rerun_leaves_its_recorded_traces_unchanged(tmp_path, monkeypatch):
 
 class TestSweepIntegration:
     def test_optimizer_task_digest_stable_across_jobs(self):
-        from repro.sweep import run_sweep
+        from repro.sweep.engine import run_sweep
 
         spec = {
             "kind": "optimizer",

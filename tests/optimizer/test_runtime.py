@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.optimizer import (
-    BatchedOcall,
-    FusedPair,
-    OptimizationPlan,
-    SwitchlessCall,
-)
-from repro.optimizer.plan import CONST
+from repro.optimizer.plan import CONST, BatchedOcall, FusedPair, OptimizationPlan, SwitchlessCall
 from repro.optimizer.rewrite import FLUSH_ECALL, InterfaceRewriter
 from repro.optimizer.switchless import WORKER_ECALL
 from repro.sdk.edger8r import build_enclave

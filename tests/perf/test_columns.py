@@ -8,9 +8,9 @@ from contextlib import closing
 import numpy as np
 import pytest
 
-from repro.perf.columns import CALL_COLUMN_NAMES, NO_PARENT, CallColumns
-from repro.perf.database import TraceDatabase, TraceError
-from repro.perf.events import CallEvent, ECALL, OCALL
+from repro.perf.columns import CALL_COLUMN_NAMES, CallColumns
+from repro.perf.database import NO_PARENT, TraceDatabase, TraceError
+from repro.perf.events import ECALL, OCALL, CallEvent
 from repro.perf.logger import EventLogger
 
 
@@ -31,7 +31,10 @@ def _event(i, kind=ECALL, name="ecall_a", start=None, parent=None, **kw):
 
 
 def _columns(events) -> CallColumns:
-    return CallColumns.from_rows([e.to_row() for e in events])
+    """``events`` as a ``:memory:`` store reads them back, in ``(start_ns, id)`` order."""
+    db = TraceDatabase()
+    db.add_call_rows([e.to_row() for e in events])
+    return db.call_columns()
 
 
 def _rows(cols: CallColumns) -> list[tuple]:
@@ -128,7 +131,7 @@ class TestCallColumns:
         assert _rows(cols) == [e.to_row() for e in events]
 
     def test_positions_of(self):
-        cols = _columns([_event(5), _event(2), _event(9)])
+        cols = _columns([_event(5, start=100), _event(2, start=200), _event(9, start=300)])
         got = cols.positions_of(np.array([2, 9, 5, 7, NO_PARENT]))
         np.testing.assert_array_equal(got, [1, 2, 0, -1, -1])
 
@@ -148,7 +151,7 @@ class TestCallColumns:
         np.testing.assert_array_equal(cols.duration_ns(), [10, 20, 30])
 
     def test_column_slots_match_schema(self):
-        cols = CallColumns.empty()
+        cols = _columns([])
         for column in CALL_COLUMN_NAMES:
             assert len(getattr(cols, column)) == 0
 

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.perf.analysis import Analyzer
 from repro.perf.analysis.export import (
     FINDINGS_SCHEMA,
     finding_to_dict,
     load_findings,
     report_to_json,
 )
+from repro.perf.analysis.report import Analyzer
 from repro.perf.database import TraceDatabase
 from repro.workloads.recorders import record_sqlite
 
@@ -74,7 +74,7 @@ class TestLoadFindings:
             load_findings(json.dumps({"schema": "sgxperf-findings/99"}))
 
     def test_feeds_the_optimizer(self, trace_path):
-        from repro.optimizer import build_plan
+        from repro.optimizer.transforms import build_plan
         from repro.workloads.minisql.enclavised import sqlite_definition
 
         with TraceDatabase(trace_path) as db:

@@ -12,7 +12,8 @@ from repro.perf.top import LiveTop, TopSample
 from repro.sgx.device import SgxDevice
 from repro.sgx.epc import Epc
 from repro.sim.process import SimProcess
-from repro.workloads.stressors import StressorApp, get_profile
+from repro.workloads.stressors.app import StressorApp
+from repro.workloads.stressors.profiles import get_profile
 
 
 def run_traced_thrash(seed=2, epc_pages=256):

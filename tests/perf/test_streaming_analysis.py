@@ -32,6 +32,8 @@ from repro.perf.cli import main as cli_main
 from repro.perf.database import TraceDatabase, TraceError
 from repro.sdk.edl import parse_edl
 
+from tests.perf.test_columns import _rows
+
 WORKLOADS = ["talos", "sqlite", "glamdring", "securekeeper"]
 # None = the default chunk; UNBOUNDED = one chunk holds the whole trace.
 UNBOUNDED = 2**31 - 1  # the largest batch SQLite cursors accept
@@ -192,6 +194,24 @@ def test_fold_statistics_equal_filtered_reads(traces, workload):
         for stat in statistics:
             durations = db.call_columns(kind=stat.kind, name=stat.name).duration_ns()
             assert compute_statistics(stat.kind, stat.name, durations) == stat
+        if workload == "securekeeper":  # client threads interleave their calls
+            assert len(db.thread_row_counts()) >= 8
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_filtered_call_columns_equal_calls(traces, workload):
+    """``call_columns`` masks its rows out of the decoded column blocks and
+    orders them itself; for every call site and every enclave they must be
+    the ``calls`` view's rows, in its ``(start_ns, id)`` order across threads."""
+    with TraceDatabase(traces[workload], readonly=True) as db:
+        sites = db.execute("SELECT kind, name FROM sites ORDER BY site_id")
+        assert sites
+        for kind, name in [(None, None), *sites]:
+            got = _rows(db.call_columns(kind=kind, name=name))
+            assert got == [call.to_row() for call in db.calls(kind=kind, name=name)], name
+        for (enclave_id,) in db.execute("SELECT DISTINCT enclave_id FROM call_rows"):
+            got = _rows(db.call_columns(enclave_id=enclave_id))
+            assert got == [call.to_row() for call in db.calls(enclave_id=enclave_id)]
         if workload == "securekeeper":  # client threads interleave their calls
             assert len(db.thread_row_counts()) >= 8
 

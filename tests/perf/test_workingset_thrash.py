@@ -12,7 +12,8 @@ from repro.perf.workingset import WorkingSetEstimator
 from repro.sgx.device import SgxDevice
 from repro.sgx.epc import Epc
 from repro.sim.process import SimProcess
-from repro.workloads.stressors import StressorApp, get_profile
+from repro.workloads.stressors.app import StressorApp
+from repro.workloads.stressors.profiles import get_profile
 
 EPC_PAGES = 256
 

@@ -16,18 +16,9 @@ import pytest
 
 import repro
 import repro.sweep.engine as engine
-from repro.sweep import (
-    WORKER_LOST,
-    SweepError,
-    SweepTask,
-    expand_grid,
-    parse_seeds,
-    resolve_jobs,
-    run_sweep,
-    run_task,
-)
-from repro.sweep.grid import GridError
-from repro.sweep.tasks import UnknownTaskKind
+from repro.sweep.engine import WORKER_LOST, SweepError, resolve_jobs, run_sweep
+from repro.sweep.grid import GridError, expand_grid, parse_seeds
+from repro.sweep.tasks import SweepTask, UnknownTaskKind, run_task
 
 # A 12-task pure-scheduler grid: costs milliseconds per task, so the
 # determinism matrix (jobs 0/1/4, plus crash drills) stays fast.
@@ -86,13 +77,10 @@ class TestGrid:
 
 
 class TestEngine:
-    def test_resolve_jobs(self, monkeypatch):
-        monkeypatch.delenv("SGXPERF_JOBS", raising=False)
+    def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
         assert resolve_jobs(0) == 0
         assert resolve_jobs(None) == (os.cpu_count() or 1)
-        monkeypatch.setenv("SGXPERF_JOBS", "5")
-        assert resolve_jobs(None) == 5
         with pytest.raises(SweepError):
             resolve_jobs(-1)
 
@@ -219,8 +207,11 @@ START_PATHS = """
 import json, os, sys, tempfile, threading
 
 import repro.sweep.engine as engine
-from repro.cluster import ClusterSpec, run_cluster
-from repro.sweep import SweepTask, expand_grid, run_sweep
+from repro.cluster.runner import run_cluster
+from repro.cluster.spec import ClusterSpec
+from repro.sweep.engine import run_sweep
+from repro.sweep.grid import expand_grid
+from repro.sweep.tasks import SweepTask
 
 methods = []
 get_context = engine.get_context

@@ -8,10 +8,8 @@ trace, bit-for-bit.
 
 import pytest
 
-from repro.bench import (
-    run_table2,
-    run_transition_experiment,
-)
+from repro.bench.table2 import run_table2
+from repro.bench.transitions import run_transition_experiment
 from repro.sgx.constants import PatchLevel
 
 
@@ -30,7 +28,7 @@ class TestRunnersRender:
         assert result.aex_per_call_counting > 8
 
     def test_figure6_runner_small(self):
-        from repro.bench import run_figure6
+        from repro.bench.figure6 import run_figure6
 
         result = run_figure6(
             sql_requests=40, signs=1, patch_levels=(PatchLevel.BASELINE,)
@@ -40,7 +38,7 @@ class TestRunnersRender:
         assert result.libressl_speedup(PatchLevel.BASELINE) > 1.5
 
     def test_workingset_runner(self):
-        from repro.bench import run_working_set_experiments
+        from repro.bench.workingsets import run_working_set_experiments
 
         result = run_working_set_experiments()
         assert result.glamdring_steady_pages < result.glamdring_startup_pages
@@ -52,7 +50,8 @@ class TestWholeRunDeterminism:
         from repro.perf.logger import AexMode, EventLogger
         from repro.sgx.device import SgxDevice
         from repro.sim.process import SimProcess
-        from repro.workloads.securekeeper import SecureKeeperProxy, run_securekeeper_load
+        from repro.workloads.securekeeper.loadgen import run_securekeeper_load
+        from repro.workloads.securekeeper.proxy import SecureKeeperProxy
 
         process = SimProcess(seed=seed)
         device = SgxDevice(process.sim)

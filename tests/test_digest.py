@@ -5,9 +5,10 @@ moved behind :mod:`repro.digest`; a change to the canonical form would
 move every CI digest gate, so it fails here first.
 """
 
-from repro.cluster import ClusterSpec, run_cluster
+from repro.cluster.runner import run_cluster
+from repro.cluster.spec import ClusterSpec
 from repro.digest import canonical_json, sha256_hex, trace_digest
-from repro.sweep import run_sweep
+from repro.sweep.engine import run_sweep
 from repro.workloads.stressors.runner import run_stressor
 
 

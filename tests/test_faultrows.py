@@ -77,7 +77,7 @@ def _reencode(kind: str, detail: str) -> str:
 @pytest.fixture(scope="module")
 def cluster_rows(tmp_path_factory):
     """Every fault row of a traced chaos cluster and a traced pressured one."""
-    from repro.cluster import run_cluster
+    from repro.cluster.runner import run_cluster
     from repro.perf.database import TraceDatabase
 
     rows = []

@@ -6,10 +6,10 @@ starts from a fresh interpreter, and a forked one inherits only what its
 caller had loaded, which for ``sgxperf cluster`` is not the shard stack.
 Either way that import is paid again per node per run.  An untraced
 shard records nothing it analyses: it must not load the analysis package
-or NumPy, nor the trace stack (logger, store, ``sqlite3``).
-``repro.perf`` re-exports resolve on first use, which keeps ``import
-repro.perf.logger`` lean; these tests fail as soon as a top-level import
-pulls either stack back onto that path.
+or NumPy, nor the trace stack (logger, store, ``sqlite3``).  No package
+``__init__`` imports anything (one test holds them to that), so importing
+one module loads only what that module imports; these tests fail as soon
+as a top-level import pulls either stack back onto that path.
 
 The other way round, the analysis package reads traces and loads none of
 the simulator that recorded them (SDK, SGX model, ``repro.sim``): it names
@@ -17,12 +17,15 @@ those types in annotations only.
 
 ``sgxperf`` imports the analysis package only inside the commands that
 analyse, and nothing in the package loads networkx (NumPy is the one
-runtime dependency).  ``repro.cluster`` and ``repro.faults`` resolve
-their re-exports on first use too, so the constants the command line
-reads for its argument choices load neither serving stack.  The last
-three tests hold the CLI to all of this.
+runtime dependency).  The constants and exception types the command line
+reads to parse its arguments load neither serving stack, nor the SDK
+runtime, the SGX model, the simulator or the event logger.  The
+``test_cli_*`` and ``test_record_analyze_dot_*`` tests hold the CLI to
+all of this.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -69,19 +72,10 @@ result = run_task(task)
 import repro.perf.logger
 
 loaded = [name for name in sys.argv[1:] if name in sys.modules]
-import repro.perf
-
-unresolved = []
-for name in repro.perf.__all__:
-    try:
-        getattr(repro.perf, name)
-    except AttributeError:
-        unresolved.append(name)
 print(json.dumps({
     "status": result.status,
     "error": result.error,
     "loaded": loaded,
-    "unresolved": unresolved,
 }))
 """
 
@@ -103,26 +97,21 @@ print(json.dumps([name for name in sys.argv[2:] if name in sys.modules]))
 
 SIMULATOR = ("repro.sdk", "repro.sgx", "repro.sim")
 
-# A bare ``import repro.perf.analysis``; prints the loaded modules that
-# are, or sit under, one of the packages named in argv.
-ANALYSIS_IMPORT = """
-import json, sys
+# What recording needs and parsing ``sgxperf``'s arguments does not.
+RECORDING_STACK = ("repro.sdk.urts", "repro.sgx", "repro.sim", "repro.perf.logger")
 
-import repro.perf.analysis
+# A bare import of the module named in argv[1] (``sgxperf`` starts with
+# ``import repro.perf.cli``); prints the loaded modules that are, or sit
+# under, one of the names in the rest of argv.
+BARE_IMPORT = """
+import importlib, json, sys
+
+importlib.import_module(sys.argv[1])
 
 print(json.dumps(sorted(
     name for name in sys.modules
-    if any(name == p or name.startswith(p + ".") for p in sys.argv[1:])
+    if any(name == p or name.startswith(p + ".") for p in sys.argv[2:])
 )))
-"""
-
-# A bare ``import repro.perf.cli``, as every ``sgxperf`` command starts.
-CLI_IMPORT = """
-import json, sys
-
-import repro.perf.cli
-
-print(json.dumps([name for name in sys.argv[1:] if name in sys.modules]))
 """
 
 # Record glamdring (the Glamdring partitioner builds its interface), then
@@ -168,19 +157,43 @@ def test_untraced_cluster_shard_loads_no_analysis_stack():
     report = _probe(PROBE, *HEAVY)
     assert (report["status"], report["error"]) == ("ok", "")
     assert report["loaded"] == []
-    assert report["unresolved"] == []
 
 
 def test_analysis_import_loads_no_simulator():
-    assert _probe(ANALYSIS_IMPORT, *SIMULATOR) == []
+    assert _probe(BARE_IMPORT, "repro.perf.analysis", *SIMULATOR) == []
 
 
 def test_cli_import_loads_no_analysis_stack():
-    assert _probe(CLI_IMPORT, *HEAVY) == []
+    assert _probe(BARE_IMPORT, "repro.perf.cli", *HEAVY) == []
 
 
 def test_cli_import_loads_no_cluster_or_fault_stack():
-    assert _probe(CLI_IMPORT, *SERVING_STACK) == []
+    assert _probe(BARE_IMPORT, "repro.perf.cli", *SERVING_STACK) == []
+
+
+def test_cli_import_loads_no_recording_stack():
+    assert _probe(BARE_IMPORT, "repro.perf.cli", *RECORDING_STACK) == []
+
+
+def test_package_inits_hold_only_their_docstrings():
+    """One import path per name, the defining module's: no package
+    ``__init__`` imports or re-exports anything, so importing a module
+    never runs a sibling's imports."""
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    extra = []
+    for init in sorted(glob.glob(os.path.join(root, "**", "__init__.py"), recursive=True)):
+        with open(init) as f:
+            body = ast.parse(f.read()).body
+        extra += [
+            (os.path.relpath(init, root), ast.unparse(node))
+            for node in body
+            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+        ]
+    assert extra == [
+        ("__init__.py", f"__version__ = {repro.__version__!r}"),
+        # The benchmark harness imports Analyzer from the package path.
+        ("perf/analysis/__init__.py", "from repro.perf.analysis.report import Analyzer"),
+    ]
 
 
 def test_record_analyze_dot_never_load_networkx(tmp_path):

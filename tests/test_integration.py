@@ -9,16 +9,21 @@ for SecureKeeper's narrow interface (§5.2.4).
 
 import pytest
 
-from repro.perf.analysis import Analyzer, Problem, Recommendation
+from repro.perf.analysis.detectors import Problem, Recommendation
+from repro.perf.analysis.report import Analyzer
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
 
 
 def trace_sqlite(requests=120):
-    from repro.workloads.minisql import SQLITE_SYSCALL_COSTS, SqlBuild
-    from repro.workloads.minisql.enclavised import EnclavedSqlApp
-    from repro.workloads.minisql.workload import CREATE_SQL, _insert_sql, commit_stream
+    from repro.workloads.minisql.enclavised import EnclavedSqlApp, SqlBuild
+    from repro.workloads.minisql.workload import (
+        CREATE_SQL,
+        SQLITE_SYSCALL_COSTS,
+        _insert_sql,
+        commit_stream,
+    )
 
     process = SimProcess(seed=0, syscall_costs=SQLITE_SYSCALL_COSTS)
     device = SgxDevice(process.sim)
@@ -69,11 +74,7 @@ class TestSqliteFindings:
 
 class TestGlamdringFindings:
     def make_trace(self):
-        from repro.workloads.glamdring import (
-            GlamdringSigner,
-            SignerBuild,
-            make_certificate,
-        )
+        from repro.workloads.glamdring.signer import GlamdringSigner, SignerBuild, make_certificate
 
         process = SimProcess(seed=0)
         device = SgxDevice(process.sim)
@@ -114,7 +115,8 @@ class TestGlamdringFindings:
 
 class TestSecureKeeperFindings:
     def test_no_performance_findings_on_narrow_interface(self):
-        from repro.workloads.securekeeper import SecureKeeperProxy, run_securekeeper_load
+        from repro.workloads.securekeeper.loadgen import run_securekeeper_load
+        from repro.workloads.securekeeper.proxy import SecureKeeperProxy
 
         process = SimProcess(seed=0)
         device = SgxDevice(process.sim)

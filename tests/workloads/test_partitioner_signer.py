@@ -4,19 +4,17 @@ import pytest
 
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
-from repro.workloads.glamdring import (
-    FunctionSpec,
-    Glamdring,
-    GlamdringSigner,
-    PartitionError,
-    SignerBuild,
+from repro.workloads.glamdring.bignum import BigNum
+from repro.workloads.glamdring.partitioner import FunctionSpec, Glamdring, PartitionError
+from repro.workloads.glamdring.signer import (
     TEST_KEY,
+    GlamdringSigner,
+    SignerBuild,
     application_model,
     make_certificate,
     make_partition,
     run_signing_benchmark,
 )
-from repro.workloads.glamdring.bignum import BigNum
 
 
 class TestGlamdringAnalysis:

@@ -4,23 +4,18 @@ import pytest
 
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
-from repro.workloads.securekeeper import (
-    SecureKeeperProxy,
-    ZkError,
-    ZkRequest,
-    ZkResponse,
-    ZkServer,
-    run_securekeeper_load,
-)
-from repro.workloads.talos import (
+from repro.workloads.securekeeper.loadgen import run_securekeeper_load
+from repro.workloads.securekeeper.proxy import SecureKeeperProxy
+from repro.workloads.securekeeper.zookeeper import ZkError, ZkRequest, ZkResponse, ZkServer
+from repro.workloads.talos.api import (
     TOTAL_ECALLS,
     TOTAL_OCALLS,
-    TalosApp,
     all_ecall_names,
     all_ocall_names,
     build_definition,
-    run_talos_nginx,
 )
+from repro.workloads.talos.app import TalosApp
+from repro.workloads.talos.workload import run_talos_nginx
 
 
 class TestZkServer:

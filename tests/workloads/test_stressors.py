@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.workloads.stressors import (
-    PROFILES,
-    STRESSOR_NAMES,
-    StressorApp,
-    get_profile,
-)
+from repro.workloads.stressors.app import StressorApp
+from repro.workloads.stressors.profiles import PROFILES, STRESSOR_NAMES, get_profile
 from repro.workloads.stressors.runner import run_stressor, run_stressor_task
 
 
@@ -83,7 +79,7 @@ class TestRunner:
 
 class TestSweepIntegration:
     def test_stressor_grid_is_jobs_invariant(self):
-        from repro.sweep import run_sweep
+        from repro.sweep.engine import run_sweep
 
         spec = {
             "kind": "stressor",
