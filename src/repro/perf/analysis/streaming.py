@@ -22,17 +22,28 @@ appears in a report is reproduced exactly:
   reader order at finalise time.
 
 Accumulators are keyed by integer **call-site ids**: each chunk maps its
-rows to ids once (from :meth:`~repro.perf.columns.CallColumns.group_codes`),
-and pair keys (parent site, child site) are counted as integer combos.
+rows to ids once (from :meth:`~repro.perf.columns.CallColumns.group_codes`).
 Names come back only when findings and the call graph are finalised, in
 sorted-name order, so the site numbering never shows in the output.
 
+Parent relations go into **two site-pair tables of integer cells**
+(:class:`_PairCounts`, one row per pair seen): (child, direct parent) ×
+(is_sync, start bucket, end bucket) holds the direct edges and the
+Equation 2 offsets, (child, chain predecessor) × (is_sync, gap bucket)
+the Figure 4 chain edges and the Equation 3 gaps.  A value ``x`` falls in
+bucket ``searchsorted(limits, x, side="left")``, so ``x <= limits[j]``
+exactly when its bucket is at most ``j``: a threshold count is a
+cumulative sum over the non-sync buckets, an edge count a row's sum.
+
 Batches must arrive **thread-major** (``ORDER BY thread_id, start_ns,
-id``): each thread is one contiguous run, so the direct-parent window and
-the Figure 4 indirect-parent chains reset per thread and stay small.  The
-fold relies on the event logger's recording invariants — a call's direct
-parent is on the same thread and its interval encloses the child's start,
-and every call is an ecall or an ocall.
+id``): each thread is one contiguous run in ``(start, id)`` order, so the
+direct-parent window and the Figure 4 chains reset per thread, and one
+stable sort by chain key lines each chain up in that order.  A chain's
+tail crosses into the next batch only while the chain can still grow
+(top-level, parent still open, or parent id never resolved).  The fold
+relies on the event logger's recording invariants — a call's direct
+parent is on the same thread and its interval encloses the child's
+start, and every call is an ecall or an ocall.
 """
 
 from __future__ import annotations
@@ -48,6 +59,16 @@ from repro.perf.analysis import stats as stats_mod
 from repro.perf.columns import CallColumns
 from repro.perf.database import NO_PARENT
 from repro.perf.events import ECALL, OCALL
+
+
+# Equation 2 offset and Equation 3 gap limits (ns): bucket j holds the
+# values in (limits[j-1], limits[j]].
+OFFSET_LIMITS = np.array([10_000, 20_000], dtype=np.int64)
+GAP_LIMITS = np.array([1_000, 5_000, 10_000, 20_000], dtype=np.int64)
+# Direct table cell: (is_sync * 3 + start bucket) * 3 + end bucket.
+DIRECT_CELLS = 2 * 3 * 3
+# Chain table cell: is_sync * 5 + gap bucket.
+CHAIN_CELLS = 2 * 5
 
 
 class _GroupState:
@@ -115,10 +136,10 @@ class _ThreadState:
 
     ``window`` maps an *open* call id (one whose interval may still
     enclose future rows of this thread) to ``(start, end, site)``.
-    ``chains`` maps ``(parent_id, is_ecall)`` to the ``(end, site)`` of
-    the chain's last element.  ``dangling`` remembers parent ids that
-    never resolved (rows referencing calls an aborted logger lost), whose
-    chains must survive window-based eviction.
+    ``chains`` maps a chain key ``parent_id * 2 + is_ecall`` to the
+    ``(end, site)`` of the chain's last element, for chains that can still
+    grow.  ``dangling`` remembers parent ids that never resolved (rows
+    referencing calls an aborted logger lost), whose chains never close.
     """
 
     __slots__ = ("thread_id", "window", "chains", "dangling")
@@ -126,38 +147,51 @@ class _ThreadState:
     def __init__(self, thread_id: int) -> None:
         self.thread_id = thread_id
         self.window: dict[int, tuple[int, int, int]] = {}
-        self.chains: dict[tuple[int, bool], tuple[int, int]] = {}
+        self.chains: dict[int, tuple[int, int]] = {}
         self.dangling: set[int] = set()
 
 
-def _bump(table: dict, first: np.ndarray, second: np.ndarray, n_sites: int) -> None:
-    """Count each ``(first, second)`` site pair into ``table``."""
-    if len(first) == 0:
-        return
-    uniq, counts = np.unique(first * n_sites + second, return_counts=True)
-    for combo, count in zip(uniq.tolist(), counts.tolist()):
-        key = divmod(combo, n_sites)
-        table[key] = table.get(key, 0) + count
+class _PairCounts:
+    """Integer cell counts per ``(first site, second site)`` pair.
 
+    A pair is the code ``(first << 32) | second``.  ``codes`` holds every
+    code seen, sorted, and row ``i`` of ``counts`` the cells of
+    ``codes[i]``, so memory grows with the distinct pairs seen, not with
+    the square of the site count.
+    """
 
-def _bump_thresholds(
-    table: dict,
-    first: np.ndarray,
-    second: np.ndarray,
-    n_sites: int,
-    masks: tuple[np.ndarray, ...],
-) -> None:
-    """Add ``[pairs, *mask counts]`` per ``(first, second)`` site pair."""
-    if len(first) == 0:
-        return
-    uniq, inverse = np.unique(first * n_sites + second, return_inverse=True)
-    sums = [np.bincount(inverse, minlength=len(uniq))]
-    sums += [np.bincount(inverse, weights=mask, minlength=len(uniq)) for mask in masks]
-    columns = [s.astype(np.int64).tolist() for s in sums]
-    for j, combo in enumerate(uniq.tolist()):
-        counts = table.setdefault(divmod(combo, n_sites), [0] * len(columns))
-        for slot, column in enumerate(columns):
-            counts[slot] += column[j]
+    __slots__ = ("codes", "counts")
+
+    def __init__(self, cells: int) -> None:
+        self.codes = np.empty(0, dtype=np.int64)
+        self.counts = np.zeros((0, cells), dtype=np.int64)
+
+    def add(self, first: np.ndarray, second: np.ndarray, cell: np.ndarray) -> None:
+        """Count each row once, into ``cell`` of its ``(first, second)`` pair."""
+        if len(first) == 0:
+            return
+        code = (first << 32) | second
+        pos = np.searchsorted(self.codes, code)
+        if len(self.codes):
+            unseen = self.codes.take(pos, mode="clip") != code
+        else:
+            unseen = np.ones(len(code), dtype=bool)
+        if unseen.any():
+            new = np.unique(code[unseen])
+            at = np.searchsorted(self.codes, new)
+            self.codes = np.insert(self.codes, at, new)
+            self.counts = np.insert(self.counts, at, 0, axis=0)
+            pos = np.searchsorted(self.codes, code)
+        # Only the rows between the batch's lowest and highest pair change.
+        lo, hi = int(pos.min()), int(pos.max()) + 1
+        cells = self.counts.shape[1]
+        self.counts[lo:hi] += np.bincount(
+            (pos - lo) * cells + cell, minlength=(hi - lo) * cells
+        ).reshape(hi - lo, cells)
+
+    def pairs(self) -> tuple[list[int], list[int]]:
+        """The ``first`` and ``second`` site of every row, in row order."""
+        return (self.codes >> 32).tolist(), (self.codes & 0xFFFFFFFF).tolist()
 
 
 class CallFold:
@@ -190,13 +224,10 @@ class CallFold:
         self.ecall_short = 0
         self.ocall_short = 0
         self.aex_total = 0
-        # (child site, parent site) → [total, s10, s20, e10, e20]
-        self.reorder_counts: dict[tuple[int, int], list[int]] = {}
-        # (child site, indirect parent site) → [pairs, n1, n5, n10, n20]
-        self.merge_counts: dict[tuple[int, int], list[int]] = {}
-        # (parent site, child site) → count, sync-unfiltered
-        self.direct_edges: dict[tuple[int, int], int] = {}
-        self.indirect_edges: dict[tuple[int, int], int] = {}
+        # (child site, direct-parent site) × DIRECT_CELLS
+        self.direct = _PairCounts(DIRECT_CELLS)
+        # (child site, chain-predecessor site) × CHAIN_CELLS
+        self.chained = _PairCounts(CHAIN_CELLS)
         self.ssc_matched = 0
         self.ssc_short = 0
         self._thread: Optional[_ThreadState] = None
@@ -288,8 +319,8 @@ class CallFold:
             # window and chains can never be referenced again.
             state = self._thread = _ThreadState(tid)
         self._fold_direct_parents(cols, site, seg, state)
-        self._fold_chains(cols, site, is_ecall, seg, state)
-        self._advance_window(cols, site, seg, state)
+        tail_rows, tail_keys = self._fold_chains(cols, site, is_ecall, seg, state)
+        self._advance_window(cols, site, seg, state, tail_rows, tail_keys)
 
     def _fold_direct_parents(
         self, cols: CallColumns, site: np.ndarray, seg: np.ndarray, state: _ThreadState
@@ -316,25 +347,11 @@ class CallFold:
         pstart = np.concatenate([cols.start_ns[pos], extra[:, 1]])
         pend = np.concatenate([cols.end_ns[pos], extra[:, 2]])
         psite = np.concatenate([site[pos], extra[:, 3]])
-        n_sites = len(self.sites)
-        _bump(self.direct_edges, psite, site[rows], n_sites)
-        # Equation 2 offsets, per (child site, parent site).
-        ns = ~cols.is_sync[rows]
-        rows, pstart, pend, psite = rows[ns], pstart[ns], pend[ns], psite[ns]
-        from_start = cols.start_ns[rows] - pstart
-        from_end = pend - cols.end_ns[rows]
-        _bump_thresholds(
-            self.reorder_counts,
-            site[rows],
-            psite,
-            n_sites,
-            (
-                from_start <= 10_000,
-                from_start <= 20_000,
-                from_end <= 10_000,
-                from_end <= 20_000,
-            ),
-        )
+        # Equation 2 offsets from the parent's start and to its end.
+        from_start = np.searchsorted(OFFSET_LIMITS, cols.start_ns[rows] - pstart)
+        from_end = np.searchsorted(OFFSET_LIMITS, pend - cols.end_ns[rows])
+        cell = (cols.is_sync[rows] * 3 + from_start) * 3 + from_end
+        self.direct.add(site[rows], psite, cell)
 
     def _fold_chains(
         self,
@@ -343,68 +360,58 @@ class CallFold:
         is_ecall: np.ndarray,
         seg: np.ndarray,
         state: _ThreadState,
-    ) -> None:
-        """Figure 4 chains: consecutive same-(parent, kind) rows in (start, id) order."""
-        pids = cols.parent_id[seg]
-        kinds = is_ecall[seg]
-        order = np.lexsort((cols.event_id[seg], cols.start_ns[seg], kinds, pids))
-        srows = seg[order]
-        spids = pids[order]
-        skinds = kinds[order]
-        same = np.zeros(len(seg), dtype=bool)
-        same[1:] = (spids[1:] == spids[:-1]) & (skinds[1:] == skinds[:-1])
-        # Links fully inside this chunk, vectorised.
-        link_at = np.flatnonzero(same)
-        prev = srows[link_at - 1]
-        self._add_links(cols, site, srows[link_at], cols.end_ns[prev], site[prev])
-        # Each key group's head may continue a chain carried from the
-        # previous chunk of this thread.
-        if state.chains:
-            carried = []
-            for i in np.flatnonzero(~same).tolist():
-                tail = state.chains.get((int(spids[i]), bool(skinds[i])))
-                if tail is not None:
-                    carried.append((int(srows[i]),) + tail)
-            if carried:
-                links = np.array(carried, dtype=np.int64)
-                self._add_links(cols, site, links[:, 0], links[:, 1], links[:, 2])
-        # Each key group's last row becomes the chain tail going forward.
-        tail_at = np.flatnonzero(~np.append(same[1:], False))
-        for i in tail_at.tolist():
-            row = int(srows[i])
-            state.chains[(int(spids[i]), bool(skinds[i]))] = (
-                int(cols.end_ns[row]),
-                int(site[row]),
-            )
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Figure 4 chains: consecutive same-(parent, kind) rows in (start, id) order.
 
-    def _add_links(
+        Returns the last row of each chain in the segment and its key.
+        """
+        keys = cols.parent_id[seg] * 2 + is_ecall[seg]
+        # The segment is in (start, id) order: a stable sort by key keeps it
+        # within each chain.
+        order = np.argsort(keys, kind="stable")
+        srows = seg[order]
+        skeys = keys[order]
+        head = np.ones(len(seg), dtype=bool)
+        head[1:] = skeys[1:] != skeys[:-1]
+        link_at = np.flatnonzero(~head)
+        rows = srows[link_at]
+        prev = srows[link_at - 1]
+        pend = cols.end_ns[prev]
+        psite = site[prev]
+        if state.chains:
+            # A chain head may continue a tail carried from this thread's
+            # previous chunk; heads are in ascending key order.
+            heads = np.flatnonzero(head)
+            carried = np.array(
+                [(key, *tail) for key, tail in state.chains.items()], dtype=np.int64
+            )
+            at = np.minimum(np.searchsorted(skeys[heads], carried[:, 0]), len(heads) - 1)
+            hit = skeys[heads[at]] == carried[:, 0]
+            rows = np.concatenate([rows, srows[heads[at[hit]]]])
+            pend = np.concatenate([pend, carried[hit, 1]])
+            psite = np.concatenate([psite, carried[hit, 2]])
+        # Equation 3 gaps from the chain predecessor's end.
+        gap = np.searchsorted(GAP_LIMITS, cols.start_ns[rows] - pend)
+        self.chained.add(site[rows], psite, cols.is_sync[rows] * 5 + gap)
+        tail_at = np.append(head[1:], True)
+        return srows[tail_at], skeys[tail_at]
+
+    def _advance_window(
         self,
         cols: CallColumns,
         site: np.ndarray,
-        rows: np.ndarray,
-        pend: np.ndarray,
-        psite: np.ndarray,
+        seg: np.ndarray,
+        state: _ThreadState,
+        tail_rows: np.ndarray,
+        tail_keys: np.ndarray,
     ) -> None:
-        n_sites = len(self.sites)
-        _bump(self.indirect_edges, psite, site[rows], n_sites)
-        ns = ~cols.is_sync[rows]  # Equation 3 filters sync *children* only
-        gaps = cols.start_ns[rows[ns]] - pend[ns]
-        _bump_thresholds(
-            self.merge_counts,
-            site[rows[ns]],
-            psite[ns],
-            n_sites,
-            tuple(gaps <= limit for limit in (1_000, 5_000, 10_000, 20_000)),
-        )
-
-    def _advance_window(
-        self, cols: CallColumns, site: np.ndarray, seg: np.ndarray, state: _ThreadState
-    ) -> None:
-        """Carry only still-open intervals; evict chains of closed parents.
+        """Carry only still-open intervals and the chains that can still grow.
 
         Same-chunk parents resolve through ``positions_of``, so the carry
         window only needs rows whose interval reaches past the segment's
-        last start — the calls still open at the chunk boundary.
+        last start — the calls still open at the chunk boundary.  A chain
+        whose parent call has closed can never grow again; only top-level
+        chains, open parents and dangling ids keep their tails.
         """
         last_start = int(cols.start_ns[seg[-1]])
         for pid in [k for k, v in state.window.items() if v[1] < last_start]:
@@ -416,17 +423,13 @@ class CallFold:
                 int(cols.end_ns[row]),
                 int(site[row]),
             )
-        # A chain whose parent call has closed can never grow again; only
-        # open parents, top-level chains and dangling ids stay live.
-        dead = [
-            key
-            for key in state.chains
-            if key[0] != NO_PARENT
-            and key[0] not in state.window
-            and key[0] not in state.dangling
-        ]
-        for key in dead:
-            del state.chains[key]
+        live = {NO_PARENT, *state.window, *state.dangling}
+        state.chains = {key: tail for key, tail in state.chains.items() if key >> 1 in live}
+        pids = tail_keys >> 1
+        ids = np.sort(np.fromiter(live, dtype=np.int64, count=len(live)))
+        grows = ids.take(np.searchsorted(ids, pids), mode="clip") == pids
+        for key, row in zip(tail_keys[grows].tolist(), tail_rows[grows].tolist()):
+            state.chains[key] = (int(cols.end_ns[row]), int(site[row]))
 
     # -- finalisation --------------------------------------------------------
 
@@ -434,10 +437,29 @@ class CallFold:
         """Groups in global first-appearance order (min ``(start, id)``)."""
         return sorted(self.groups, key=lambda g: (g.first_start, g.first_id))
 
-    def _named(self, table: dict) -> list:
-        """``(first key, second key, value)`` rows of a site-pair table, by name."""
+    def _named(self, table: _PairCounts, values: np.ndarray) -> list:
+        """``(first key, second key, values[i])`` per pair ``i`` of ``table``, by name."""
         sites = self.sites
-        return sorted((sites[a], sites[b], value) for (a, b), value in table.items())
+        firsts, seconds = table.pairs()
+        return sorted((sites[a], sites[b], v) for a, b, v in zip(firsts, seconds, values.tolist()))
+
+    def offset_counts(self) -> list:
+        """Equation 2 ``(child key, parent key, [total, s10, s20, e10, e20])``
+        over non-sync children, by name; pairs without one are left out."""
+        # The non-sync cells, as [start bucket, end bucket].
+        grid = self.direct.counts[:, :9].reshape(-1, 3, 3)
+        starts = grid.sum(axis=2).cumsum(axis=1)
+        ends = grid.sum(axis=1).cumsum(axis=1)
+        counts = np.column_stack([starts[:, [2, 0, 1]], ends[:, :2]])
+        return [row for row in self._named(self.direct, counts) if row[2][0]]
+
+    def gap_counts(self) -> list:
+        """Equation 3 ``(child key, predecessor key, [pairs, n1, n5, n10, n20])``
+        over non-sync children, by name; pairs without one are left out."""
+        # The non-sync cells: links whose gap bucket is at most j.
+        within = self.chained.counts[:, :5].cumsum(axis=1)
+        counts = within[:, [4, 0, 1, 2, 3]]
+        return [row for row in self._named(self.chained, counts) if row[2][0]]
 
     def statistics(self) -> list[stats_mod.CallStatistics]:
         """Per-call statistics, busiest first (ties in first-appearance order)."""
@@ -463,7 +485,7 @@ class CallFold:
     def reorder_findings(self) -> list[det.Finding]:
         # Equation 2 groups nested calls by parent *name*: sum over parent kinds.
         by_parent_name: dict[tuple[str, str, str], list[int]] = {}
-        for (kind, name), (_, parent_name), counts in self._named(self.reorder_counts):
+        for (kind, name), (_, parent_name), counts in self.offset_counts():
             mine = by_parent_name.setdefault((kind, name, parent_name), [0] * len(counts))
             for i, c in enumerate(counts):
                 mine[i] += c
@@ -482,7 +504,7 @@ class CallFold:
     def merge_findings(self) -> list[det.Finding]:
         counts_by_site = {key: g.count for key, g in zip(self.sites, self.groups)}
         findings = []
-        for child, parent, (pairs, n1, n5, n10, n20) in self._named(self.merge_counts):
+        for child, parent, (pairs, n1, n5, n10, n20) in self.gap_counts():
             finding = det.merge_finding_from_counts(
                 child,
                 parent,
@@ -510,7 +532,9 @@ class CallFold:
         observed_allow: dict[str, set[str]] = {}
         disqualified: set[str] = set()
         incoming = [0] * len(self.sites)
-        for (parent, child), count in self.direct_edges.items():
+        children, parents = self.direct.pairs()
+        totals = self.direct.counts.sum(axis=1).tolist()
+        for child, parent, count in zip(children, parents, totals):
             incoming[child] += count
             (pkind, pname), (ckind, cname) = self.sites[parent], self.sites[child]
             if ckind != ECALL:
@@ -540,11 +564,12 @@ class CallFold:
                 "call_index": g.call_index,
                 "count": g.count,
             }
-        for edges, relation in (
-            (self.direct_edges, callgraph_mod.DIRECT),
-            (self.indirect_edges, callgraph_mod.INDIRECT),
+        for table, relation in (
+            (self.direct, callgraph_mod.DIRECT),
+            (self.chained, callgraph_mod.INDIRECT),
         ):
-            for src, dst, count in self._named(edges):
+            named = self._named(table, table.counts.sum(axis=1))
+            for src, dst, count in sorted((p, c, n) for c, p, n in named):
                 graph.edges.append(
                     (f"{src[0]}:{src[1]}", f"{dst[0]}:{dst[1]}", relation, count)
                 )

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.perf.analysis.detectors import AnalyzerWeights, Problem
+from repro.perf.analysis.report import Analyzer
 from repro.perf.database import TraceDatabase, TraceError
 from repro.perf.events import ECALL, OCALL, SyncKind
 from repro.perf.logger import (
@@ -10,7 +12,7 @@ from repro.perf.logger import (
     ECALL_LOG_PRE_NS,
     EventLogger,
 )
-from repro.sdk.edger8r import build_enclave
+from repro.sdk.edger8r import SYNC_OCALL_SETWAIT, build_enclave
 from repro.sdk.urts import Urts
 from repro.sgx.device import SgxDevice
 from repro.sgx.enclave import EnclaveConfig
@@ -202,6 +204,43 @@ class TestSyncAndPaging:
         # Threads observed via pthread_create shadowing.
         names = {t.name for t in db.threads()}
         assert {"w0", "w1", "w2"} <= names
+
+    def test_setwait_ocall_wakes_itself_without_blocking(self, process, urts):
+        """``sgx_thread_setwait_untrusted_events_ocall`` with the caller's own
+        token as both targets: the wake finds no sleeper and stays pending,
+        so the wait consumes it and returns at once."""
+        trusted, untrusted = make_simple_impls()
+        tokens = []
+
+        def ecall_setwait(ctx, ns):
+            token = ctx.urts.current_thread_token()
+            tokens.append(token)
+            ctx.ocall(SYNC_OCALL_SETWAIT, token, token)
+            return 0
+
+        trusted["ecall_compute"] = ecall_setwait
+        handle = build_enclave(urts, SIMPLE_EDL, trusted, untrusted)
+        logger = make_logger(process, urts)
+        logger.install()
+        handle.ecall("ecall_compute", 0)
+        logger.uninstall()
+        db = logger.finalize()
+        (ocall,) = db.calls(kind=OCALL)
+        assert ocall.name == SYNC_OCALL_SETWAIT and ocall.is_sync
+        (token,) = tokens
+        assert not urts._event_pending.get(token)
+        wake, sleep = db.sync_events()
+        assert (wake.kind, sleep.kind) == (SyncKind.WAKE, SyncKind.SLEEP)
+        assert wake.call_id == sleep.call_id == ocall.event_id
+        assert wake.targets == sleep.targets == (token,)
+        # The analyser's SSC inputs: one sleep, one wake, the sleep matched
+        # to its (short) ocall.
+        analyzer = Analyzer(db, weights=AnalyzerWeights(ssc_min_events=1))
+        (ssc,) = [f for f in analyzer.run().findings if f.problem is Problem.SSC]
+        assert analyzer._fold.ssc_matched == 1
+        assert (ssc.evidence["sleeps"], ssc.evidence["wakes"]) == (1, 1)
+        assert ssc.evidence["short_sleep_fraction"] == 1.0
+        assert ssc.evidence["wake_matrix"] == {(wake.thread_id, token): 1}
 
     def test_paging_events_recorded_with_vaddr(self):
         process = SimProcess(seed=7)

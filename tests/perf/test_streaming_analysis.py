@@ -19,17 +19,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
+import tracemalloc
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.perf.analysis.callgraph import DIRECT, INDIRECT
+from repro.perf.analysis.detectors import AnalyzerWeights
 from repro.perf.analysis.export import report_to_json
 from repro.perf.analysis.report import Analyzer
 from repro.perf.analysis.stats import compute_statistics
+from repro.perf.analysis.streaming import CallFold
 from repro.perf.cli import main as cli_main
-from repro.perf.database import TraceDatabase, TraceError
+from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase, TraceError
+from repro.perf.events import ECALL, OCALL, CallEvent
 from repro.sdk.edl import parse_edl
 
 from tests.perf.test_columns import _rows
@@ -214,6 +222,185 @@ def test_filtered_call_columns_equal_calls(traces, workload):
             assert got == [call.to_row() for call in db.calls(enclave_id=enclave_id)]
         if workload == "securekeeper":  # client threads interleave their calls
             assert len(db.thread_row_counts()) >= 8
+
+
+# -- the fold's site-pair tables against a per-row loop ----------------------
+
+
+def _tally(table: dict, key: tuple, hits: list) -> None:
+    counts = table.setdefault(key, [0] * len(hits))
+    for slot, hit in enumerate(hits):
+        counts[slot] += hit
+
+
+def reference_tables(calls) -> dict[str, dict]:
+    """The fold's four site-pair tables, recomputed one call at a time.
+
+    Each thread's calls are walked in ``(start_ns, id)`` order.  A call's
+    direct parent is the call of that thread its ``parent_id`` names; its
+    Figure 4 chain predecessor is the thread's previous call with the same
+    ``(parent_id, kind)``.  ``direct`` and ``chained`` count every call by
+    ``(parent key, child key)``; ``offsets`` (Equation 2, ``[total, s10,
+    s20, e10, e20]``) and ``gaps`` (Equation 3, ``[pairs, n1, n5, n10,
+    n20]``) count non-sync calls by ``(child key, parent key)``.
+    """
+    direct: dict = {}
+    chained: dict = {}
+    offsets: dict = {}
+    gaps: dict = {}
+    threads: dict[int, list] = {}
+    for call in calls:
+        threads.setdefault(call.thread_id, []).append(call)
+    for rows in threads.values():
+        rows.sort(key=lambda c: (c.start_ns, c.event_id))
+        by_id = {c.event_id: c for c in rows}
+        last: dict = {}
+        for c in rows:
+            me = (c.kind, c.name)
+            parent = by_id.get(c.parent_id)
+            if parent is not None:
+                up = (parent.kind, parent.name)
+                direct[up, me] = direct.get((up, me), 0) + 1
+                if not c.is_sync:
+                    from_start = c.start_ns - parent.start_ns
+                    from_end = parent.end_ns - c.end_ns
+                    hits = [True, from_start <= 10_000, from_start <= 20_000]
+                    hits += [from_end <= 10_000, from_end <= 20_000]
+                    _tally(offsets, (me, up), hits)
+            prev = last.get((c.parent_id, c.kind))
+            if prev is not None:
+                up = (prev.kind, prev.name)
+                chained[up, me] = chained.get((up, me), 0) + 1
+                if not c.is_sync:
+                    gap = c.start_ns - prev.end_ns
+                    hits = [True] + [gap <= limit for limit in (1_000, 5_000, 10_000, 20_000)]
+                    _tally(gaps, (me, up), hits)
+            last[c.parent_id, c.kind] = c
+    return {"direct": direct, "chained": chained, "offsets": offsets, "gaps": gaps}
+
+
+def fold_tables(db: TraceDatabase, chunk: int) -> dict[str, dict]:
+    """The same four tables, as a :class:`CallFold` over ``chunk``-row batches finalises them."""
+    fold = CallFold(0, AnalyzerWeights())
+    for cols in db.call_columns_chunks(chunk):
+        fold.fold(cols)
+    graph = fold.call_graph()
+    site = {key: (node["kind"], node["name"]) for key, node in graph.nodes.items()}
+    edges: dict[str, dict] = {DIRECT: {}, INDIRECT: {}}
+    for src, dst, relation, count in graph.edges:
+        edges[relation][site[src], site[dst]] = count
+    return {
+        "direct": edges[DIRECT],
+        "chained": edges[INDIRECT],
+        "offsets": {(child, parent): counts for child, parent, counts in fold.offset_counts()},
+        "gaps": {(child, pred): counts for child, pred, counts in fold.gap_counts()},
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=lambda c: f"chunk={c or 'default'}")
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_fold_tables_equal_loop_reference(traces, workload, chunk):
+    """The counts under the golden digests' thresholded findings."""
+    with TraceDatabase(traces[workload], readonly=True) as db:
+        expected = reference_tables(db.calls())
+        got = fold_tables(db, chunk or DEFAULT_CHUNK_EVENTS)
+    assert all(expected.values())
+    assert got == expected
+
+
+# Offsets and gaps land on and either side of the 1/5/10/20 us limits;
+# a zero step ties start times.
+STEPS = st.sampled_from(
+    [0, 1, 999, 1_000, 1_001, 5_000, 5_001, 10_000, 10_001, 20_000, 20_001, 35_000]
+)
+LOST_PARENTS = [1_000_001, 1_000_002]  # parent ids no call has
+
+
+def _nest(draw, rows: list, thread: int, kind: str, parent, start: int, depth: int) -> int:
+    """Append one call and its nested calls; returns its end."""
+    name = draw(st.sampled_from(["e0", "e1", "e2"] if kind == ECALL else ["o0", "o1", "sync"]))
+    row = {"thread": thread, "kind": kind, "name": name, "start": start, "parent": parent}
+    rows.append(row)
+    clock = start + draw(STEPS)
+    inner = OCALL if kind == ECALL else ECALL
+    for _ in range(draw(st.integers(0, 2 if depth < 2 else 0))):
+        clock = _nest(draw, rows, thread, inner, row, clock, depth + 1) + draw(STEPS)
+    row["end"] = clock
+    return clock
+
+
+@st.composite
+def thread_major_traces(draw) -> list[CallEvent]:
+    """Nested calls on up to three threads, ids handed out in global entry order."""
+    rows: list[dict] = []
+    for thread in range(1, draw(st.integers(1, 3)) + 1):
+        clock = draw(STEPS)
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from([ECALL, ECALL, OCALL]))
+            parent = draw(st.sampled_from([None, None, *LOST_PARENTS]))
+            clock = _nest(draw, rows, thread, kind, parent, clock, 0) + draw(STEPS)
+    # Entry order: by start across threads, nesting order within a thread.
+    entry = sorted(range(len(rows)), key=lambda i: (rows[i]["start"], rows[i]["thread"], i))
+    for event_id, i in enumerate(entry, start=1):
+        rows[i]["id"] = event_id
+    return [
+        CallEvent(
+            event_id=row["id"],
+            kind=row["kind"],
+            name=row["name"],
+            call_index=0,
+            enclave_id=1,
+            thread_id=row["thread"],
+            start_ns=row["start"],
+            end_ns=row["end"],
+            parent_id=row["parent"]["id"] if isinstance(row["parent"], dict) else row["parent"],
+            is_sync=row["name"] == "sync",
+        )
+        for row in rows
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(thread_major_traces())
+def test_fold_tables_equal_loop_reference_on_generated_traces(calls):
+    db = TraceDatabase()
+    db.add_call_rows([call.to_row() for call in calls])
+    expected = reference_tables(calls)
+    for chunk in (1, 7, DEFAULT_CHUNK_EVENTS):
+        assert fold_tables(db, chunk) == expected, chunk
+
+
+def test_fold_tables_hold_pairs_seen_not_site_squares():
+    """2,000 call sites, 8,000 calls: a dense ``n_sites²`` table of 18 int64
+    cells would take about 576 MB; the fold's tables grow with the pairs."""
+    rng = random.Random(20)
+    steps = [0, 1_000, 5_000, 10_000, 10_001, 20_000, 30_000]
+    ocall_sites = list(range(1_000)) * 6  # each of 1,000 ocall sites six times
+    rng.shuffle(ocall_sites)
+    events = []
+    clock = 0
+    for i in range(2_000):  # 1,000 ecall sites, each the parent of three ocalls
+        ecall_id, ecall_start = 4 * i + 1, clock
+        for k in range(1, 4):
+            start = clock + rng.choice(steps)
+            clock = start + rng.choice(steps)
+            name = f"ocall_{ocall_sites.pop()}"
+            events.append(CallEvent(ecall_id + k, OCALL, name, 0, 1, 1, start, clock, 0, ecall_id))
+        clock += rng.choice(steps)
+        events.append(CallEvent(ecall_id, ECALL, f"ecall_{i % 1_000}", 0, 1, 1, ecall_start, clock))
+        clock += rng.choice(steps)
+    assert len({(event.kind, event.name) for event in events}) == 2_000
+    db = TraceDatabase()
+    db.add_call_rows([event.to_row() for event in events])
+    expected = reference_tables(events)
+    tracemalloc.start()
+    try:
+        got = fold_tables(db, DEFAULT_CHUNK_EVENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 64 * 2**20
 
 
 # -- read-only mode --------------------------------------------------------
