@@ -6,8 +6,8 @@ the SDK's source-to-source generator emits as ``enclave_u.c`` and
 
 * *untrusted proxies* — a wrapper per ecall, called by name, that funnels
   through the ``sgx_ecall`` symbol (resolved through the dynamic loader
-  **at call time**, so a preloaded logger shadows it without
-  recompilation);
+  again whenever the loader's libraries changed, so a preloaded logger
+  shadows it from the next call on, without recompilation);
 * the *ocall table* — numeric identifier → untrusted function pointer,
   passed along with every ``sgx_ecall`` and saved by the URTS, which is how
   sgx-perf injects its stub table (paper §4.1.2);
@@ -28,6 +28,7 @@ from repro.sdk.edl import EnclaveDefinition, OcallDecl, Param, parse_edl
 from repro.sdk.errors import SgxError, SgxStatus
 from repro.sdk.urts import Urts
 from repro.sgx.enclave import EnclaveConfig
+from repro.sim.loader import Loader
 
 SYNC_OCALL_WAIT = "sgx_thread_wait_untrusted_event_ocall"
 SYNC_OCALL_SET = "sgx_thread_set_untrusted_event_ocall"
@@ -118,21 +119,29 @@ class UntrustedContext:
 class UntrustedProxies:
     """The generated per-ecall wrappers (``enclave_u.c``), called by name.
 
-    Every call resolves the ``sgx_ecall`` symbol through the process loader
-    — the model of lazy PLT binding that makes LD_PRELOAD interposition
-    work — and passes the generated numeric identifier plus the ocall
-    table.
+    Every call goes through the ``sgx_ecall`` symbol as the process loader
+    resolves it — the model of lazy PLT binding that makes LD_PRELOAD
+    interposition work — and passes the generated numeric identifier plus
+    the ocall table.  The resolved symbol is kept until the loader's
+    :attr:`~repro.sim.loader.Loader.generation` moves (a library loaded,
+    preloaded, unloaded or given a new definition), so a logger installed
+    or removed between two ecalls catches the next one.
     """
 
     def __init__(
         self,
         definition: EnclaveDefinition,
-        process_loader,
+        process_loader: Loader,
         ocall_table: OcallTable,
     ) -> None:
         self._definition = definition
         self._loader = process_loader
         self._ocall_table = ocall_table
+        # ``sgx_ecall`` as resolved at loader generation
+        # ``_resolved_generation`` (generations start at 0, so the first
+        # call resolves).
+        self._sgx_ecall: Optional[Callable] = None
+        self._resolved_generation = -1
         # Switchless runtime (repro.optimizer): consulted per call when
         # set.  ``None`` keeps the proxy path byte-identical.
         self._switchless: Any = None
@@ -145,7 +154,7 @@ class UntrustedProxies:
             if handled:
                 return result
         index = self._definition.ecall_index(name)
-        sgx_ecall = self._loader.resolve("sgx_ecall")
+        sgx_ecall = self._resolved_sgx_ecall()
         status, result = sgx_ecall(enclave_id, index, self._ocall_table, args)
         if status is not SgxStatus.SGX_SUCCESS:
             raise SgxError(status, name)
@@ -154,8 +163,17 @@ class UntrustedProxies:
     def try_call(self, name: str, enclave_id: int, *args: Any) -> tuple[SgxStatus, Any]:
         """Invoke ecall ``name`` returning ``(status, result)`` instead of raising."""
         index = self._definition.ecall_index(name)
-        sgx_ecall = self._loader.resolve("sgx_ecall")
+        sgx_ecall = self._resolved_sgx_ecall()
         return sgx_ecall(enclave_id, index, self._ocall_table, args)
+
+    def _resolved_sgx_ecall(self) -> Callable:
+        """``sgx_ecall`` as the loader resolves it, looked up again only
+        after the loader changed."""
+        loader = self._loader
+        if self._resolved_generation != loader.generation:
+            self._sgx_ecall = loader.resolve("sgx_ecall")
+            self._resolved_generation = loader.generation
+        return self._sgx_ecall
 
 
 def generate_untrusted(

@@ -43,6 +43,10 @@ class Direction(enum.Enum):
     USER_CHECK = "user_check"  # no copy; developer's responsibility
 
 
+# Values copied at their length when no ``size=``/``count=`` applies.
+BYTES_LIKE = (bytes, bytearray, memoryview, str)
+
+
 @dataclass(frozen=True)
 class Param:
     """One declared parameter of an ecall or ocall."""
@@ -70,7 +74,7 @@ class Param:
         if isinstance(size, int):
             total = size * (count if isinstance(count, int) else 1)
             return max(0, int(total))
-        if isinstance(value, (bytes, bytearray, memoryview, str)):
+        if isinstance(value, BYTES_LIKE):
             return len(value)
         return 8
 

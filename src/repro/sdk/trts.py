@@ -15,33 +15,51 @@ working set estimator) and issues ocalls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.sdk import constants as sdkc
-from repro.sdk.edl import Direction, EcallDecl, EdlError, EnclaveDefinition, OcallDecl, Param
+from repro.sdk.edl import (
+    BYTES_LIKE,
+    Direction,
+    EcallDecl,
+    EdlError,
+    EnclaveDefinition,
+    OcallDecl,
+    Param,
+)
 from repro.sdk.errors import SgxError, SgxStatus
 from repro.sgx.enclave import Enclave, HeapAllocation
 from repro.sgx.execution import EnclaveExecution
 
 
-@dataclass
 class EcallFrame:
     """One open ecall on a thread's SGX call stack."""
 
-    runtime: Any  # EnclaveRuntime (duck-typed to avoid a module cycle)
-    decl: EcallDecl
-    execution: EnclaveExecution
-    tcs_slot: int
-    nested: bool
+    __slots__ = ("runtime", "decl", "execution", "tcs_slot", "nested")
+
+    def __init__(
+        self,
+        runtime: Any,  # EnclaveRuntime (duck-typed to avoid a module cycle)
+        decl: EcallDecl,
+        execution: EnclaveExecution,
+        tcs_slot: int,
+        nested: bool,
+    ) -> None:
+        self.runtime = runtime
+        self.decl = decl
+        self.execution = execution
+        self.tcs_slot = tcs_slot
+        self.nested = nested
 
 
-@dataclass
 class OcallFrame:
     """One open ocall on a thread's SGX call stack."""
 
-    runtime: Any
-    decl: OcallDecl
+    __slots__ = ("runtime", "decl")
+
+    def __init__(self, runtime: Any, decl: OcallDecl) -> None:
+        self.runtime = runtime
+        self.decl = decl
 
 
 class ThreadState:
@@ -77,6 +95,8 @@ class TrustedBuffer:
 
 class TrustedContext:
     """Execution context handed to trusted (in-enclave) functions."""
+
+    __slots__ = ("urts", "runtime", "execution", "thread_state", "sim")
 
     def __init__(
         self,
@@ -141,15 +161,15 @@ class TrustedContext:
         """Access every page of ``buffer`` (faulting evicted pages back in)."""
         mmu = self.urts.mmu
         for page in buffer.pages():
-            mmu.access(self.enclave, page, write=write, execution=self.execution)
+            mmu.access(self.enclave, page, write, self.execution)
 
     def touch_heap_bytes(self, offset: int, nbytes: int, write: bool = False) -> None:
         """Access an ad-hoc heap byte range (page-granular)."""
         execution = self.execution
         enclave = execution.enclave
         access = self.urts.mmu.access
-        for page in enclave.heap_pages_for(HeapAllocation(offset, max(1, nbytes))):
-            access(enclave, page, write=write, execution=execution)
+        for page in enclave.heap_pages(offset, nbytes if nbytes > 1 else 1):
+            access(enclave, page, write, execution)
 
     # -- ocalls ------------------------------------------------------------------
 
@@ -214,28 +234,62 @@ def copy_sizer(
     ``None`` when no parameter is marshalled that way.  Otherwise a
     function of one call's argument tuple: the sum of
     :meth:`Param.resolve_size` over the matching (``direction`` or
-    ``INOUT``) parameters the tuple reaches, with ``size=``/``count=``
-    names resolved against the arguments by name.
+    ``INOUT``) parameters the tuple reaches, with each ``size=``/``count=``
+    name resolved to the argument position a by-name lookup would read
+    (the last parameter of that name).  A tuple shorter than ``params``
+    reaches fewer parameters and may not reach a named position; it is
+    sized through :meth:`Param.resolve_size` itself.
     """
     names = tuple(param.name for param in params)
-    terms = tuple(
-        (position, param.resolve_size)
+    matching = tuple(
+        (position, param)
         for position, param in enumerate(params)
         if param.direction is direction or param.direction is Direction.INOUT
     )
-    if not terms:
+    if not matching:
         return None
+    declared = len(params)
+    # Per term: the value's position, then the size and the count, each
+    # as (constant, argument position or -1).
+    terms = tuple(
+        (position,) + _operand(names, param.size) + _operand(names, param.count)
+        for position, param in matching
+    )
 
     def copy_bytes(args: tuple) -> int:
-        by_name = dict(zip(names, args))
-        supplied = len(args)
+        if len(args) < declared:
+            by_name = dict(zip(names, args))
+            supplied = len(args)
+            return sum(
+                param.resolve_size(by_name, args[position])
+                for position, param in matching
+                if position < supplied
+            )
         total = 0
-        for position, resolve_size in terms:
-            if position < supplied:
-                total += resolve_size(by_name, args[position])
+        for position, size, size_at, count, count_at in terms:
+            if size_at >= 0:
+                size = args[size_at]
+            if isinstance(size, int):
+                if count_at >= 0:
+                    count = args[count_at]
+                if isinstance(count, int):
+                    size *= count
+                if size > 0:
+                    total += size
+            else:
+                value = args[position]
+                total += len(value) if isinstance(value, BYTES_LIKE) else 8
         return total
 
     return copy_bytes
+
+
+def _operand(names: tuple[str, ...], ref: Any) -> tuple[Any, int]:
+    """A ``size=``/``count=`` value as (constant, argument position or -1)."""
+    if not isinstance(ref, str):
+        return ref, -1
+    positions = [position for position, name in enumerate(names) if name == ref]
+    return (None, positions[-1]) if positions else (None, -1)
 
 
 class TrustedBridge:
@@ -327,7 +381,7 @@ class TrustedBridge:
         execution = ctx.execution
         execution.compute(dispatch_ns())
         if code_page is not None:
-            self._mmu.access(execution.enclave, code_page, write=False, execution=execution)
+            self._mmu.access(execution.enclave, code_page, False, execution)
         if copy_in is not None:
             execution.compute(self.copy_cost_ns(copy_in(args)))
         # Read per call: the implementation table is patchable after build.

@@ -258,7 +258,10 @@ class Urts:
             return SgxStatus.SGX_ERROR_INVALID_FUNCTION, None
         decl = ecalls[index]
 
-        state = self.thread_state()
+        thread = sim._current  # the attribute, not the property: per-ecall path
+        state = self._thread_states.get(thread.tid if thread is not None else None)
+        if state is None:
+            state = self.thread_state()
         frames = state.frames
         top = frames[-1] if frames else None
         nested = isinstance(top, OcallFrame) and top.runtime is runtime
@@ -268,7 +271,7 @@ class Urts:
             # dynamic entry table, paper §3.6).
             if decl.name not in top.decl.allowed_ecalls:
                 return SgxStatus.SGX_ERROR_ECALL_NOT_ALLOWED, None
-        elif decl.private:
+        elif not decl.public:
             # Private ecalls are only reachable during an allowing ocall.
             return SgxStatus.SGX_ERROR_ECALL_NOT_ALLOWED, None
 
@@ -290,25 +293,31 @@ class Urts:
         # The AEP may have been patched (the logger's install) since the
         # slot was last entered.
         execution.aep_hook = self._aep_hook
-        execution.eenter()
-        access = self.mmu.access
-        access(enclave, tcs_page, write=True, execution=execution)
-        if stack_top is not None:
-            access(enclave, stack_top, write=True, execution=execution)
-        frames.append(EcallFrame(runtime, decl, execution, tcs_slot, nested))
-        ctx = TrustedContext(self, runtime, execution, state)
         try:
-            result = runtime.bridge.dispatch(ctx, index, args)
-            interface = runtime.interface
-            if interface is not None:
-                # A deferred fused-pair parent must not outlive its ecall:
-                # flush it while the enclave context is still open, so the
-                # observable ocall order is preserved across the boundary.
-                interface.on_ecall_return(ctx)
+            execution.eenter()
+            access = self.mmu.access
+            access(enclave, tcs_page, True, execution)
+            if stack_top is not None:
+                access(enclave, stack_top, True, execution)
+            frames.append(EcallFrame(runtime, decl, execution, tcs_slot, nested))
+            ctx = TrustedContext(self, runtime, execution, state)
+            try:
+                result = runtime.bridge.dispatch(ctx, index, args)
+                interface = runtime.interface
+                if interface is not None:
+                    # A deferred fused-pair parent must not outlive its
+                    # ecall: flush it while the enclave context is still
+                    # open, so the observable ocall order is preserved
+                    # across the boundary.
+                    interface.on_ecall_return(ctx)
+            finally:
+                frames.pop()
+                execution.eexit()
+                sim.compute(self._ecall_return_ns())
         finally:
-            frames.pop()
-            execution.eexit()
-            sim.compute(self._ecall_return_ns())
+            # Also when the entry itself failed: an unhandled fault on the
+            # TCS or stack page (SignalFault), or the simulation shutting
+            # down mid-entry, must not leave the slot busy.
             if owns_tcs:
                 enclave.release_tcs(tcs_slot)
         return SgxStatus.SGX_SUCCESS, result

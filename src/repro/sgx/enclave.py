@@ -47,21 +47,26 @@ class Permission(enum.IntFlag):
     RWX = READ | WRITE | EXECUTE
 
 
+# Stored on pages as plain ints: the MMU tests them on every access.
 _DEFAULT_PERMS = {
-    PageType.SECS: Permission.NONE,
-    PageType.CODE: Permission.RX,
-    PageType.DATA: Permission.RW,
-    PageType.TCS: Permission.RW,
-    PageType.SSA: Permission.RW,
-    PageType.STACK: Permission.RW,
-    PageType.GUARD: Permission.NONE,
-    PageType.HEAP: Permission.RW,
-    PageType.PADDING: Permission.NONE,
+    PageType.SECS: int(Permission.NONE),
+    PageType.CODE: int(Permission.RX),
+    PageType.DATA: int(Permission.RW),
+    PageType.TCS: int(Permission.RW),
+    PageType.SSA: int(Permission.RW),
+    PageType.STACK: int(Permission.RW),
+    PageType.GUARD: int(Permission.NONE),
+    PageType.HEAP: int(Permission.RW),
+    PageType.PADDING: int(Permission.NONE),
 }
 
 
 class Page:
-    """One 4 KiB enclave page."""
+    """One 4 KiB enclave page.
+
+    ``sgx_perms`` and ``os_perms`` hold :class:`Permission` bits as plain
+    ints.
+    """
 
     __slots__ = (
         "enclave_id",
@@ -233,11 +238,13 @@ class Enclave:
         The TCS count bounds how many threads may execute inside the
         enclave concurrently (paper §2.1).
         """
-        for slot, busy in enumerate(self._tcs_busy):
-            if not busy:
-                self._tcs_busy[slot] = True
-                return slot
-        return None
+        busy = self._tcs_busy
+        try:
+            slot = busy.index(False)
+        except ValueError:
+            return None
+        busy[slot] = True
+        return slot
 
     def release_tcs(self, slot: int) -> None:
         """Return a TCS slot to the free pool."""
@@ -326,8 +333,12 @@ class Enclave:
 
     def heap_pages_for(self, alloc: HeapAllocation) -> list[Page]:
         """The heap pages an allocation spans."""
-        first = self._heap_start_page + (alloc.offset >> c.PAGE_SHIFT)
-        last = self._heap_start_page + ((alloc.offset + alloc.size - 1) >> c.PAGE_SHIFT)
+        return self.heap_pages(alloc.offset, alloc.size)
+
+    def heap_pages(self, offset: int, size: int) -> list[Page]:
+        """The heap pages ``size`` bytes at heap ``offset`` span."""
+        first = self._heap_start_page + (offset >> c.PAGE_SHIFT)
+        last = self._heap_start_page + ((offset + size - 1) >> c.PAGE_SHIFT)
         return self.pages[first : last + 1]
 
     def __repr__(self) -> str:

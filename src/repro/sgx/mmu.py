@@ -41,6 +41,7 @@ class Mmu:
         Returns the number of contiguous extents changed (each charged one
         ``mprotect`` syscall when ``charge`` is set).
         """
+        perms = int(perms)
         extents = 0
         previous_index: Optional[int] = None
         for page in pages:
@@ -66,10 +67,11 @@ class Mmu:
         residency (faulting pages in via the driver), then SGX's own
         permissions (violations are fatal: SGX v1 cannot relax them).
         """
-        # Plain-int flag tests: this is the hottest path in the simulator.
+        # Plain-int flag tests (pages hold their permissions as ints):
+        # this is the hottest path in the simulator.
         needed = 2 if write else 1  # Permission.WRITE / Permission.READ
         retries = 0
-        while not (int(page.os_perms) & needed):
+        while not (page.os_perms & needed):
             if retries >= self.MAX_FAULT_RETRIES:
                 raise SgxPermissionError(
                     f"fault loop on {page!r}: handler never restored permissions"
@@ -91,7 +93,7 @@ class Mmu:
                 raise SgxPermissionError(
                     f"untrusted access to enclave page {page!r}"
                 )
-        if not (int(page.sgx_perms) & needed):
+        if not (page.sgx_perms & needed):
             raise SgxPermissionError(
                 f"SGX permissions deny {'write' if write else 'read'} on {page!r}"
             )

@@ -26,6 +26,9 @@ class Library:
     def __init__(self, name: str, symbols: Optional[dict[str, Callable]] = None) -> None:
         self.name = name
         self._symbols: dict[str, Callable] = dict(symbols or {})
+        # Loaders whose search order holds this library (once per load):
+        # a new definition can change what they resolve.
+        self._loaders: list[Loader] = []
 
     def provides(self, symbol: str) -> bool:
         """Whether this library defines ``symbol``."""
@@ -41,6 +44,8 @@ class Library:
     def define(self, name: str, impl: Callable) -> None:
         """Add (or replace) a symbol definition in this library."""
         self._symbols[name] = impl
+        for loader in self._loaders:
+            loader.generation += 1
 
     def symbols(self) -> Iterable[str]:
         """Names of all symbols this library defines."""
@@ -55,20 +60,28 @@ class Loader:
 
     Resolution order is: preloaded libraries (in preload order), then
     normally loaded libraries (in load order) — exactly the search order the
-    ELF dynamic linker uses with ``LD_PRELOAD``.
+    ELF dynamic linker uses with ``LD_PRELOAD``.  :attr:`generation` counts
+    the changes that can move a resolution, so a caller may keep what it
+    resolved until the count moves.
     """
 
     def __init__(self) -> None:
         self._preloaded: list[Library] = []
         self._loaded: list[Library] = []
+        # Bumped whenever a resolution may change: the search order
+        # changes or a library in it defines a symbol.  A caller that
+        # keeps a resolved symbol resolves it again when this moves.
+        self.generation = 0
 
     def preload(self, library: Library) -> None:
         """Register ``library`` ahead of everything loaded normally."""
         self._preloaded.append(library)
+        self._register(library)
 
     def load(self, library: Library) -> None:
         """Register ``library`` at the end of the normal search order."""
         self._loaded.append(library)
+        self._register(library)
 
     def unload(self, library: Library) -> None:
         """Remove ``library`` from the search order (``dlclose`` analogue)."""
@@ -78,6 +91,12 @@ class Loader:
             self._loaded.remove(library)
         else:
             raise SymbolNotFound(f"library {library.name!r} is not loaded")
+        library._loaders.remove(self)
+        self.generation += 1
+
+    def _register(self, library: Library) -> None:
+        library._loaders.append(self)
+        self.generation += 1
 
     def _search_order(self) -> list[Library]:
         return self._preloaded + self._loaded
@@ -85,8 +104,8 @@ class Loader:
     def resolve(self, symbol: str) -> Callable:
         """Resolve ``symbol`` to its first provider's implementation.
 
-        Every proxied ecall resolves ``sgx_ecall`` here, so the search
-        order is walked in place, one symbol-table lookup per library.
+        The search order is walked in place, one symbol-table lookup per
+        library.
         """
         for libraries in (self._preloaded, self._loaded):
             for library in libraries:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import partial
+from math import cos, log, sin, sqrt, tau
 from typing import Callable
 
 
@@ -43,7 +43,7 @@ class DeterministicRng:
         """
         if mean_ns <= 0:
             return 0
-        return _jitter(self.stream(name).gauss, mean_ns, rel_sigma)
+        return _bound_draw(self.stream(name), mean_ns, rel_sigma)()
 
     def bind_jitter(
         self, name: str, mean_ns: float, rel_sigma: float = 0.08
@@ -55,8 +55,8 @@ class DeterministicRng:
         shared stream.
         """
         if mean_ns <= 0:
-            return lambda: 0
-        return partial(_jitter, self.stream(name).gauss, mean_ns, rel_sigma)
+            return _no_jitter
+        return _bound_draw(self.stream(name), mean_ns, rel_sigma)
 
     def heavy_tail_ns(
         self,
@@ -79,9 +79,36 @@ class DeterministicRng:
         return base
 
 
-def _jitter(gauss: Callable[[float, float], float], mean_ns: float, rel_sigma: float) -> int:
-    factor = gauss(1.0, rel_sigma)
+def _no_jitter() -> int:
+    return 0
+
+
+def _bound_draw(rng: random.Random, mean_ns: float, rel_sigma: float) -> Callable[[], int]:
+    """The one jitter draw: ``rng.gauss(1.0, rel_sigma)``, clamped, scaled.
+
+    The draw runs :meth:`random.Random.gauss`'s algorithm inline — two
+    uniforms give a pair of normal deviates, the second cached in the
+    stream's own ``gauss_next`` — so it consumes and yields exactly what
+    ``gauss`` would, and interleaves with every other draw (bound or
+    not, or a direct ``gauss`` call) on the same stream.  The factor is
+    clamped at ``max(0.05, 1 - 3 * rel_sigma)``, the duration at 1 ns.
+    """
+    uniform = rng.random
     floor = max(0.05, 1.0 - 3.0 * rel_sigma)
-    if factor < floor:
-        factor = floor
-    return max(1, int(mean_ns * factor))
+
+    def draw() -> int:
+        z = rng.gauss_next
+        if z is None:
+            x2pi = uniform() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+            z = cos(x2pi) * g2rad
+            rng.gauss_next = sin(x2pi) * g2rad
+        else:
+            rng.gauss_next = None
+        factor = 1.0 + z * rel_sigma
+        if factor < floor:
+            factor = floor
+        ns = int(mean_ns * factor)
+        return ns if ns > 1 else 1
+
+    return draw

@@ -17,6 +17,7 @@ from repro.sdk.urts import Urts
 from repro.sgx.device import SgxDevice
 from repro.sgx.enclave import EnclaveConfig
 from repro.sgx.epc import Epc
+from repro.sim.loader import Library
 from repro.sim.process import SIGUSR1, SimProcess
 
 from tests.conftest import SIMPLE_EDL, make_simple_impls
@@ -82,6 +83,45 @@ class TestEcallTracing:
         assert handle.proxies is proxy_before
         assert handle.ecall("ecall_add", 20, 22) == 42
         logger.uninstall()
+
+    def test_proxy_follows_sgx_ecall_across_loader_changes(self, app):
+        """A proxy keeps the ``sgx_ecall`` it resolved only while the
+        loader is unchanged: installing or removing the logger, or a new
+        definition in a preloaded library, takes effect on the next ecall,
+        so rows are recorded exactly while the logger is installed."""
+        process, device, urts, handle = app
+        shim = Library("libshim.so")
+        process.loader.preload(shim)
+        seen = []
+
+        def shim_sgx_ecall(*call):
+            seen.append(call[3])
+            return process.loader.resolve_next("sgx_ecall", shim)(*call)
+
+        logger = make_logger(process, urts, aex_mode=AexMode.OFF)
+        windows = []
+        handle.ecall("ecall_add", 0, 0)
+        opened = process.sim.now_ns
+        logger.install()
+        handle.ecall("ecall_add", 1, 0)
+        logger.uninstall()
+        windows.append((opened, process.sim.now_ns))
+        handle.ecall("ecall_add", 2, 0)
+        opened = process.sim.now_ns
+        logger.install()
+        handle.ecall("ecall_add", 3, 0)
+        shim.define("sgx_ecall", shim_sgx_ecall)
+        assert handle.ecall("ecall_add", 4, 0) == 4
+        logger.uninstall()
+        windows.append((opened, process.sim.now_ns))
+        assert handle.ecall("ecall_add", 5, 0) == 5
+        assert seen == [(4, 0), (5, 0)]
+        rows = logger.finalize().calls(kind=ECALL)
+        per_window = [
+            sum(1 for row in rows if start <= row.start_ns and row.end_ns <= end)
+            for start, end in windows
+        ]
+        assert per_window == [1, 2] and len(rows) == 3
 
     def test_results_pass_through_unchanged(self, app):
         process, device, urts, handle = app

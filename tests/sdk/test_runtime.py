@@ -4,12 +4,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sdk.edger8r import SYNC_OCALL_NAMES, build_enclave
-from repro.sdk.edl import Direction
+from repro.sdk.edl import Direction, Param
 from repro.sdk.errors import SgxError, SgxStatus
+from repro.sdk.trts import copy_sizer
 from repro.sdk.urts import Urts
 from repro.sgx.device import SgxDevice
-from repro.sgx.enclave import EnclaveConfig
-from repro.sim.process import SimProcess
+from repro.sgx.enclave import EnclaveConfig, Permission
+from repro.sim.process import SignalFault, SimProcess
 
 from tests.conftest import SIMPLE_EDL, make_simple_impls
 
@@ -141,6 +142,25 @@ class TestTcs:
             config=EnclaveConfig(tcs_count=1, heap_bytes=64 * 1024),
         )
         assert handle.ecall("ecall_with_ocall") == 42
+
+    def test_failed_entry_releases_its_tcs(self, urts):
+        """An unhandled SIGSEGV on the TCS page while entering frees the
+        slot the entry took: the next ecall finds it free."""
+        trusted, untrusted = make_simple_impls()
+        handle = build_enclave(
+            urts,
+            SIMPLE_EDL,
+            trusted,
+            untrusted,
+            config=EnclaveConfig(tcs_count=1, heap_bytes=64 * 1024),
+        )
+        tcs = handle.enclave.tcs_page(0)
+        perms = tcs.os_perms
+        urts.mmu.protect([tcs], Permission.NONE, charge=False)
+        with pytest.raises(SignalFault):
+            handle.ecall("ecall_add", 1, 2)
+        urts.mmu.protect([tcs], perms, charge=False)
+        assert handle.try_ecall("ecall_add", 1, 2) == (SgxStatus.SGX_SUCCESS, 3)
 
 
 class TestMarshalling:
@@ -306,15 +326,45 @@ _ARG = st.one_of(
 )
 
 
-def _resolved_bytes(decl, args, direction):
+def _resolved_bytes(params, args, direction):
     """The copy-size rule as written: ``Param.resolve_size`` summed over
     the parameters the argument tuple reaches."""
-    by_name = {param.name: value for param, value in zip(decl.params, args)}
+    by_name = {param.name: value for param, value in zip(params, args)}
     return sum(
         param.resolve_size(by_name, value)
-        for param, value in zip(decl.params, args)
+        for param, value in zip(params, args)
         if param.direction in (direction, Direction.INOUT)
     )
+
+
+def _assert_sizer_matches(sizer, params, args, direction):
+    expected = _resolved_bytes(params, args, direction)
+    if sizer is None:
+        assert not any(p.direction in (direction, Direction.INOUT) for p in params)
+        assert expected == 0
+    else:
+        assert sizer(args) == expected
+
+
+# Few names, so generated declarations repeat them and name each other;
+# small ints, so sizes and counts are often zero or negative.
+_PARAM_NAME = st.sampled_from(["buf", "len", "n", "k"])
+_SMALL_INT = st.integers(min_value=-3, max_value=3)
+_PARAM = st.builds(
+    Param,
+    name=_PARAM_NAME,
+    ctype=st.just("void*"),
+    direction=st.sampled_from(list(Direction)),
+    size=st.one_of(
+        st.none(),
+        _SMALL_INT,
+        st.integers(min_value=-4, max_value=1 << 12),
+        _PARAM_NAME,
+        st.just("absent"),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    count=st.one_of(st.none(), _SMALL_INT, _PARAM_NAME, st.just("absent")),
+)
 
 
 class TestCompiledCopySizes:
@@ -334,11 +384,15 @@ class TestCompiledCopySizes:
         # Short tuples (fewer arguments than parameters) included.
         args = tuple(data.draw(st.lists(_ARG, max_size=len(decl.params) + 1)))
         for direction, sizer in ((Direction.IN, copy_in), (Direction.OUT, copy_out)):
-            expected = _resolved_bytes(decl, args, direction)
-            if sizer is None:
-                assert not any(
-                    p.direction in (direction, Direction.INOUT) for p in decl.params
-                )
-                assert expected == 0
-            else:
-                assert sizer(args) == expected
+            _assert_sizer_matches(sizer, decl.params, args, direction)
+
+    @settings(max_examples=500)
+    @given(
+        params=st.lists(_PARAM, max_size=5).map(tuple),
+        args=st.lists(st.one_of(_ARG, _SMALL_INT), max_size=7).map(tuple),
+        direction=st.sampled_from([Direction.IN, Direction.OUT]),
+    )
+    def test_generated_declarations_match_resolve_size(self, params, args, direction):
+        """Any parameter list: repeated names, names no argument supplies,
+        non-int sizes and counts, tuples shorter or longer than it."""
+        _assert_sizer_matches(copy_sizer(params, direction), params, args, direction)

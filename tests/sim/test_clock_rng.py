@@ -1,10 +1,23 @@
 """Virtual clock and deterministic RNG."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import DeterministicRng
+
+
+def reference_jitter(stream: random.Random, mean_ns: float, rel_sigma: float) -> int:
+    """A jitter draw as ``random.Random.gauss`` and the clamp compute it."""
+    if mean_ns <= 0:
+        return 0
+    factor = stream.gauss(1.0, rel_sigma)
+    floor = max(0.05, 1.0 - 3.0 * rel_sigma)
+    if factor < floor:
+        factor = floor
+    return max(1, int(mean_ns * factor))
 
 
 class TestVirtualClock:
@@ -105,8 +118,56 @@ class TestDeterministicRng:
             got = bound.jitter_ns(*key) if i % 3 == 2 else draw[key]()
             assert got == by_name.jitter_ns(*key)
 
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b"]),
+                st.sampled_from(["bound", "jitter_ns", "gauss"]),
+                st.sampled_from([-3, 0, 1, 475, 820.5, 10_000]),
+                st.sampled_from([0.08, 0.3, 0.4, 0.5]),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_draws_equal_gauss_reference(self, seed, draws):
+        """Bound draws, by-name draws and direct ``gauss`` calls on two
+        streams, interleaved, consume and yield what ``gauss`` does."""
+        rng, reference = DeterministicRng(seed), DeterministicRng(seed)
+        bound = {}
+        for name, kind, mean_ns, rel_sigma in draws:
+            expected_stream = reference.stream(name)
+            if kind == "gauss":
+                assert rng.stream(name).gauss(0.0, 1.0) == expected_stream.gauss(0.0, 1.0)
+                continue
+            if kind == "bound":
+                key = (name, mean_ns, rel_sigma)
+                if key not in bound:
+                    bound[key] = rng.bind_jitter(*key)
+                got = bound[key]()
+            else:
+                got = rng.jitter_ns(name, mean_ns, rel_sigma)
+            assert got == reference_jitter(expected_stream, mean_ns, rel_sigma)
+
+    @pytest.mark.parametrize("rel_sigma", [0.4, 0.5])
+    def test_clamped_draws_equal_gauss_reference(self, rel_sigma):
+        """At a sigma wide enough for the floor to clamp, bound and by-name
+        draws on two streams still equal the reference, clamps included."""
+        rng, reference = DeterministicRng(11), DeterministicRng(11)
+        draw = {name: rng.bind_jitter(name, 10_000, rel_sigma) for name in ("a", "b")}
+        clamped = int(10_000 * 0.05)
+        got = []
+        for i in range(3_000):
+            name = "ab"[i % 2]
+            value = draw[name]() if i % 3 else rng.jitter_ns(name, 10_000, rel_sigma)
+            assert value == reference_jitter(reference.stream(name), 10_000, rel_sigma)
+            got.append(value)
+        assert got.count(clamped) > 0
+        assert min(got) == clamped
+
     def test_bound_jitter_zero_mean_is_zero(self):
         assert DeterministicRng(0).bind_jitter("j", 0)() == 0
+        assert DeterministicRng(0).bind_jitter("j", -5)() == 0
 
     def test_heavy_tail_produces_outliers(self):
         rng = DeterministicRng(3)

@@ -85,3 +85,27 @@ def test_library_define_and_symbols():
     assert "x" in list(lib.symbols())
     with pytest.raises(SymbolNotFound):
         lib.symbol("y")
+
+
+def test_generation_moves_with_every_change_a_resolution_sees():
+    loader = Loader()
+    seen = [loader.generation]
+
+    def moved() -> bool:
+        seen.append(loader.generation)
+        return seen[-1] != seen[-2]
+
+    urts = Library("urts", {"f": lambda: "real"})
+    shim = Library("shim")
+    shim.define("g", lambda: 0)  # not loaded anywhere yet
+    assert not moved()
+    loader.load(urts)
+    assert moved()
+    loader.preload(shim)
+    assert moved()
+    shim.define("f", lambda: "shadow")
+    assert moved() and loader.resolve("f")() == "shadow"
+    loader.unload(shim)
+    assert moved() and loader.resolve("f")() == "real"
+    shim.define("f", lambda: "again")  # unloaded: no resolution changes
+    assert not moved()

@@ -1,7 +1,12 @@
 """The Glamdring partitioner and the signing workload."""
 
+import random
+
 import pytest
 
+from repro.perf.events import ECALL, OCALL
+from repro.perf.logger import OCALL_LOG_POST_NS, OCALL_LOG_PRE_NS, AexMode, EventLogger
+from repro.sdk import constants as sdkc
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
 from repro.workloads.glamdring.bignum import BigNum
@@ -153,3 +158,78 @@ class TestSigner:
     def test_certificates_are_deterministic(self):
         assert make_certificate(3) == make_certificate(3)
         assert make_certificate(3) != make_certificate(4)
+
+
+class _LibcCallingSigner(GlamdringSigner):
+    """The signer with API-surface ecalls that each call one libc
+    function: no signing path issues an ``ocall_libc_*``."""
+
+    def _generic_ecall(self, ctx, *args):
+        ctx.ocall("ocall_libc_3", b"\x00" * 32, 32)
+        return super()._generic_ecall(ctx, *args)
+
+
+class TestGenericInterfaceThroughLogger:
+    """The ecalls and ocalls that pad the interface to the paper's size
+    (``ecall_bn_api_*`` and ``ocall_libc_*``) run the generic
+    implementations, and the logger records them with the time they
+    charge."""
+
+    @staticmethod
+    def _logged(signer_class, ecall):
+        """The ecall's and ocall rows of one logged ``ecall``, and the
+        times predicted for them from the jitter streams beforehand."""
+        process = SimProcess(seed=5)
+        device = SgxDevice(process.sim)
+        signer = signer_class(process, device, SignerBuild.PARTITIONED)
+        logger = EventLogger(process, signer.urts, database=":memory:", aex_mode=AexMode.COUNT)
+        logger.install()
+
+        def draw(stream, mean_ns):
+            # The stream's next draw, by the reference rule on a copy.
+            copy = random.Random()
+            copy.setstate(process.sim.rng.stream(stream).getstate())
+            return max(1, int(mean_ns * max(copy.gauss(1.0, 0.08), 0.76)))
+
+        cpu = device.cpu
+        libc = draw("glamdring:libc", 350)
+        predicted = {
+            "ecall": draw("urts:ecall-dispatch", sdkc.URTS_ECALL_DISPATCH_NS)
+            + cpu.eenter_ns
+            + draw("trts:dispatch", sdkc.TRTS_ECALL_DISPATCH_NS)
+            + 2 * cpu.copy_cost_ns(64)  # [in, out] data, size=len
+            + 400  # the generic ecall's work
+            + cpu.eexit_ns
+            + draw("urts:ecall-return", sdkc.URTS_ECALL_RETURN_NS),
+            "libc": libc,
+            "ocall_round_trip": draw("trts:ocall-prep", sdkc.TRTS_OCALL_PREP_NS)
+            + 2 * cpu.copy_cost_ns(32)
+            + cpu.eexit_ns
+            + draw("urts:ocall-lookup", sdkc.URTS_OCALL_LOOKUP_NS)
+            + OCALL_LOG_PRE_NS
+            + libc
+            + OCALL_LOG_POST_NS
+            + cpu.eenter_ns
+            + draw("trts:ocall-resume", sdkc.TRTS_OCALL_RESUME_NS),
+        }
+        assert signer.handle.ecall(ecall, b"\x00" * 64, 64) == 0
+        logger.uninstall()
+        db = logger.finalize()
+        return db.calls(kind=ECALL), db.calls(kind=OCALL), predicted
+
+    def test_generic_ecall(self):
+        ecalls, ocalls, predicted = self._logged(GlamdringSigner, "ecall_bn_api_7")
+        assert ocalls == []
+        [row] = ecalls
+        assert (row.name, row.aex_count, row.parent_id) == ("ecall_bn_api_7", 0, None)
+        assert row.end_ns - row.start_ns == predicted["ecall"]
+
+    def test_generic_ocall(self):
+        ecalls, ocalls, predicted = self._logged(_LibcCallingSigner, "ecall_bn_api_0")
+        [parent] = ecalls
+        [row] = ocalls
+        assert (row.name, row.parent_id, row.is_sync) == ("ocall_libc_3", parent.event_id, False)
+        # The stub times the untrusted function alone: the libc work.
+        assert row.end_ns - row.start_ns == predicted["libc"]
+        assert parent.aex_count == 0
+        assert parent.end_ns - parent.start_ns == predicted["ecall"] + predicted["ocall_round_trip"]
